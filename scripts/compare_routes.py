@@ -63,10 +63,10 @@ def main(argv=None) -> int:
     print(f"route A (density map): {d_iters} sweeps, last diff {d_hist[-1]:.2e}, "
           f"{t1 - t0:.1f}s")
 
-    phi, c_iters, c_diff = iterate_cf(cfg.cf_start())
+    phi, c_iters, c_hist = iterate_cf(cfg.cf_start())
     inverted = invert_cf(phi)
     t2 = time.perf_counter()
-    print(f"route B (cf + inversion): {c_iters} sweeps, last diff {c_diff:.2e}, "
+    print(f"route B (cf + inversion): {c_iters} sweeps, last diff {c_hist[-1]:.2e}, "
           f"{t2 - t1:.1f}s")
 
     xs = dens.xs

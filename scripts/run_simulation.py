@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qslimit.core_numerics import RealGrid
+from qslimit.core_numerics import Grid
 from qslimit.moments import VARIANCE
 from qslimit.quicksort_sim import exact_variance, simulate
 
@@ -35,14 +35,14 @@ class SimSweepConfig:
     csv_path: str = ""
 
 
-def load_cdf(path: str) -> RealGrid:
+def load_cdf(path: str) -> Grid:
     xs, Fs = [], []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             xs.append(float(row["x"]))
             Fs.append(float(row["F"]))
     xs = np.asarray(xs)
-    return RealGrid(xs[0], float(xs[1] - xs[0]), np.asarray(Fs))
+    return Grid(xs[0], float(xs[1] - xs[0]), np.asarray(Fs))
 
 
 def main(argv=None) -> int:

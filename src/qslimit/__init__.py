@@ -10,11 +10,10 @@ and exact/sampled finite-n comparison counts to check against.
 from .cf_bounds import BoundChain, DecayBound, PiecewiseEnvelope, build_chain, make_envelope
 from .cf_solver import CfGrid, init_gaussian_cf, invert_cf, iterate_cf
 from .core_numerics import (
-    ComplexGrid,
+    Grid,
     IterationError,
     QuadratureError,
     QuadratureSpec,
-    RealGrid,
     g_func,
     integrate,
 )
@@ -36,15 +35,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundChain",
     "CfGrid",
-    "ComplexGrid",
     "DecayBound",
     "DensityGrid",
+    "Grid",
     "IterationError",
     "MomentSequence",
     "PiecewiseEnvelope",
     "QuadratureError",
     "QuadratureSpec",
-    "RealGrid",
     "VARIANCE",
     "apply_T",
     "build_chain",

@@ -32,7 +32,6 @@ from .core_numerics import (
     DEFAULT_QUADRATURE,
     ENDPOINT_EPS,
     QuadratureSpec,
-    gamma,
     h_values,
     integrate,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "c_interp",
     "c_double",
     "c_step",
-    "c_universal",
     "log_bound",
     "LOG_BOUND",
     "LOG_BOUND_T_MIN",
@@ -170,7 +168,7 @@ def c_double(p: float, cp: float) -> DecayBound:
     """Exponent doubling via the squared fixed-point equation (0 < p < 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"c_double needs 0 < p < 1 (beta integral), got {p}")
-    const = gamma(1.0 - p) ** 2 / gamma(2.0 - 2.0 * p) * cp**2
+    const = math.gamma(1.0 - p) ** 2 / math.gamma(2.0 - 2.0 * p) * cp**2
     return DecayBound(2.0 * p, const)
 
 
@@ -180,17 +178,6 @@ def c_step(p: float, cp: float) -> DecayBound:
         raise ValueError(f"c_step needs p > 1, got {p}")
     const = 2.0 ** (p + 1.0) * cp ** (1.0 + 1.0 / p) * p / (p - 1.0)
     return DecayBound(p + 1.0, const)
-
-
-def c_universal(p: float) -> DecayBound:
-    """Closed-form catch-all c_p = 2^{p^2 + 6p}, valid for every p > 0.
-
-    Grossly larger than the assembled chain everywhere the chain exists; its
-    value is that it needs no assembly.
-    """
-    if not p > 0.0:
-        raise ValueError(f"c_universal needs p > 0, got {p}")
-    return DecayBound(p, 2.0 ** (p * p + 6.0 * p))
 
 
 def log_bound(t: float) -> float:

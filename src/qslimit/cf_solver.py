@@ -34,11 +34,10 @@ from scipy.interpolate import CubicSpline
 
 from .core_numerics import (
     ENDPOINT_EPS,
-    ComplexGrid,
-    IterationError,
+    Grid,
     QuadratureError,
     QuadratureSpec,
-    RealGrid,
+    fixed_point,
     g_func,
     g_values,
 )
@@ -51,8 +50,6 @@ __all__ = [
     "cf_map",
     "iterate_cf",
     "invert_cf",
-    "cf_to_csv",
-    "inversion_to_csv",
 ]
 
 # quadrature contract for one application of the map: the doubled-rule
@@ -64,10 +61,10 @@ CF_QUADRATURE = QuadratureSpec(abs_tol=1e-9, max_subdivisions=10_000)
 class CfGrid:
     """Characteristic function sampled on t = 0, dt, ..., T."""
 
-    grid: ComplexGrid
+    grid: Grid
 
     def __post_init__(self):
-        if self.grid.t0 != 0.0:
+        if self.grid.x0 != 0.0:
             raise ValueError("CfGrid must start at t = 0")
         v = self.grid.values
         if v[0] != 1.0 + 0.0j:
@@ -78,8 +75,9 @@ class CfGrid:
     @classmethod
     def from_values(cls, t_max: float, values) -> "CfGrid":
         values = np.asarray(values, dtype=np.complex128)
-        dt = t_max / (values.size - 1)
-        return cls(ComplexGrid(0.0, dt, values))
+        if values.size < 2:
+            raise ValueError(f"a CF grid needs at least 2 points, got {values.size}")
+        return cls(Grid(0.0, t_max / (values.size - 1), values))
 
     @property
     def values(self) -> np.ndarray:
@@ -87,7 +85,7 @@ class CfGrid:
 
     @property
     def ts(self) -> np.ndarray:
-        return self.grid.ts
+        return self.grid.xs
 
     @property
     def n(self) -> int:
@@ -95,11 +93,11 @@ class CfGrid:
 
     @property
     def dt(self) -> float:
-        return self.grid.dt
+        return self.grid.dx
 
     @property
     def t_max(self) -> float:
-        return self.grid.t_max
+        return self.grid.x_max
 
 
 def init_gaussian_cf(t_max: float = 200.0, n: int = 4096) -> CfGrid:
@@ -218,23 +216,10 @@ def iterate_cf(init: CfGrid, max_iter: int = 200, tol: float = 1e-8,
                spec: QuadratureSpec = CF_QUADRATURE):
     """Iterate the map to its fixed point in the sup norm.
 
-    Returns (fixed_point, iterations, final_diff).  Raises IterationError
+    Returns (fixed_point, iterations, diff_history).  Raises IterationError
     with the diff history if the budget runs out.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    cur = init
-    history = []
-    for it in range(1, max_iter + 1):
-        nxt = cf_map(cur, spec)
-        diff = float(np.abs(nxt.values - cur.values).max())
-        history.append(diff)
-        cur = nxt
-        if diff < tol:
-            return cur, it, diff
-    raise IterationError(
-        f"cf iteration did not reach tol={tol} in {max_iter} sweeps "
-        f"(last diff {history[-1]:.3e})", history)
+    return fixed_point(lambda phi: cf_map(phi, spec), init, max_iter, tol, "cf")
 
 
 def _tail_estimate(phi: CfGrid, k: int) -> float:
@@ -261,7 +246,7 @@ def _tail_estimate(phi: CfGrid, k: int) -> float:
     return m_tail * t_max ** (k + 1) / ((q - k - 1.0) * math.pi)
 
 
-def invert_cf(phi: CfGrid, k: int = 0, xs: RealGrid = None) -> RealGrid:
+def invert_cf(phi: CfGrid, k: int = 0, xs: Grid = None) -> Grid:
     """Fourier-invert the grid to the k-th derivative of the density on xs.
 
     Trapezoid rule in t.  Before inverting, the discarded tail t > T is
@@ -271,7 +256,7 @@ def invert_cf(phi: CfGrid, k: int = 0, xs: RealGrid = None) -> RealGrid:
     if k < 0 or int(k) != k:
         raise ValueError(f"derivative order must be a nonnegative integer, got {k}")
     if xs is None:
-        xs = RealGrid.domain(-4.0, 0.005, 2001)
+        xs = Grid.domain(-4.0, 6.0, 0.005)
     tail = _tail_estimate(phi, k)
     if tail >= 1e-6:
         raise ValueError(
@@ -288,25 +273,4 @@ def invert_cf(phi: CfGrid, k: int = 0, xs: RealGrid = None) -> RealGrid:
     for i in range(0, x.size, chunk):
         kernel = np.exp(-1j * np.outer(x[i:i + chunk], ts))
         out[i:i + chunk] = (kernel @ coef).real / math.pi
-    return RealGrid(xs.x0, xs.dx, out)
-
-
-def cf_to_csv(phi: CfGrid) -> str:
-    """CSV dump `t,re,im`, full double precision."""
-    lines = ["t,re,im"]
-    for t, v in zip(phi.ts, phi.values):
-        lines.append(f"{t:.17g},{v.real:.17g},{v.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def inversion_to_csv(grid: RealGrid, k: int = 0) -> str:
-    """CSV dump of an inverted density (`x,f`) or derivative (`x,fk` + k line)."""
-    lines = []
-    if k == 0:
-        lines.append("x,f")
-    else:
-        lines.append(f"# k={k}")
-        lines.append("x,fk")
-    for x, v in zip(grid.xs, grid.values):
-        lines.append(f"{x:.17g},{v:.17g}")
-    return "\n".join(lines) + "\n"
+    return Grid(xs.x0, xs.dx, out)

@@ -11,30 +11,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
 from .cf_bounds import build_chain, make_envelope
-from .cf_solver import (
-    cf_to_csv,
-    init_gaussian_cf,
-    invert_cf,
-    inversion_to_csv,
-    iterate_cf,
-)
-from .core_numerics import IterationError, QuadratureError, RealGrid
+from .cf_solver import init_gaussian_cf, invert_cf, iterate_cf
+from .core_numerics import Grid, IterationError, QuadratureError
 from .density_solver import (
     cdf,
-    cdf_to_csv,
     convergence_report,
-    density_to_csv,
     gaussian_density,
     iterate_density,
     uniform_density,
 )
 from .envelope_integrals import sup_fk_bound
 from .moments import abs_moment_bounds, pump_moments
-from .quicksort_sim import histogram_to_csv, simulate
+from .quicksort_sim import simulate
 from .report import run_acceptance
 
 __all__ = ["main"]
@@ -42,6 +35,12 @@ __all__ = ["main"]
 
 def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _csv(header, *columns) -> str:
+    """Header lines, then one row per sample with every number as %.17g."""
+    rows = [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
+    return "\n".join(list(header) + rows) + "\n"
 
 
 def _emit(args, text: str) -> None:
@@ -108,47 +107,34 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_supf(args) -> int:
+def _cmd_sup(args, k: int, cap: float) -> int:
     targets = [4.5] if args.with_9_2 else [3.5]
     env = make_envelope(build_chain(targets), use_log=args.trick)
-    val = sup_fk_bound(env, 0)
-    verdict = "PASS" if val < 16.0 else "FAIL"
+    val = sup_fk_bound(env, k)
+    verdict = "PASS" if val < cap else "FAIL"
     if args.json:
-        _emit(args, _dump_json({"k": 0, "bound": val, "cap": 16.0,
+        _emit(args, _dump_json({"k": k, "bound": val, "cap": cap,
                                 "trick": args.trick, "with_9_2": args.with_9_2,
                                 "verdict": verdict}))
     else:
-        _emit(args, f"sup f <= {val:.10g}\nmax f < 16: {verdict}\n")
-    return 0 if verdict == "PASS" else 1
-
-
-def _cmd_supf1(args) -> int:
-    targets = [4.5] if args.with_9_2 else [3.5]
-    env = make_envelope(build_chain(targets), use_log=args.trick)
-    val = sup_fk_bound(env, 1)
-    verdict = "PASS" if val < 2466.0 else "FAIL"
-    if args.json:
-        _emit(args, _dump_json({"k": 1, "bound": val, "cap": 2466.0,
-                                "trick": args.trick, "with_9_2": args.with_9_2,
-                                "verdict": verdict}))
-    else:
-        _emit(args, f"sup f' <= {val:.10g}\nmax f' < 2466: {verdict}\n")
+        f = "f" + "'" * k
+        _emit(args, f"sup {f} <= {val:.10g}\nmax {f} < {cap:g}: {verdict}\n")
     return 0 if verdict == "PASS" else 1
 
 
 def _cmd_phi(args) -> int:
-    phi, iters, diff = _iterate_cf_from(args)
-    sys.stderr.write(f"converged in {iters} sweeps, final diff {diff:.3e}\n")
-    _emit(args, cf_to_csv(phi))
+    phi, iters, history = _iterate_cf_from(args)
+    sys.stderr.write(f"converged in {iters} sweeps, final diff {history[-1]:.3e}\n")
+    _emit(args, _csv(["t,re,im"], phi.ts, phi.values.real, phi.values.imag))
     return 0
 
 
 def _cmd_invert(args) -> int:
+    xs = Grid.domain(args.x_min, args.x_max, args.dx)
     phi, _, _ = _iterate_cf_from(args)
-    n = int(round((args.x_max - args.x_min) / args.dx)) + 1
-    xs = RealGrid.domain(args.x_min, args.dx, n)
     out = invert_cf(phi, k=args.k, xs=xs)
-    _emit(args, inversion_to_csv(out, k=args.k))
+    header = ["x,f"] if args.k == 0 else [f"# k={args.k}", "x,fk"]
+    _emit(args, _csv(header, out.xs, out.values))
     return 0
 
 
@@ -160,24 +146,25 @@ def _cmd_density(args) -> int:
     if args.json:
         _emit(args, _dump_json(convergence_report(dens, iters, hist)))
     else:
-        _emit(args, density_to_csv(dens))
+        _emit(args, _csv(["x,f"], dens.xs, dens.values))
     return 0
 
 
 def _cmd_cdf(args) -> int:
     dens, _, _ = _iterate_density_from(args)
-    _emit(args, cdf_to_csv(cdf(dens)))
+    F = cdf(dens)
+    _emit(args, _csv(["x,F"], F.xs, F.values))
     return 0
 
 
-def _load_cdf_csv(path: str) -> RealGrid:
+def _load_cdf_csv(path: str) -> Grid:
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     xs, Fs = data[:, 0], data[:, 1]
     dx = float(xs[1] - xs[0])
     steps = np.diff(xs)
     if not np.allclose(steps, dx, rtol=0.0, atol=1e-9 * abs(dx)):
         raise ValueError(f"{path}: CDF grid must be uniformly spaced")
-    return RealGrid(float(xs[0]), dx, Fs)
+    return Grid(float(xs[0]), dx, Fs)
 
 
 def _cmd_simulate(args) -> int:
@@ -185,8 +172,10 @@ def _cmd_simulate(args) -> int:
     summary, _ = simulate(args.n, args.samples, seed=args.seed,
                           reference_cdf=ref)
     if args.histogram is not None:
+        edges = summary.hist_edges
         with open(args.histogram, "w") as fh:
-            fh.write(histogram_to_csv(summary))
+            fh.write(_csv(["bin_lo,bin_hi,count"], edges[:-1], edges[1:],
+                          summary.hist_counts))
     _emit(args, _dump_json(summary.to_json()))
     return 0
 
@@ -224,15 +213,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bounds)
 
-    for name, fn, hlp in [("supf", _cmd_supf, "integrated envelope bound on sup f"),
-                          ("supf1", _cmd_supf1, "integrated envelope bound on sup f'")]:
+    for name, k, cap, hlp in [("supf", 0, 16.0, "integrated envelope bound on sup f"),
+                              ("supf1", 1, 2466.0, "integrated envelope bound on sup f'")]:
         p = sub.add_parser(name, help=hlp)
         p.add_argument("--trick", action="store_true",
                        help="use the logarithmic refinement")
         p.add_argument("--with-9-2", action="store_true", dest="with_9_2",
                        help="extend the chain to p = 9/2")
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=partial(_cmd_sup, k=k, cap=cap))
 
     p = sub.add_parser("phi", help="iterate the CF fixed point, dump t,re,im")
     _cf_args(p)

@@ -1,8 +1,8 @@
 """Shared numeric substrate for the quicksort limit-law toolkit.
 
-Provides the sampled-grid containers used throughout (real and complex),
-a deterministic adaptive Gauss-Kronrod integrator, a coefficient-based
-gamma function, and the entropy-like toll function
+Provides the sampled-grid container used throughout (real or complex
+values), the one fixed-point driver both solvers run on, a deterministic
+adaptive Gauss-Kronrod integrator, and the entropy-like toll function
 
     g(u) = 2 u ln u + 2 (1-u) ln(1-u) + 1,      0 <= u <= 1,
 
@@ -16,25 +16,22 @@ All arithmetic is 64-bit; nothing here draws random numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "RealGrid",
-    "ComplexGrid",
+    "Grid",
     "QuadratureSpec",
     "QuadratureError",
     "IterationError",
+    "fixed_point",
     "DEFAULT_QUADRATURE",
     "ENDPOINT_EPS",
     "integrate",
-    "gamma",
     "g_func",
     "g_values",
-    "h_func",
     "h_values",
-    "h_stationary_point",
 ]
 
 # Integrands built on g or on negative powers of u are integrated on
@@ -76,19 +73,13 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("grid values must be a non-empty 1-d array")
-    if not np.all(np.isfinite(arr.view(np.float64) if dtype is np.complex128 else arr)):
-        raise ValueError("grid values must be finite")
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
-class RealGrid:
-    """Uniformly sampled real-valued function: values[j] at x0 + j*dx."""
+class Grid:
+    """Uniformly sampled function: values[j] at x0 + j*dx.
+
+    The values keep their kind: complex input is stored as complex128,
+    anything else as float64.  Storage is read-only.
+    """
 
     x0: float
     dx: float
@@ -96,13 +87,24 @@ class RealGrid:
 
     def __post_init__(self):
         if not (self.dx > 0.0 and math.isfinite(self.dx) and math.isfinite(self.x0)):
-            raise ValueError("RealGrid needs finite x0 and dx > 0")
-        object.__setattr__(self, "values", _frozen_array(self.values, np.float64))
+            raise ValueError(f"Grid needs finite x0 and dx > 0, got x0={self.x0}, dx={self.dx}")
+        dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
+        arr = np.array(self.values, dtype=dtype)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError("grid values must be a non-empty 1-d array")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("grid values must be finite")
+        arr.flags.writeable = False
+        object.__setattr__(self, "values", arr)
 
     @classmethod
-    def domain(cls, x0: float, dx: float, n: int) -> "RealGrid":
-        """A zero-valued grid used to describe sample locations only."""
-        return cls(x0, dx, np.zeros(int(n)))
+    def domain(cls, x_min: float, x_max: float, dx: float) -> "Grid":
+        """A zero-valued grid from x_min stepping dx to (about) x_max."""
+        if not (dx > 0.0 and math.isfinite(dx) and math.isfinite(x_min)
+                and math.isfinite(x_max) and x_min < x_max):
+            raise ValueError(f"grid window needs finite x_min < x_max and dx > 0, "
+                             f"got [{x_min}, {x_max}] step {dx}")
+        return cls(x_min, dx, np.zeros(int(round((x_max - x_min) / dx)) + 1))
 
     @property
     def n(self) -> int:
@@ -117,30 +119,28 @@ class RealGrid:
         return self.x0 + self.dx * np.arange(self.n)
 
 
-@dataclass(frozen=True)
-class ComplexGrid:
-    """Uniformly sampled complex-valued function: values[j] at t0 + j*dt."""
+def fixed_point(step, x0, max_iter: int, tol: float, name: str):
+    """Iterate x <- step(x) until successive iterates agree to `tol`.
 
-    t0: float
-    dt: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not (self.dt > 0.0 and math.isfinite(self.dt) and math.isfinite(self.t0)):
-            raise ValueError("ComplexGrid needs finite t0 and dt > 0")
-        object.__setattr__(self, "values", _frozen_array(self.values, np.complex128))
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    @property
-    def t_max(self) -> float:
-        return self.t0 + self.dt * (self.n - 1)
-
-    @property
-    def ts(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n)
+    Iterates carry their samples in `.values`; the distance is the sup norm
+    of the difference.  Returns (x, iterations, diff_history).  Raises
+    IterationError with the history if `max_iter` sweeps do not get there.
+    """
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite float, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    cur = x0
+    history = []
+    for it in range(1, max_iter + 1):
+        nxt = step(cur)
+        history.append(float(np.abs(nxt.values - cur.values).max()))
+        cur = nxt
+        if history[-1] < tol:
+            return cur, it, history
+    raise IterationError(
+        f"{name} iteration did not reach tol={tol} in {max_iter} sweeps "
+        f"(last diff {history[-1]:.3e})", history)
 
 
 # ---------------------------------------------------------------------------
@@ -214,40 +214,6 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) 
 
 
 # ---------------------------------------------------------------------------
-# Gamma function, Lanczos approximation (g = 7, 9 coefficients).  The
-# coefficients live here in the source; relative error is ~1e-13 on the
-# positive real axis, comfortably inside the 1e-12 contract on (0, 8].
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma(x: float) -> float:
-    """Gamma function on the positive reals."""
-    if not (x > 0.0 and math.isfinite(x)):
-        raise ValueError(f"gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos argument away from the pole region
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
-
-# ---------------------------------------------------------------------------
 # Toll function and tilted phase.
 
 
@@ -277,24 +243,11 @@ def g_values(u: np.ndarray) -> np.ndarray:
     return 2.0 * a * np.log(a) + 2.0 * b * np.log(b) + 1.0
 
 
-def h_func(y: float, z: float, u: float) -> float:
-    """Tilted toll u*y + (1-u)*z + g(u) for 0 < u < 1."""
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"h_func requires 0 < u < 1, got {u}")
-    return u * y + (1.0 - u) * z + g_func(u)
-
-
 def h_values(y: float, z: float, u: np.ndarray) -> np.ndarray:
-    """Vectorized tilted toll on parameter arrays in (0, 1)."""
+    """Tilted toll u*y + (1-u)*z + g(u), vectorized over u in (0, 1).
+
+    Strictly convex in u (h'' = 2/(u(1-u)) >= 8), the curvature the van der
+    Corput rung rests on.
+    """
     u = np.asarray(u, dtype=np.float64)
     return u * y + (1.0 - u) * z + g_values(u)
-
-
-def h_stationary_point(y: float, z: float) -> float:
-    """The unique interior critical point of u -> h(y, z, u).
-
-    Solves h'(u) = y - z + 2 ln(u/(1-u)) = 0, giving a logistic expression.
-    h is strictly convex in u (h'' = 2/(u(1-u)) >= 8), so this is the
-    minimizer.
-    """
-    return 1.0 / (1.0 + math.exp((y - z) / 2.0))

@@ -33,7 +33,7 @@ import warnings
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core_numerics import IterationError, RealGrid, g_func
+from .core_numerics import Grid, fixed_point, g_func
 from .moments import VARIANCE
 
 __all__ = [
@@ -44,12 +44,9 @@ __all__ = [
     "apply_T",
     "iterate_density",
     "cdf",
-    "mgf_estimate",
     "positivity_check",
     "restrict",
     "convergence_report",
-    "density_to_csv",
-    "cdf_to_csv",
 ]
 
 # pointwise cap for the conditional densities: f_u <= 16/max(u, 1-u) <= 32,
@@ -60,7 +57,7 @@ F_U_CAP = 32.0 * (1.0 + 1e-6)
 class DensityGrid:
     """A probability density sampled on a uniform grid covering the bulk."""
 
-    def __init__(self, grid: RealGrid, validate: bool = True):
+    def __init__(self, grid: Grid, validate: bool = True):
         if float(grid.values.min()) < 0.0:
             raise ValueError("density values must be nonnegative")
         self.grid = grid
@@ -98,15 +95,14 @@ class DensityGrid:
 
 def _normalized(x0: float, dx: float, values: np.ndarray) -> DensityGrid:
     mass = np.trapezoid(values, dx=dx)
-    return DensityGrid(RealGrid(x0, dx, values / mass))
+    return DensityGrid(Grid(x0, dx, values / mass))
 
 
 def gaussian_density(mean: float = 0.0, var: float = VARIANCE,
                      x_min: float = -4.0, x_max: float = 6.0,
                      dx: float = 0.005) -> DensityGrid:
     """Gaussian seed; defaults match the limit law's first two moments."""
-    n = int(round((x_max - x_min) / dx)) + 1
-    xs = x_min + dx * np.arange(n)
+    xs = Grid.domain(x_min, x_max, dx).xs
     vals = np.exp(-0.5 * (xs - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
     return _normalized(x_min, dx, vals)
 
@@ -117,8 +113,7 @@ def uniform_density(a: float = -1.0, b: float = 1.0,
     """Uniform seed on [a, b]; an alternative start for route-independence runs."""
     if not a < b:
         raise ValueError("uniform_density needs a < b")
-    n = int(round((x_max - x_min) / dx)) + 1
-    xs = x_min + dx * np.arange(n)
+    xs = Grid.domain(x_min, x_max, dx).xs
     vals = np.where((xs >= a) & (xs <= b), 1.0 / (b - a), 0.0)
     return _normalized(x_min, dx, vals)
 
@@ -204,7 +199,7 @@ def apply_T(f: DensityGrid, u_nodes: int = 64) -> DensityGrid:
             f"mass {pre_mass:.6f} before renormalization is outside [0.9, 1.1]; "
             f"the grid is losing probability"
         )
-    return DensityGrid(RealGrid(f.grid.x0, dx, out / pre_mass))
+    return DensityGrid(Grid(f.grid.x0, dx, out / pre_mass))
 
 
 def iterate_density(f0: DensityGrid, max_iter: int = 60, tol: float = 1e-6,
@@ -216,45 +211,22 @@ def iterate_density(f0: DensityGrid, max_iter: int = 60, tol: float = 1e-6,
     below 0.95 a warning is attached rather than an error, since the sweep
     may simply have hit its discretization floor.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    cur = f0
-    history = []
-    for it in range(1, max_iter + 1):
-        nxt = apply_T(cur, u_nodes=u_nodes)
-        diff = float(np.abs(nxt.values - cur.values).max())
-        history.append(diff)
-        cur = nxt
-        if diff < tol:
-            if len(history) >= 6:
-                ratios = [history[i] / history[i - 1] for i in range(len(history) - 5, len(history))]
-                if any(r >= 0.95 for r in ratios):
-                    warnings.warn(
-                        f"density iteration converged but the last diff ratios "
-                        f"{[round(r, 3) for r in ratios]} are not uniformly geometric",
-                        RuntimeWarning)
-            return cur, it, history
-    raise IterationError(
-        f"density iteration did not reach tol={tol} in {max_iter} sweeps "
-        f"(last diff {history[-1]:.3e})", history)
+    cur, it, history = fixed_point(lambda f: apply_T(f, u_nodes=u_nodes), f0,
+                                   max_iter, tol, "density")
+    if len(history) >= 6:
+        ratios = [history[i] / history[i - 1] for i in range(len(history) - 5, len(history))]
+        if any(r >= 0.95 for r in ratios):
+            warnings.warn(
+                f"density iteration converged but the last diff ratios "
+                f"{[round(r, 3) for r in ratios]} are not uniformly geometric",
+                RuntimeWarning)
+    return cur, it, history
 
 
-def cdf(f: DensityGrid) -> RealGrid:
+def cdf(f: DensityGrid) -> Grid:
     """Trapezoid CDF of the density, clamped to [0, 1] and nondecreasing."""
     inc = np.concatenate([[0.0], np.cumsum(0.5 * (f.values[1:] + f.values[:-1]) * f.dx)])
-    return RealGrid(f.grid.x0, f.dx, np.clip(inc, 0.0, 1.0))
-
-
-def mgf_estimate(f: DensityGrid, lam: float) -> float:
-    """Trapezoid estimate of E exp(lam * Y) on the grid.
-
-    Only |lam| <= 2 is allowed: beyond that the integrand's ends no longer
-    sit deep in the tails of the grid window and the estimate stops meaning
-    anything.
-    """
-    if abs(lam) > 2.0:
-        raise ValueError(f"mgf_estimate is restricted to |lam| <= 2, got {lam}")
-    return float(np.trapezoid(np.exp(lam * f.xs) * f.values, dx=f.dx))
+    return Grid(f.grid.x0, f.dx, np.clip(inc, 0.0, 1.0))
 
 
 def positivity_check(f: DensityGrid, threshold: float = 0.0) -> bool:
@@ -279,7 +251,7 @@ def restrict(f: DensityGrid, x_lo: float, x_hi: float) -> DensityGrid:
     i_hi = int(math.floor((x_hi - f.grid.x0) / f.dx + 1e-9))
     if not (0 <= i_lo < i_hi < f.values.size):
         raise ValueError("restriction window outside the grid")
-    sub = RealGrid(f.grid.x0 + i_lo * f.dx, f.dx, f.values[i_lo : i_hi + 1].copy())
+    sub = Grid(f.grid.x0 + i_lo * f.dx, f.dx, f.values[i_lo : i_hi + 1].copy())
     return DensityGrid(sub, validate=False)
 
 
@@ -292,17 +264,3 @@ def convergence_report(f: DensityGrid, iterations: int, history) -> dict:
         "max_f": float(f.values.max()),
         "min_f": float(f.values.min()),
     }
-
-
-def density_to_csv(f: DensityGrid) -> str:
-    lines = ["x,f"]
-    for x, v in zip(f.xs, f.values):
-        lines.append(f"{x:.17g},{v:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def cdf_to_csv(F: RealGrid) -> str:
-    lines = ["x,F"]
-    for x, v in zip(F.xs, F.values):
-        lines.append(f"{x:.17g},{v:.17g}")
-    return "\n".join(lines) + "\n"

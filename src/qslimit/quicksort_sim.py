@@ -24,20 +24,18 @@ from functools import lru_cache
 import numpy as np
 from scipy import stats
 
-from .core_numerics import RealGrid
+from .core_numerics import Grid
 
 __all__ = [
     "exact_mean",
     "exact_variance",
     "variance_closed_form",
     "exact_distribution",
-    "sample_X",
     "sample_many",
     "standardize",
     "ks_distance",
     "chi_square_vs_exact",
     "SimulationSummary",
-    "histogram_to_csv",
     "simulate",
 ]
 
@@ -171,11 +169,6 @@ def sample_many(n: int, m: int, rng: np.random.Generator,
     return out
 
 
-def sample_X(n: int, rng: np.random.Generator) -> int:
-    """One draw of X_n."""
-    return int(sample_many(n, 1, rng)[0])
-
-
 def standardize(xs, n: int) -> np.ndarray:
     """Map raw counts to (X_n - E X_n)/n, the scale on which the limit lives."""
     n = _check_n(n)
@@ -184,7 +177,7 @@ def standardize(xs, n: int) -> np.ndarray:
     return (np.asarray(xs, dtype=np.float64) - exact_mean(n)) / n
 
 
-def ks_distance(sample: np.ndarray, cdf_grid: RealGrid) -> float:
+def ks_distance(sample: np.ndarray, cdf_grid: Grid) -> float:
     """Two-sided Kolmogorov-Smirnov distance of a sample to a gridded CDF."""
     xs = np.sort(np.asarray(sample, dtype=np.float64))
     m = xs.size
@@ -252,15 +245,7 @@ class SimulationSummary:
         return out
 
 
-def histogram_to_csv(summary: SimulationSummary) -> str:
-    lines = ["bin_lo,bin_hi,count"]
-    e = summary.hist_edges
-    for i, c in enumerate(summary.hist_counts):
-        lines.append(f"{e[i]:.17g},{e[i + 1]:.17g},{c}")
-    return "\n".join(lines) + "\n"
-
-
-def simulate(n: int, m: int, seed: int = 0, reference_cdf: RealGrid = None,
+def simulate(n: int, m: int, seed: int = 0, reference_cdf: Grid = None,
              bins: int = 40) -> tuple:
     """Draw m runs at size n and summarize on both the raw and limit scales.
 

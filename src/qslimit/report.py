@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cf_bounds import build_chain, make_envelope, vdc_cf, derivative_cf_bound
+from .cf_bounds import build_chain, make_envelope, vdc_cf
 from .cf_solver import init_gaussian_cf, invert_cf, iterate_cf
-from .core_numerics import QuadratureSpec, RealGrid
+from .core_numerics import QuadratureSpec
 from .density_solver import (
     cdf,
     gaussian_density,
@@ -27,7 +27,7 @@ from .density_solver import (
     restrict,
 )
 from .envelope_integrals import maxf_theorem_check, sup_fk_bound
-from .moments import VARIANCE, abs_moment_bounds, pump_moments
+from .moments import VARIANCE, pump_moments
 from .quicksort_sim import (
     chi_square_vs_exact,
     exact_mean,
@@ -75,8 +75,8 @@ def build_artifacts(seed: int = 42, samples: int = 200_000,
     """Everything the acceptance checks share, computed once."""
     chain = build_chain([1.5, 2.5, 3.5])
     t0 = time.perf_counter()
-    phi, cf_iters, cf_diff = iterate_cf(init_gaussian_cf(), max_iter=cf_max_iter,
-                                        tol=1e-8)
+    phi, cf_iters, cf_history = iterate_cf(init_gaussian_cf(), max_iter=cf_max_iter,
+                                           tol=1e-8)
     cf_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
     with warnings.catch_warnings():
@@ -89,7 +89,7 @@ def build_artifacts(seed: int = 42, samples: int = 200_000,
         "envelope": make_envelope(chain, use_log=True),
         "phi": phi,
         "cf_iters": cf_iters,
-        "cf_diff": cf_diff,
+        "cf_diff": cf_history[-1],
         "cf_seconds": cf_seconds,
         "density": dens,
         "density_iters": dens_iters,

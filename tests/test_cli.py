@@ -1,11 +1,16 @@
 """Command-line surface: subcommands, formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
+import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy import stats
 
 from qslimit.cli import main
@@ -74,6 +79,7 @@ def test_phi_csv(tmp_path, capsys):
     lines = _read(out_path).strip().splitlines()
     assert lines[0] == "t,re,im"
     assert len(lines) == 1025
+    assert tuple(float(v) for v in lines[1].split(",")) == (0.0, 1.0, 0.0)
 
 
 def test_invert_csv(tmp_path):
@@ -87,6 +93,13 @@ def test_invert_csv(tmp_path):
     mass = np.trapezoid(data[:, 1], data[:, 0])
     assert mass == pytest.approx(1.0, abs=1e-2)
 
+    rc = main(["--output", str(out_path), "invert", "--t-max", "50",
+               "--grid-size", "1024", "--k", "1"])
+    assert rc == 0
+    lines = _read(out_path).strip().splitlines()
+    assert lines[:2] == ["# k=1", "x,fk"]
+    assert len(lines) == 2 + 2001
+
 
 def test_density_json_and_convergence_file(tmp_path, capsys):
     conv_path = tmp_path / "conv.json"
@@ -97,6 +110,17 @@ def test_density_json_and_convergence_file(tmp_path, capsys):
     assert payload["diff_history"][-1] < 1e-6
     assert abs(payload["mean"]) < 5e-3
     assert json.loads(_read(conv_path)) == payload
+
+
+def test_density_csv(tmp_path):
+    out_path = tmp_path / "f.csv"
+    rc = main(["--output", str(out_path), "density", "--dx", "0.01"])
+    assert rc == 0
+    lines = _read(out_path).strip().splitlines()
+    assert lines[0] == "x,f"
+    assert len(lines) == 1 + 1001
+    data = np.loadtxt(str(out_path), delimiter=",", skiprows=1)
+    assert np.trapezoid(data[:, 1], dx=0.01) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_cdf_csv(tmp_path):
@@ -129,6 +153,7 @@ def test_simulate_json_histogram_and_ks(tmp_path, capsys):
     assert 0.0 <= payload["ks"] <= 1.0
     lines = _read(hist_path).strip().splitlines()
     assert lines[0] == "bin_lo,bin_hi,count"
+    assert len(lines) == 1 + 40
     assert sum(int(line.split(",")[2]) for line in lines[1:]) == 20000
 
 
@@ -160,6 +185,69 @@ def test_pipeline_errors_exit_one(capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error:")
+
+
+# Every sizing flag gets a small valid value (so a valid run stays cheap),
+# except at most one, which gets a value the CLI must turn away.
+_INVALID = st.sampled_from(["0", "-1", "-0.5", "nan", "inf", "1e400", "x"])
+_SIZING_FLAGS = {
+    "--iters": st.integers(1, 3),
+    "--tol": st.floats(1e-8, 1e-1),
+    "--t-max": st.floats(0.5, 10.0),
+    "--grid-size": st.integers(2, 64),
+    "--dx": st.floats(0.05, 1.0),
+}
+_FLAGS_OF = {
+    "phi": ("--iters", "--tol", "--t-max", "--grid-size"),
+    "invert": ("--iters", "--tol", "--t-max", "--grid-size", "--dx"),
+    "density": ("--iters", "--tol", "--dx"),
+    "cdf": ("--iters", "--tol", "--dx"),
+}
+
+
+@st.composite
+def _sizing_argv(draw):
+    cmd = draw(st.sampled_from(sorted(_FLAGS_OF)))
+    bad = draw(st.sampled_from((None,) + _FLAGS_OF[cmd]))
+    argv = [cmd]
+    for flag in _FLAGS_OF[cmd]:
+        value = _INVALID if flag == bad else _SIZING_FLAGS[flag].map(str)
+        argv += [flag, draw(value)]
+    return argv
+
+
+@given(_sizing_argv())
+@settings(max_examples=80, deadline=None)
+def test_sizing_flags_never_escape_as_tracebacks(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects the value
+            rc = exc.code
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if rc == 1:
+        assert err.getvalue().startswith("error:"), argv
+        assert err.getvalue().count("\n") == 1, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "--grid-size", "1"],
+    ["phi", "--iters", "0"],
+    ["density", "--iters", "0"],
+    ["density", "--dx", "0"],
+    ["cdf", "--dx", "0"],
+    ["invert", "--dx", "0"],
+    ["phi", "--tol", "nan"],
+    ["density", "--tol", "nan"],
+])
+def test_bad_sizes_exit_one(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_two():

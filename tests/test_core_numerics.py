@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 from qslimit.core_numerics import (
+    Grid,
+    IterationError,
     QuadratureError,
     QuadratureSpec,
-    RealGrid,
+    fixed_point,
     g_func,
     g_values,
-    gamma,
-    h_func,
-    h_stationary_point,
     h_values,
     integrate,
 )
@@ -59,35 +58,6 @@ def test_integrate_linear_in_integrand(a, b):
     assert abs(lhs - rhs) <= 3.0 * spec.abs_tol * (1.0 + abs(a) + abs(b))
 
 
-def test_gamma_reference_values():
-    assert gamma(1.0) == pytest.approx(1.0, abs=1e-12)
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-    assert gamma(0.25) == pytest.approx(3.6256099082219083, abs=1e-6)
-
-
-def test_gamma_reflection_cross_check():
-    # Gamma(1/4) Gamma(3/4) = pi / sin(pi/4)
-    assert gamma(0.25) * gamma(0.75) == pytest.approx(
-        math.pi / math.sin(math.pi / 4.0), rel=1e-10)
-
-
-def test_gamma_recurrence_sweep():
-    for x in np.linspace(0.05, 5.0, 100):
-        assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-10)
-
-
-@given(st.floats(min_value=0.01, max_value=4.99))
-def test_gamma_recurrence(x):
-    assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-10)
-
-
-def test_gamma_domain():
-    with pytest.raises(ValueError):
-        gamma(0.0)
-    with pytest.raises(ValueError):
-        gamma(-1.5)
-
-
 def test_g_reference_values():
     assert g_func(0.5) == pytest.approx(1.0 - 2.0 * math.log(2.0), rel=1e-15)
     assert g_func(0.0) == 1.0
@@ -123,24 +93,8 @@ def test_g_symmetry_everywhere(u):
 
 
 def test_h_reduces_to_g_on_the_diagonal():
-    for u in (0.1, 0.37, 0.5, 0.9):
-        assert h_func(0.0, 0.0, u) == pytest.approx(g_func(u), rel=1e-15)
-
-
-def test_h_open_interval_domain():
-    with pytest.raises(ValueError):
-        h_func(1.0, 2.0, 0.0)
-    with pytest.raises(ValueError):
-        h_func(1.0, 2.0, 1.0)
-
-
-def test_h_stationary_point_example():
-    # the minimizer of h(2, 0, .) solves u/(1-u) = e^{-1}, i.e. u = 1/(1+e)
-    u_star = h_stationary_point(2.0, 0.0)
-    assert u_star == pytest.approx(1.0 / (1.0 + math.e), rel=1e-12)
-    us = np.linspace(1e-6, 1.0 - 1e-6, 20_001)
-    hs = h_values(2.0, 0.0, us)
-    assert abs(us[np.argmin(hs)] - u_star) < 1e-4
+    us = np.array([0.1, 0.37, 0.5, 0.9])
+    assert np.array_equal(h_values(0.0, 0.0, us), g_values(us))
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0),
@@ -149,30 +103,101 @@ def test_h_stationary_point_example():
 def test_h_second_difference_stays_convex(y, z, u):
     # d^2h/du^2 = 2/(u(1-u)) >= 8, so the discrete proxy clears 7.9 easily
     d = 1e-3
-    second = (h_func(y, z, u + d) - 2.0 * h_func(y, z, u) + h_func(y, z, u - d)) / d**2
+    h = h_values(y, z, np.array([u - d, u, u + d]))
+    second = (h[2] - 2.0 * h[1] + h[0]) / d**2
     assert second >= 7.9
+
+
+def _logistic_stationary_point(y, z):
+    # h'(u) = y - z + 2 ln(u/(1-u)) vanishes here
+    return 1.0 / (1.0 + math.exp((y - z) / 2.0))
+
+
+def test_h_stationary_point_example():
+    # the minimizer of h(2, 0, .) solves u/(1-u) = e^{-1}, i.e. u = 1/(1+e)
+    u_star = _logistic_stationary_point(2.0, 0.0)
+    assert u_star == pytest.approx(1.0 / (1.0 + math.e), rel=1e-12)
+    us = np.linspace(1e-6, 1.0 - 1e-6, 20_001)
+    hs = h_values(2.0, 0.0, us)
+    assert abs(us[np.argmin(hs)] - u_star) < 1e-4
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0),
        st.floats(min_value=-5.0, max_value=5.0))
 def test_h_stationary_point_is_a_minimum(y, z):
-    u_star = h_stationary_point(y, z)
+    u_star = _logistic_stationary_point(y, z)
     if not 1e-3 < u_star < 1.0 - 1e-3:
         return
-    base = h_func(y, z, u_star)
-    assert h_func(y, z, u_star + 1e-3) >= base
-    assert h_func(y, z, u_star - 1e-3) >= base
+    h = h_values(y, z, np.array([u_star - 1e-3, u_star, u_star + 1e-3]))
+    assert h[0] >= h[1] and h[2] >= h[1]
 
 
 def test_real_grid_basics():
-    grid = RealGrid.domain(-1.0, 0.5, 5)
+    grid = Grid.domain(-1.0, 1.0, 0.5)
     assert grid.n == 5
+    assert grid.values.dtype == np.float64
     assert grid.x_max == pytest.approx(1.0)
     assert np.array_equal(grid.xs, [-1.0, -0.5, 0.0, 0.5, 1.0])
     with pytest.raises(ValueError):
         grid.values[0] = 2.0  # frozen storage
 
 
+def test_complex_grid_keeps_its_dtype():
+    grid = Grid(0.0, 0.25, [1.0 + 0.0j, 0.5 - 0.5j, 0.0j])
+    assert grid.values.dtype == np.complex128
+    assert grid.values[1] == 0.5 - 0.5j
+    assert Grid(0.0, 0.25, np.arange(3)).values.dtype == np.float64
+
+
 def test_real_grid_rejects_non_finite():
     with pytest.raises(ValueError):
-        RealGrid(0.0, 0.1, np.array([1.0, np.nan, 3.0]))
+        Grid(0.0, 0.1, np.array([1.0, np.nan, 3.0]))
+    with pytest.raises(ValueError):
+        Grid(0.0, 0.1, np.array([1.0, complex(0.0, np.inf)]))
+
+
+@pytest.mark.parametrize("x0, dx, values", [
+    (0.0, 0.0, [1.0]), (0.0, -0.1, [1.0]), (0.0, np.nan, [1.0]),
+    (np.inf, 0.1, [1.0]), (0.0, 0.1, []), (0.0, 0.1, [[1.0, 2.0]]),
+])
+def test_grid_rejects_bad_shape_and_spacing(x0, dx, values):
+    with pytest.raises(ValueError):
+        Grid(x0, dx, values)
+
+
+@pytest.mark.parametrize("x_min, x_max, dx", [
+    (-1.0, 1.0, 0.0), (-1.0, 1.0, -0.5), (-1.0, 1.0, np.nan), (-1.0, 1.0, np.inf),
+    (1.0, -1.0, 0.5), (-np.inf, 1.0, 0.5), (-1.0, np.nan, 0.5),
+])
+def test_grid_domain_rejects_bad_windows(x_min, x_max, dx):
+    with pytest.raises(ValueError):
+        Grid.domain(x_min, x_max, dx)
+
+
+class _Point:
+    def __init__(self, x):
+        self.values = np.array([x])
+
+
+def test_fixed_point_converges_and_reports_its_history():
+    x, iters, history = fixed_point(lambda p: _Point(0.5 * p.values[0] + 1.0),
+                                    _Point(0.0), max_iter=100, tol=1e-9, name="halving")
+    assert x.values[0] == pytest.approx(2.0, abs=1e-8)
+    assert iters == len(history)
+    assert history[-1] < 1e-9 <= history[-2]
+    assert all(b == pytest.approx(0.5 * a) for a, b in zip(history, history[1:]))
+
+
+def test_fixed_point_runs_out_of_budget():
+    with pytest.raises(IterationError, match="halving iteration did not reach") as err:
+        fixed_point(lambda p: _Point(0.5 * p.values[0] + 1.0), _Point(0.0),
+                    max_iter=3, tol=1e-9, name="halving")
+    assert err.value.history == [1.0, 0.5, 0.25]
+
+
+@pytest.mark.parametrize("max_iter, tol", [
+    (10, 0.0), (10, -1e-3), (10, np.nan), (10, np.inf), (0, 1e-3), (-1, 1e-3),
+])
+def test_fixed_point_rejects_bad_arguments(max_iter, tol):
+    with pytest.raises(ValueError):
+        fixed_point(lambda p: p, _Point(0.0), max_iter=max_iter, tol=tol, name="x")

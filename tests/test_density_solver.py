@@ -6,17 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from qslimit.core_numerics import IterationError, RealGrid
+from qslimit.core_numerics import Grid, IterationError
 from qslimit.density_solver import (
     DensityGrid,
     apply_T,
     cdf,
-    cdf_to_csv,
     convergence_report,
-    density_to_csv,
     gaussian_density,
     iterate_density,
-    mgf_estimate,
     positivity_check,
     restrict,
     uniform_density,
@@ -34,11 +31,11 @@ def test_initial_densities_are_normalized():
 
 def test_density_grid_validation():
     with pytest.raises(ValueError):
-        DensityGrid(RealGrid(0.0, 0.005, np.ones(201)))  # misses [-2, 4]
+        DensityGrid(Grid(0.0, 0.005, np.ones(201)))  # misses [-2, 4]
     vals = np.full(2001, 0.1)
     vals[3] = -0.1
     with pytest.raises(ValueError):
-        DensityGrid(RealGrid(-4.0, 0.005, vals), validate=False)  # negative
+        DensityGrid(Grid(-4.0, 0.005, vals), validate=False)  # negative
 
 
 def test_map_preserves_the_mean():
@@ -149,17 +146,6 @@ def test_cdf_shape(density_fixed):
     assert -0.4 < median < 0.2
 
 
-def test_mgf_estimates(density_fixed):
-    dens, _, _ = density_fixed
-    assert mgf_estimate(dens, 0.0) == pytest.approx(1.0, abs=2e-3)
-    m1 = mgf_estimate(dens, 1.0)
-    assert 1.0 < m1 < 3.0
-    # log-convexity on the window where the grid supports the estimate
-    assert mgf_estimate(dens, 0.5) ** 2 <= mgf_estimate(dens, 0.0) * m1 + 1e-6
-    with pytest.raises(ValueError):
-        mgf_estimate(dens, 2.5)
-
-
 def test_convergence_report_keys(density_fixed):
     dens, iters, history = density_fixed
     rep = convergence_report(dens, iters, history)
@@ -167,12 +153,3 @@ def test_convergence_report_keys(density_fixed):
                         "max_f", "min_f"}
     assert rep["iterations"] == iters
     assert rep["diff_history"] == list(history)
-
-
-def test_csv_formats(density_fixed):
-    dens, _, _ = density_fixed
-    lines = density_to_csv(dens).strip().splitlines()
-    assert lines[0] == "x,f"
-    assert len(lines) == dens.grid.n + 1
-    lines = cdf_to_csv(cdf(dens)).strip().splitlines()
-    assert lines[0] == "x,F"

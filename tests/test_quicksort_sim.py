@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qslimit.core_numerics import RealGrid
+from qslimit.core_numerics import Grid
 from qslimit.moments import VARIANCE
 from qslimit.quicksort_sim import (
     SimulationSummary,
@@ -15,9 +15,7 @@ from qslimit.quicksort_sim import (
     exact_distribution,
     exact_mean,
     exact_variance,
-    histogram_to_csv,
     ks_distance,
-    sample_X,
     sample_many,
     simulate,
     standardize,
@@ -25,9 +23,9 @@ from qslimit.quicksort_sim import (
 )
 
 
-def _normal_cdf_grid() -> RealGrid:
+def _normal_cdf_grid() -> Grid:
     xs = np.linspace(-8.0, 8.0, 4001)
-    return RealGrid(-8.0, float(xs[1] - xs[0]), stats.norm.cdf(xs))
+    return Grid(-8.0, float(xs[1] - xs[0]), stats.norm.cdf(xs))
 
 
 def test_exact_mean_small_cases():
@@ -98,9 +96,8 @@ def test_exact_distribution_caps_at_seven():
 
 def test_sampler_degenerate_cases():
     rng = np.random.Generator(np.random.PCG64(0))
-    assert sample_X(0, rng) == 0
-    assert sample_X(1, rng) == 0
-    assert sample_X(2, rng) == 1
+    for n, count in ((0, 0), (1, 0), (2, 1)):
+        assert np.array_equal(sample_many(n, 5, rng), np.full(5, count))
 
 
 def test_sampler_is_seed_deterministic():
@@ -191,12 +188,3 @@ def test_simulate_with_reference_cdf():
     summary, _ = simulate(200, 5000, seed=8, reference_cdf=_normal_cdf_grid())
     assert summary.ks is not None
     assert 0.0 <= summary.ks <= 1.0
-
-
-def test_histogram_csv():
-    summary, _ = simulate(50, 2000, seed=3, bins=12)
-    lines = histogram_to_csv(summary).strip().splitlines()
-    assert lines[0] == "bin_lo,bin_hi,count"
-    assert len(lines) == 13
-    total = sum(int(line.split(",")[2]) for line in lines[1:])
-    assert total == 2000
