@@ -14,6 +14,7 @@ from qslimit.cf_solver import (
     invert_cf,
     iterate_cf,
 )
+from qslimit.cli import _csv, main
 from qslimit.core_numerics import IterationError
 from qslimit.moments import VARIANCE
 
@@ -120,3 +121,27 @@ def test_invert_rejects_bad_derivative_order(cf_fixed):
     phi, _, _ = cf_fixed
     with pytest.raises(ValueError):
         invert_cf(phi, k=-1)
+
+
+def test_csv_formats(cf_fixed, tmp_path):
+    # phi as the CLI writes it: t,re,im rows whose %.17g values read back exactly
+    phi, _, _ = cf_fixed
+    text = _csv(["t,re,im"], phi.ts, phi.values.real, phi.values.imag)
+    lines = text.strip().splitlines()
+    assert lines[0] == "t,re,im"
+    assert len(lines) == phi.n + 1
+    t0, re0, im0 = (float(v) for v in lines[1].split(","))
+    assert (t0, re0, im0) == (0.0, 1.0, 0.0)
+    data = np.loadtxt(lines[1:], delimiter=",")
+    assert np.array_equal(data[:, 1] + 1j * data[:, 2], phi.values)
+
+    # invert: an x,f header for the density, '# k=K' then x,fk for derivatives
+    out_path = tmp_path / "f.csv"
+    args = ["--output", str(out_path), "invert", "--t-max", "30",
+            "--grid-size", "256", "--tol", "1e-6",
+            "--x-min", "-1", "--x-max", "0.5", "--dx", "0.375"]
+    for k, header in ((0, ["x,f"]), (1, ["# k=1", "x,fk"])):
+        assert main(args + ["--k", str(k)]) == 0
+        lines = out_path.read_text().strip().splitlines()
+        assert lines[:len(header)] == header
+        assert len(lines) == len(header) + 5

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qslimit.cli import main
 from qslimit.core_numerics import Grid
 from qslimit.moments import VARIANCE
 from qslimit.quicksort_sim import (
@@ -188,3 +189,16 @@ def test_simulate_with_reference_cdf():
     summary, _ = simulate(200, 5000, seed=8, reference_cdf=_normal_cdf_grid())
     assert summary.ks is not None
     assert 0.0 <= summary.ks <= 1.0
+
+
+def test_histogram_csv(tmp_path, capsys):
+    hist_path = tmp_path / "hist.csv"
+    rc = main(["simulate", "--n", "50", "--samples", "2000", "--seed", "3",
+               "--histogram", str(hist_path)])
+    capsys.readouterr()
+    assert rc == 0
+    lines = hist_path.read_text().strip().splitlines()
+    assert lines[0] == "bin_lo,bin_hi,count"
+    assert len(lines) == 1 + 40
+    total = sum(int(line.split(",")[2]) for line in lines[1:])
+    assert total == 2000
