@@ -32,12 +32,12 @@ class SweepConfig:
 
 
 def rung_table(chain) -> str:
+    """One line per DecayBound rung: exponent, constant, display ceiling, margin."""
     lines = ["    p      c                    ceiling        margin"]
-    for entry in chain.entries:
-        ceiling = display_ceiling(entry)
-        margin = "" if ceiling is None else f"{(1.0 - entry.c / ceiling) * 100:7.3f}%"
-        ceil_s = "" if ceiling is None else f"{ceiling:<14g}"
-        lines.append(f"  {entry.p:5.2f}  {entry.c:<20.10g} {ceil_s:14s} {margin}")
+    for bound in chain.entries:
+        ceiling = display_ceiling(bound)
+        lines.append(f"  {bound.p:5.2f}  {bound.c:<20.10g} {ceiling:<14g} "
+                     f"{(1.0 - bound.c / ceiling) * 100:7.3f}%")
     return "\n".join(lines)
 
 

@@ -38,14 +38,12 @@ from .core_numerics import (
 
 __all__ = [
     "DecayBound",
-    "ChainEntry",
     "BoundChain",
     "PiecewiseEnvelope",
     "c_half",
     "c_interp",
     "c_double",
     "c_step",
-    "log_bound",
     "LOG_BOUND",
     "LOG_BOUND_T_MIN",
     "build_chain",
@@ -62,18 +60,18 @@ POWER_LOG = "power_log"
 # the logarithmic bound is certified from here on; below this point it dips
 # under 1 nowhere, so nothing is lost
 LOG_BOUND_T_MIN = 1.72
-_LOG_C = 32.0 * math.pi**2
-_FOUR_PI = 4.0 * math.pi
+FOUR_PI = 4.0 * math.pi
 
 
 @dataclass(frozen=True)
 class DecayBound:
-    """One bound on |phi|: either c*t^-p or c*t^-2*(ln(t/4pi)+2)."""
+    """A bound c*t^-p or c*t^-2*(ln(t/4pi)+2) on |phi|, and the lemma behind it."""
 
     p: float
     c: float
     form: str = PURE_POWER
     valid_from: float = 0.0
+    provenance: str = ""
 
     def __post_init__(self):
         if self.form not in (PURE_POWER, POWER_LOG):
@@ -91,19 +89,12 @@ class DecayBound:
             raise ValueError("decay bounds are evaluated at t > 0")
         if self.form == PURE_POWER:
             return self.c * t ** (-self.p)
-        return self.c * t ** (-2.0) * (np.log(t / _FOUR_PI) + 2.0)
-
-
-@dataclass(frozen=True)
-class ChainEntry:
-    p: float
-    c: float
-    provenance: str
+        return self.c * t ** (-2.0) * (np.log(t / FOUR_PI) + 2.0)
 
 
 @dataclass(frozen=True)
 class BoundChain:
-    """A finite ladder of pure-power bounds with strictly increasing exponents."""
+    """A finite ladder of pure-power DecayBounds with strictly increasing exponents."""
 
     entries: tuple
 
@@ -137,9 +128,6 @@ class BoundChain:
     def max_exponent(self) -> float:
         return self.entries[-1].p
 
-    def bounds(self):
-        return [DecayBound(e.p, e.c) for e in self.entries]
-
     def to_json(self):
         return [
             {
@@ -154,14 +142,15 @@ class BoundChain:
 
 def c_half() -> DecayBound:
     """Van der Corput estimate: |phi(t)| <= 2 |t|^{-1/2}."""
-    return DecayBound(0.5, 2.0)
+    return DecayBound(0.5, 2.0, provenance="van_der_corput")
 
 
 def c_interp(p: float) -> DecayBound:
     """Geometric interpolation on 1/2 <= p <= 1: c_p = 2^{2p} pi^{2p-1}."""
     if not 0.5 <= p <= 1.0:
         raise ValueError(f"c_interp is only valid for 1/2 <= p <= 1, got {p}")
-    return DecayBound(p, 2.0 ** (2.0 * p) * math.pi ** (2.0 * p - 1.0))
+    return DecayBound(p, 2.0 ** (2.0 * p) * math.pi ** (2.0 * p - 1.0),
+                      provenance="geometric_interpolation")
 
 
 def c_double(p: float, cp: float) -> DecayBound:
@@ -169,7 +158,7 @@ def c_double(p: float, cp: float) -> DecayBound:
     if not 0.0 < p < 1.0:
         raise ValueError(f"c_double needs 0 < p < 1 (beta integral), got {p}")
     const = math.gamma(1.0 - p) ** 2 / math.gamma(2.0 - 2.0 * p) * cp**2
-    return DecayBound(2.0 * p, const)
+    return DecayBound(2.0 * p, const, provenance="exponent_doubling")
 
 
 def c_step(p: float, cp: float) -> DecayBound:
@@ -177,25 +166,21 @@ def c_step(p: float, cp: float) -> DecayBound:
     if not p > 1.0:
         raise ValueError(f"c_step needs p > 1, got {p}")
     const = 2.0 ** (p + 1.0) * cp ** (1.0 + 1.0 / p) * p / (p - 1.0)
-    return DecayBound(p + 1.0, const)
+    return DecayBound(p + 1.0, const, provenance="unit_step")
 
 
-def log_bound(t: float) -> float:
-    """Logarithmic refinement 32 pi^2 t^{-2} (ln(t/(4 pi)) + 2), t >= 1.72."""
-    if t < LOG_BOUND_T_MIN:
-        raise ValueError(f"log_bound is certified only for t >= {LOG_BOUND_T_MIN}")
-    return _LOG_C / (t * t) * (math.log(t / _FOUR_PI) + 2.0)
-
-
-LOG_BOUND = DecayBound(2.0, _LOG_C, POWER_LOG, LOG_BOUND_T_MIN)
+# logarithmic refinement 32 pi^2 t^{-2} (ln(t/(4 pi)) + 2), certified for t >= 1.72
+LOG_BOUND = DecayBound(2.0, 32.0 * math.pi**2, POWER_LOG, LOG_BOUND_T_MIN,
+                       "logarithmic_refinement")
 
 # exponents reachable by the lemma chain: the four base rungs, then unit
 # steps upward from 3/2
-_BASE_RUNGS = (0.0, 0.5, 0.75, 1.0)
+_BASE_RUNGS = (DecayBound(0.0, 1.0, provenance="modulus_at_most_one"),
+               c_half(), c_interp(0.75), c_interp(1.0))
 
 
 def _is_ladder_exponent(p: float) -> bool:
-    if any(abs(p - b) <= 1e-12 for b in _BASE_RUNGS):
+    if any(abs(p - b.p) <= 1e-12 for b in _BASE_RUNGS):
         return True
     if p >= 1.5 - 1e-12:
         k = round(p - 1.5)
@@ -220,24 +205,15 @@ def build_chain(targets) -> BoundChain:
                 f"0, 1/2, 3/4, 1, and 3/2 + k for integer k >= 0"
             )
     p_max = targets[-1]
-    entries = [ChainEntry(0.0, 1.0, "modulus_at_most_one")]
-    if p_max >= 0.5:
-        entries.append(ChainEntry(0.5, c_half().c, "van_der_corput"))
-    if p_max >= 0.75:
-        entries.append(ChainEntry(0.75, c_interp(0.75).c, "geometric_interpolation"))
-    if p_max >= 1.0:
-        entries.append(ChainEntry(1.0, c_interp(1.0).c, "geometric_interpolation"))
+    entries = [b for b in _BASE_RUNGS if b.p <= p_max]
     if p_max >= 1.5:
-        entries.append(ChainEntry(1.5, c_double(0.75, c_interp(0.75).c).c, "exponent_doubling"))
-        p, c = 1.5, entries[-1].c
-        while p + 1.0 <= p_max + 1e-12:
-            nxt = c_step(p, c)
-            p, c = nxt.p, nxt.c
-            entries.append(ChainEntry(p, c, "unit_step"))
+        entries.append(c_double(0.75, c_interp(0.75).c))
+        while entries[-1].p + 1.0 <= p_max + 1e-12:
+            entries.append(c_step(entries[-1].p, entries[-1].c))
     return BoundChain(tuple(entries))
 
 
-def display_ceiling(entry: ChainEntry):
+def display_ceiling(entry: DecayBound):
     """Presentation constant: exact value for p <= 1, next integer above it
     for the assembled rungs (descriptions quote 187, 103215, 197102280)."""
     if entry.p <= 1.0:
@@ -274,23 +250,17 @@ class PiecewiseEnvelope:
                 raise ValueError("empty envelope piece")
         object.__setattr__(self, "pieces", pieces)
 
-    def breakpoints(self) -> np.ndarray:
-        return np.array([piece[0] for piece in self.pieces[1:]])
-
     def evaluate(self, t):
         t = np.asarray(t, dtype=np.float64)
         if np.any(t <= 0.0):
             raise ValueError("envelope is defined for t > 0")
-        idx = np.searchsorted(self.breakpoints(), t, side="right")
+        idx = np.searchsorted([piece[0] for piece in self.pieces[1:]], t, side="right")
         out = np.empty_like(t)
         for i, (_, _, bound) in enumerate(self.pieces):
             mask = idx == i
             if np.any(mask):
                 out[mask] = bound.evaluate(t[mask])
         return out if out.ndim else float(out)
-
-    def tail_exponent(self) -> float:
-        return self.pieces[-1][2].p
 
     def to_json(self):
         return [
@@ -306,7 +276,7 @@ class PiecewiseEnvelope:
 
 
 def _plain_pieces(chain: BoundChain):
-    bounds = chain.bounds()
+    bounds = chain.entries
     if bounds[0].p != 0.0:
         raise ValueError("envelope construction needs the p = 0 rung as its head")
     # lower-envelope sweep; a rung whose crossing with the next bound does not
@@ -347,28 +317,23 @@ def make_envelope(chain: BoundChain, use_log: bool = False) -> PiecewiseEnvelope
     exponent above 2 for the envelope to come back out of the log piece.
     """
     pieces = _plain_pieces(chain)
+    plain = PiecewiseEnvelope(tuple(pieces))
     if not use_log:
-        return PiecewiseEnvelope(tuple(pieces))
+        return plain
     if chain.max_exponent() <= 2.0:
         raise ValueError("the log refinement needs a chain rung with p > 2 "
                          "for the envelope tail to return to")
 
-    def plain_eval(t: float) -> float:
-        for lo, hi, b in pieces:
-            if lo <= t < hi:
-                return float(b.evaluate(t))
-        return float(pieces[-1][2].evaluate(t))
-
-    def diff(t: float) -> float:
-        return log_bound(t) - plain_eval(t)
+    def diff(t):
+        return LOG_BOUND.evaluate(t) - plain.evaluate(t)
 
     # scan for the dominance window of the log bound on a log-spaced mesh
     t_hi_scan = 100.0 * pieces[-1][0] if math.isfinite(pieces[-1][0]) else 1e6
     ts = np.geomspace(LOG_BOUND_T_MIN, max(t_hi_scan, 1e4), 8192)
-    signs = np.array([diff(float(t)) < 0.0 for t in ts])
+    signs = diff(ts) < 0.0
     flips = np.nonzero(signs[1:] != signs[:-1])[0]
     if len(flips) == 0:
-        return PiecewiseEnvelope(tuple(pieces))
+        return plain
     if len(flips) != 2 or signs[0] or signs[-1]:
         raise ValueError("unexpected log-bound dominance structure; "
                          "expected a single interior window")
@@ -390,17 +355,15 @@ def vdc_cf(y: float, z: float, t: float,
            spec: QuadratureSpec = DEFAULT_QUADRATURE) -> complex:
     """The oscillatory integral behind the van der Corput rung.
 
-    Computes int_0^1 exp(i t h(y, z, u)) du by quadrature of the real and
-    imaginary parts on [eps, 1-eps]; the trimmed slivers contribute at most
-    2*eps in modulus.  The stationary-phase mechanism caps the modulus at
-    2 t^{-1/2} for every real y, z.
+    Computes int_0^1 exp(i t h(y, z, u)) du as one complex quadrature on
+    [eps, 1-eps]; the trimmed slivers contribute at most 2*eps in modulus.
+    The stationary-phase mechanism caps the modulus at 2 t^{-1/2} for every
+    real y, z.
     """
     if not t > 0.0:
         raise ValueError(f"vdc_cf needs t > 0, got {t}")
     lo, hi = ENDPOINT_EPS, 1.0 - ENDPOINT_EPS
-    re = integrate(lambda u: np.cos(t * h_values(y, z, u)), lo, hi, spec)
-    im = integrate(lambda u: np.sin(t * h_values(y, z, u)), lo, hi, spec)
-    return complex(re, im)
+    return integrate(lambda u: np.exp(1j * t * h_values(y, z, u)), lo, hi, spec)
 
 
 def derivative_cf_bound(k: int, p: float, chain: BoundChain, abs_moments) -> float:

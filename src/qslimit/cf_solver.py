@@ -34,9 +34,9 @@ from scipy.interpolate import CubicSpline
 
 from .core_numerics import (
     ENDPOINT_EPS,
+    MAX_GRID_POINTS,
     Grid,
     QuadratureError,
-    QuadratureSpec,
     fixed_point,
     g_func,
     g_values,
@@ -54,7 +54,7 @@ __all__ = [
 
 # quadrature contract for one application of the map: the doubled-rule
 # cross-check must agree to this absolute tolerance
-CF_QUADRATURE = QuadratureSpec(abs_tol=1e-9, max_subdivisions=10_000)
+CF_ABS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,15 @@ class CfGrid:
         return self.grid.x_max
 
 
+def _t_nodes(t_max: float, n: int) -> np.ndarray:
+    if n > MAX_GRID_POINTS:
+        raise ValueError(f"a CF grid of {n} points exceeds the cap of {MAX_GRID_POINTS}")
+    return np.linspace(0.0, t_max, n)
+
+
 def init_gaussian_cf(t_max: float = 200.0, n: int = 4096) -> CfGrid:
     """Mean-zero Gaussian seed with the limit law's variance 7 - 2 pi^2/3."""
-    ts = np.linspace(0.0, t_max, n)
+    ts = _t_nodes(t_max, n)
     return CfGrid.from_values(t_max, np.exp(-0.5 * VARIANCE * ts**2) + 0.0j)
 
 
@@ -112,7 +118,7 @@ def init_uniform_cf(t_max: float = 200.0, n: int = 4096) -> CfGrid:
     Used to confirm that the iteration forgets its starting point.
     """
     a = math.sqrt(3.0 * VARIANCE)
-    ts = np.linspace(0.0, t_max, n)
+    ts = _t_nodes(t_max, n)
     vals = np.sinc(a * ts / math.pi) + 0.0j
     vals[0] = 1.0
     return CfGrid.from_values(t_max, vals)
@@ -173,8 +179,7 @@ def _quad_values(spline, t_sel: np.ndarray, u: np.ndarray, w: np.ndarray,
     return out
 
 
-def cf_map(phi: CfGrid, spec: QuadratureSpec = CF_QUADRATURE,
-           validate: bool = True) -> CfGrid:
+def cf_map(phi: CfGrid) -> CfGrid:
     """One application of the fixed-point map M on the grid.
 
     The value at t = 0 is pinned to 1 exactly.  Moduli may overshoot 1 by at
@@ -197,29 +202,27 @@ def cf_map(phi: CfGrid, spec: QuadratureSpec = CF_QUADRATURE,
     hot = mod > 1.0
     out[hot] /= mod[hot]
 
-    if validate:
-        # re-evaluate a spread of grid points with a doubled rule; disagreement
-        # means the panel budget was too coarse for this iterate
-        idx = np.unique(np.linspace(1, ts.size - 1, 9).astype(int))
-        u2, w2 = _u_rule(phi.t_max, refine=2)
-        ref = _quad_values(spline, ts[idx], u2, w2, g_values(u2))
-        err = float(np.abs(out[idx] - ref).max())
-        if err > spec.abs_tol:
-            raise QuadratureError(
-                f"u-quadrature self-check failed: doubled rule moved values by "
-                f"{err:.3e} > abs_tol={spec.abs_tol}"
-            )
+    # re-evaluate a spread of grid points with a doubled rule; disagreement
+    # means the panel budget was too coarse for this iterate
+    idx = np.unique(np.linspace(1, ts.size - 1, 9).astype(int))
+    u2, w2 = _u_rule(phi.t_max, refine=2)
+    ref = _quad_values(spline, ts[idx], u2, w2, g_values(u2))
+    err = float(np.abs(out[idx] - ref).max())
+    if err > CF_ABS_TOL:
+        raise QuadratureError(
+            f"u-quadrature self-check failed: doubled rule moved values by "
+            f"{err:.3e} > abs_tol={CF_ABS_TOL}"
+        )
     return CfGrid.from_values(phi.t_max, out)
 
 
-def iterate_cf(init: CfGrid, max_iter: int = 200, tol: float = 1e-8,
-               spec: QuadratureSpec = CF_QUADRATURE):
+def iterate_cf(init: CfGrid, max_iter: int = 200, tol: float = 1e-8):
     """Iterate the map to its fixed point in the sup norm.
 
     Returns (fixed_point, iterations, diff_history).  Raises IterationError
     with the diff history if the budget runs out.
     """
-    return fixed_point(lambda phi: cf_map(phi, spec), init, max_iter, tol, "cf")
+    return fixed_point(cf_map, init, max_iter, tol, "cf")
 
 
 def _tail_estimate(phi: CfGrid, k: int) -> float:

@@ -28,6 +28,7 @@ __all__ = [
     "fixed_point",
     "DEFAULT_QUADRATURE",
     "ENDPOINT_EPS",
+    "MAX_GRID_POINTS",
     "integrate",
     "g_func",
     "g_values",
@@ -38,6 +39,9 @@ __all__ = [
 # [eps, 1-eps]; the discarded slivers are bounded analytically by the
 # callers (for a bounded integrand the loss is <= 2e-12).
 ENDPOINT_EPS = 1e-12
+
+# Cap on the points of a grid built from user sizes; the defaults need <= 10,001.
+MAX_GRID_POINTS = 2**20
 
 
 class QuadratureError(RuntimeError):
@@ -101,9 +105,11 @@ class Grid:
     def domain(cls, x_min: float, x_max: float, dx: float) -> "Grid":
         """A zero-valued grid from x_min stepping dx to (about) x_max."""
         if not (dx > 0.0 and math.isfinite(dx) and math.isfinite(x_min)
-                and math.isfinite(x_max) and x_min < x_max):
-            raise ValueError(f"grid window needs finite x_min < x_max and dx > 0, "
-                             f"got [{x_min}, {x_max}] step {dx}")
+                and math.isfinite(x_max) and x_min < x_max
+                and (x_max - x_min) / dx <= MAX_GRID_POINTS - 1):
+            raise ValueError(f"grid window needs finite x_min < x_max, dx > 0 and at "
+                             f"most {MAX_GRID_POINTS} points, got [{x_min}, {x_max}] "
+                             f"step {dx}")
         return cls(x_min, dx, np.zeros(int(round((x_max - x_min) / dx)) + 1))
 
     @property
@@ -171,14 +177,15 @@ _GAUSS_WEIGHTS = np.array([
 ])
 
 
-def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Integrate a real-valued vectorized callable over [a, b].
+def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE):
+    """Integrate a real- or complex-valued vectorized callable over [a, b].
 
-    `f` must accept a numpy array and return values of the same shape.
-    The panel budget is spent where the Gauss/Kronrod discrepancy says the
-    integrand is hard; if the budget runs out before every panel meets its
-    proportional share of `spec.abs_tol`, a QuadratureError is raised rather
-    than returning a silently inaccurate value.
+    `f` must accept a numpy array and return values of the same shape.  A
+    complex integrand is one pass with a complex result; a real one gives a
+    float.  The panel budget is spent where the Gauss/Kronrod discrepancy
+    (its modulus) says the integrand is hard; if the budget runs out before
+    every panel meets its proportional share of `spec.abs_tol`, a
+    QuadratureError is raised rather than a silently inaccurate value.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
@@ -191,14 +198,14 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) 
         centers = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         nodes = centers[:, None] + half[:, None] * _KRONROD_NODES[None, :]
-        fx = np.asarray(f(nodes), dtype=np.float64)
+        fx = np.asarray(f(nodes))
         k15 = half * (fx @ _KRONROD_WEIGHTS)
         g7 = half * (fx[:, _GAUSS_IDX] @ _GAUSS_WEIGHTS)
         err = np.abs(k15 - g7)
         budget = spec.abs_tol * (hi - lo) / span
         done = err <= budget
         # NaN panels compare False and keep subdividing until the cap trips.
-        total += float(k15[done].sum())
+        total += k15[done].sum()
         lo, hi = lo[~done], hi[~done]
         panels_used += 2 * lo.size
         if panels_used > spec.max_subdivisions:
@@ -210,7 +217,7 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) 
         mids = 0.5 * (lo + hi)
         lo = np.concatenate([lo, mids])
         hi = np.concatenate([mids, hi])
-    return total
+    return complex(total) if np.iscomplexobj(k15) else float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ __all__ = [
 
 _EXACT_MEAN_MAX = 64     # rational closed form below this, float fsum above
 _EXACT_VAR_MAX = 16      # rational recurrence below this, float vectors above
+_SAMPLE_CHUNK = 10_000   # runs split together by sample_many
 
 
 @lru_cache(maxsize=None)
@@ -138,8 +139,7 @@ def exact_distribution(n: int):
     return dict(sorted(dist.items()))
 
 
-def sample_many(n: int, m: int, rng: np.random.Generator,
-                chunk: int = 10_000) -> np.ndarray:
+def sample_many(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """m independent draws of X_n, vectorized over runs.
 
     Runs are processed in chunks; within a chunk all pending subproblems of
@@ -150,8 +150,8 @@ def sample_many(n: int, m: int, rng: np.random.Generator,
     if m <= 0:
         raise ValueError(f"m must be positive, got {m}")
     out = np.empty(m, dtype=np.int64)
-    for start in range(0, m, chunk):
-        width = min(chunk, m - start)
+    for start in range(0, m, _SAMPLE_CHUNK):
+        width = min(_SAMPLE_CHUNK, m - start)
         totals = np.zeros(width)
         sizes = np.full(width, n, dtype=np.int64)
         owners = np.arange(width)
@@ -245,8 +245,7 @@ class SimulationSummary:
         return out
 
 
-def simulate(n: int, m: int, seed: int = 0, reference_cdf: Grid = None,
-             bins: int = 40) -> tuple:
+def simulate(n: int, m: int, seed: int = 0, reference_cdf: Grid = None) -> tuple:
     """Draw m runs at size n and summarize on both the raw and limit scales.
 
     The histogram is taken on the standardized scale.  When a reference CDF
@@ -256,7 +255,7 @@ def simulate(n: int, m: int, seed: int = 0, reference_cdf: Grid = None,
     rng = np.random.Generator(np.random.PCG64(seed))
     raw = sample_many(n, m, rng)
     ys = standardize(raw, n)
-    counts, edges = np.histogram(ys, bins=bins)
+    counts, edges = np.histogram(ys, bins=40)
     summary = SimulationSummary(
         n=n, m=m, seed=seed,
         mean_raw=float(raw.mean()),

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 
 from qslimit.cf_bounds import (
+    LOG_BOUND,
     POWER_LOG,
     PURE_POWER,
     BoundChain,
-    ChainEntry,
     DecayBound,
     PiecewiseEnvelope,
     build_chain,
@@ -23,7 +23,6 @@ from qslimit.cf_bounds import (
     crossing,
     derivative_cf_bound,
     display_ceiling,
-    log_bound,
     make_envelope,
     vdc_cf,
 )
@@ -89,6 +88,8 @@ def test_chain_headline_constants():
 def test_chain_rungs_and_steps_compose():
     ps = [e.p for e in CHAIN.entries]
     assert ps == [0.0, 0.5, 0.75, 1.0, 1.5, 2.5, 3.5, 4.5]
+    assert CHAIN.entries[2] == c_interp(0.75)
+    assert CHAIN.entries[4] == c_double(0.75, c_interp(0.75).c)
     assert CHAIN.constant_at(2.5) == c_step(1.5, CHAIN.constant_at(1.5)).c
     assert build_chain([0.75]).max_exponent() == 0.75
 
@@ -97,11 +98,13 @@ def test_chain_consistency_rejections():
     with pytest.raises(ValueError):
         BoundChain(())
     with pytest.raises(ValueError):
-        BoundChain((ChainEntry(0.0, 2.0, "head"),))  # p=0 must carry c=1
+        BoundChain((DecayBound(0.0, 2.0, provenance="head"),))  # p=0 must carry c=1
     with pytest.raises(ValueError):
-        BoundChain((ChainEntry(0.5, 2.0, "a"), ChainEntry(0.5, 3.0, "b")))
+        BoundChain((DecayBound(0.5, 2.0, provenance="a"),
+                    DecayBound(0.5, 3.0, provenance="b")))
     with pytest.raises(ValueError, match="inconsistent chain"):
-        BoundChain((ChainEntry(0.5, 2.0, "a"), ChainEntry(1.0, 0.5, "b")))
+        BoundChain((DecayBound(0.5, 2.0, provenance="a"),
+                    DecayBound(1.0, 0.5, provenance="b")))
     with pytest.raises(KeyError):
         CHAIN.constant_at(2.0)
 
@@ -126,9 +129,10 @@ def test_display_ceilings():
 
 
 def test_log_bound_values():
-    assert log_bound(4.0 * math.pi) == pytest.approx(4.0, rel=1e-12)
-    assert log_bound(1.72) >= 1.0
-    assert log_bound(1000.0) == pytest.approx(0.0020146, rel=1e-3)
+    assert LOG_BOUND.evaluate(4.0 * math.pi) == pytest.approx(4.0, rel=1e-12)
+    assert LOG_BOUND.evaluate(1.72) >= 1.0
+    assert LOG_BOUND.evaluate(1000.0) == pytest.approx(0.0020146, rel=1e-3)
+    assert LOG_BOUND.provenance == "logarithmic_refinement"
 
 
 def test_crossing_points():
@@ -168,7 +172,7 @@ def test_envelope_dominates_nothing_above_one():
     ts = np.geomspace(1e-3, 1e6, 10_000)
     env = ENV.evaluate(ts)
     assert np.all(env <= 1.0 + 1e-12)
-    for b in CHAIN.bounds():
+    for b in CHAIN.entries:
         if b.p > 0.0:
             assert np.all(env <= b.evaluate(ts) * (1.0 + 1e-12))
 
@@ -189,7 +193,7 @@ def test_log_splice_needs_a_deep_chain():
 @settings(max_examples=200)
 def test_envelope_is_the_pointwise_minimum(t):
     env = float(ENV.evaluate(t))
-    candidates = [1.0] + [float(b.evaluate(t)) for b in CHAIN.bounds() if b.p > 0.0]
+    candidates = [1.0] + [float(b.evaluate(t)) for b in CHAIN.entries if b.p > 0.0]
     assert env <= min(candidates) * (1.0 + 1e-12)
 
 
@@ -197,6 +201,10 @@ def test_chain_json_shape():
     rows = CHAIN.to_json()
     assert [row["p"] for row in rows] == [0.0, 0.5, 0.75, 1.0, 1.5, 2.5, 3.5, 4.5]
     assert all({"p", "c", "ceiling", "provenance"} <= set(row) for row in rows)
+    assert [row["provenance"] for row in rows] == [
+        "modulus_at_most_one", "van_der_corput", "geometric_interpolation",
+        "geometric_interpolation", "exponent_doubling", "unit_step", "unit_step",
+        "unit_step"]
     pieces = ENV_LOG.to_json()
     assert pieces[0]["t_lo"] == 0.0
     assert pieces[-1]["t_hi"] == "inf"

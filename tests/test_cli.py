@@ -243,6 +243,9 @@ def test_sizing_flags_never_escape_as_tracebacks(argv):
     ["invert", "--dx", "0"],
     ["phi", "--tol", "nan"],
     ["density", "--tol", "nan"],
+    ["density", "--dx", "1e-9"],
+    ["invert", "--dx", "1e-9"],
+    ["phi", "--grid-size", "1000000000"],
 ])
 def test_bad_sizes_exit_one(argv, capsys):
     assert main(argv) == 1

@@ -26,6 +26,12 @@ def test_integrate_reference_values():
     assert integrate(g_values, 0.0, 1.0) == pytest.approx(0.0, abs=1e-10)
     assert integrate(lambda u: g_values(u) ** 2, 0.0, 1.0) == pytest.approx(
         G_SQUARED, abs=1e-6)
+    # a complex integrand is one pass and comes back complex
+    omega = 7.3
+    got = integrate(lambda u: np.exp(1j * omega * u), 0.0, 1.0)
+    assert isinstance(got, complex)
+    assert abs(got - (np.exp(1j * omega) - 1.0) / (1j * omega)) <= 1e-10
+    assert type(integrate(np.cos, 0.0, 1.0)) is float
 
 
 def test_integrate_g_squared_tight():

@@ -1,6 +1,7 @@
 """Closed-form envelope integrals against brute quadrature, and the headline
 sup-density / sup-derivative numbers they certify."""
 
+import itertools
 import math
 
 import pytest
@@ -50,17 +51,19 @@ def test_divergence_rejections():
 
 
 def test_closed_forms_match_quadrature():
-    spec = QuadratureSpec(abs_tol=1e-9, max_subdivisions=100_000)
-    for use_log in (False, True):
-        env = make_envelope(CHAIN_35, use_log=use_log)
-        for k in (0, 1):
+    for chain, use_log in itertools.product((CHAIN_35, CHAIN_45), (False, True)):
+        env = make_envelope(chain, use_log=use_log)
+        for k in (0, 1, 2):
             for t_lo, t_hi, bound in env.pieces:
                 if math.isinf(t_hi):
                     continue
                 closed = piece_integral((t_lo, t_hi, bound), k)
+                # k = 2 on the log window is ~3e6: budget relative to it
+                spec = QuadratureSpec(abs_tol=max(1e-9, 1e-13 * abs(closed)),
+                                      max_subdivisions=100_000)
                 brute = integrate(lambda t: t**k * bound.evaluate(t),
                                   t_lo, t_hi, spec)
-                assert closed == pytest.approx(brute, rel=1e-7, abs=1e-9)
+                assert closed == pytest.approx(brute, rel=1e-12, abs=1e-9)
 
 
 def test_sup_density_bound():
@@ -84,10 +87,11 @@ def test_sup_derivative_bound():
 
 
 def test_deeper_chains_only_improve():
-    for k in (0, 1):
+    for k in (0, 1, 2):
         shallow = sup_fk_bound(make_envelope(CHAIN_35, use_log=True), k)
         deep = sup_fk_bound(make_envelope(CHAIN_45, use_log=True), k)
         assert deep <= shallow
+        assert deep < sup_fk_bound(make_envelope(CHAIN_45), k)
 
 
 def test_tail_depth_rejection():
