@@ -14,21 +14,9 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, field
 
 from qslimit.cf_bounds import build_chain, display_ceiling, make_envelope
 from qslimit.envelope_integrals import sup_fk_bound
-
-
-@dataclass
-class SweepConfig:
-    depths: list = field(default_factory=lambda: [1.5, 2.5, 3.5, 4.5])
-    csv_path: str = ""
-
-    def chains(self):
-        # cumulative prefixes: [1.5], [1.5, 2.5], ...
-        for i in range(len(self.depths)):
-            yield self.depths[: i + 1]
 
 
 def rung_table(chain) -> str:
@@ -47,10 +35,10 @@ def main(argv=None) -> int:
                     help="half-integer decay targets, deepest last")
     ap.add_argument("--csv", default="", help="optionally dump the sweep as CSV")
     args = ap.parse_args(argv)
-    cfg = SweepConfig(depths=args.depths, csv_path=args.csv)
 
     rows = []
-    for targets in cfg.chains():
+    # cumulative prefixes: [1.5], [1.5, 2.5], ...
+    for targets in (args.depths[: i + 1] for i in range(len(args.depths))):
         chain = build_chain(targets)
         env_plain = make_envelope(chain)
         f0_plain = sup_fk_bound(env_plain, 0)
@@ -71,13 +59,13 @@ def main(argv=None) -> int:
                   f"{row['sup_f1_log']:.4f} (log splice)")
         print()
 
-    if cfg.csv_path:
+    if args.csv:
         keys = ["depth", "sup_f_plain", "sup_f_log", "sup_f1_plain", "sup_f1_log"]
-        with open(cfg.csv_path, "w", newline="") as fh:
+        with open(args.csv, "w", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=keys)
             w.writeheader()
             w.writerows(rows)
-        print(f"wrote {len(rows)} rows to {cfg.csv_path}")
+        print(f"wrote {len(rows)} rows to {args.csv}")
     return 0
 
 

@@ -17,32 +17,10 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass, field
 
-import numpy as np
-
-from qslimit.core_numerics import Grid
+from qslimit.cli import _load_cdf_csv
 from qslimit.moments import VARIANCE
 from qslimit.quicksort_sim import exact_variance, simulate
-
-
-@dataclass
-class SimSweepConfig:
-    ns: list = field(default_factory=lambda: [100, 500, 2000, 10000])
-    samples: int = 20_000
-    seed: int = 42
-    ref_cdf_path: str = ""
-    csv_path: str = ""
-
-
-def load_cdf(path: str) -> Grid:
-    xs, Fs = [], []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            xs.append(float(row["x"]))
-            Fs.append(float(row["F"]))
-    xs = np.asarray(xs)
-    return Grid(xs[0], float(xs[1] - xs[0]), np.asarray(Fs))
 
 
 def main(argv=None) -> int:
@@ -54,10 +32,8 @@ def main(argv=None) -> int:
                     help="CSV with columns x,F for the standardized limit law")
     ap.add_argument("--csv", default="")
     args = ap.parse_args(argv)
-    cfg = SimSweepConfig(ns=args.ns, samples=args.samples, seed=args.seed,
-                         ref_cdf_path=args.ref_cdf, csv_path=args.csv)
 
-    ref = load_cdf(cfg.ref_cdf_path) if cfg.ref_cdf_path else None
+    ref = _load_cdf_csv(args.ref_cdf) if args.ref_cdf else None
     print(f"limit variance = {VARIANCE:.10f}\n")
     header = "     n    exact var/n^2   sample var     rel gap to limit"
     if ref is not None:
@@ -65,10 +41,10 @@ def main(argv=None) -> int:
     print(header)
 
     rows = []
-    for n in cfg.ns:
+    for n in args.ns:
         t0 = time.perf_counter()
         # vary the seed per n so the sweeps are independent but reproducible
-        summary, _ys = simulate(n, cfg.samples, seed=cfg.seed + n, reference_cdf=ref)
+        summary, _ys = simulate(n, args.samples, seed=args.seed + n, reference_cdf=ref)
         exact = exact_variance(n) / n**2
         rel = abs(summary.var_std - VARIANCE) / VARIANCE
         line = (f"  {n:6d}  {exact:.10f}   {summary.var_std:.10f}   "
@@ -80,12 +56,12 @@ def main(argv=None) -> int:
                      "sample_var": summary.var_std, "rel_gap": rel,
                      "ks": summary.ks if ref is not None else ""})
 
-    if cfg.csv_path:
-        with open(cfg.csv_path, "w", newline="") as fh:
+    if args.csv:
+        with open(args.csv, "w", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=list(rows[0]))
             w.writeheader()
             w.writerows(rows)
-        print(f"\nwrote {len(rows)} rows to {cfg.csv_path}")
+        print(f"\nwrote {len(rows)} rows to {args.csv}")
     return 0
 
 

@@ -17,15 +17,7 @@ from .core_numerics import (
     g_func,
     integrate,
 )
-from .density_solver import (
-    DensityGrid,
-    apply_T,
-    cdf,
-    gaussian_density,
-    iterate_density,
-    positivity_check,
-    restrict,
-)
+from .density_solver import DensityGrid, apply_T, cdf, gaussian_density, iterate_density
 from .envelope_integrals import maxf_theorem_check, sup_fk_bound
 from .moments import VARIANCE, MomentSequence, pump_moments
 from .quicksort_sim import exact_mean, exact_variance, sample_many, simulate
@@ -58,9 +50,7 @@ __all__ = [
     "iterate_density",
     "make_envelope",
     "maxf_theorem_check",
-    "positivity_check",
     "pump_moments",
-    "restrict",
     "sample_many",
     "simulate",
     "sup_fk_bound",

@@ -51,7 +51,6 @@ __all__ = [
     "crossing",
     "make_envelope",
     "vdc_cf",
-    "derivative_cf_bound",
 ]
 
 PURE_POWER = "pure_power"
@@ -364,36 +363,3 @@ def vdc_cf(y: float, z: float, t: float,
         raise ValueError(f"vdc_cf needs t > 0, got {t}")
     lo, hi = ENDPOINT_EPS, 1.0 - ENDPOINT_EPS
     return integrate(lambda u: np.exp(1j * t * h_values(y, z, u)), lo, hi, spec)
-
-
-def derivative_cf_bound(k: int, p: float, chain: BoundChain, abs_moments) -> float:
-    """Constant c with |phi^(k)(t)| <= c t^{-p}.
-
-    Each derivative halves the reachable decay exponent: the recursion
-    c_{p,k} = 2 sqrt(c_{2p,k-1} * M_{k+1}) descends to the plain chain at
-    exponent 2^k p, where M_j is an upper bound on E|Y|^j (`abs_moments[j]`).
-    At p = 0 the bound is just M_k since |phi^(k)| <= E|Y|^k.
-    """
-    if k < 0 or int(k) != k:
-        raise ValueError(f"derivative order must be a nonnegative integer, got {k}")
-    if p < 0.0:
-        raise ValueError(f"decay exponent must be >= 0, got {p}")
-    if p == 0.0:
-        if k >= len(abs_moments):
-            raise ValueError(f"need abs_moments up to index {k}, have {len(abs_moments)}")
-        return float(abs_moments[k])
-    if k == 0:
-        try:
-            return chain.constant_at(p)
-        except KeyError as exc:
-            raise KeyError(
-                f"derivative_cf_bound(k={k}, p={p}) bottoms out at chain exponent "
-                f"{p}; build a deeper chain"
-            ) from exc
-    if k + 1 >= len(abs_moments):
-        raise ValueError(
-            f"derivative_cf_bound(k={k}) needs abs_moments up to index {k + 1}, "
-            f"have {len(abs_moments)}"
-        )
-    inner = derivative_cf_bound(k - 1, 2.0 * p, chain, abs_moments)
-    return 2.0 * math.sqrt(inner * float(abs_moments[k + 1]))

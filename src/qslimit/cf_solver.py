@@ -144,17 +144,23 @@ def _u_rule(t_max: float, refine: int = 1):
     Panels are dyadic toward 0 (the toll's log-singular derivative) and are
     subdivided so each carries at most ~2 pi of oscillation budget at the
     largest t, counting both the toll phase and the slowly varying phases of
-    the two interpolated factors.
+    the two interpolated factors.  Raises ValueError, before building any
+    array, if the rule would need more than MAX_GRID_POINTS nodes.
     """
     edges = [ENDPOINT_EPS]
     while edges[-1] * 2.0 < _DYADIC_TOP:
         edges.append(edges[-1] * 2.0)
     edges.extend([_DYADIC_TOP, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0, 1.0 / 2.0])
-    nodes, weights = [], []
+    panels = []
     for a, b in zip(edges, edges[1:]):
-        dg = abs(g_func(a) - g_func(b))
-        budget = t_max * (dg + 2.0 * (b - a))
-        n_sub = max(1, math.ceil(refine * budget / (2.0 * math.pi)))
+        budget = t_max * (abs(g_func(a) - g_func(b)) + 2.0 * (b - a))
+        panels.append((a, b, max(1, math.ceil(refine * budget / (2.0 * math.pi)))))
+    total = _GL_NODES.size * sum(n_sub for _, _, n_sub in panels)
+    if total > MAX_GRID_POINTS:
+        raise ValueError(f"the u-rule for t_max={t_max} needs {total} nodes, "
+                         f"over the cap of {MAX_GRID_POINTS}")
+    nodes, weights = [], []
+    for a, b, n_sub in panels:
         sub = np.linspace(a, b, n_sub + 1)
         centers = 0.5 * (sub[:-1] + sub[1:])
         halves = 0.5 * (sub[1:] - sub[:-1])
@@ -187,8 +193,10 @@ def cf_map(phi: CfGrid) -> CfGrid:
     overshoots are clamped back to the unit disk.
     """
     ts = phi.ts
-    spline = _cf_spline(ts, phi.values)
+    # both rules are built, and so checked against the node cap, before any quadrature
     u, w = _u_rule(phi.t_max)
+    u2, w2 = _u_rule(phi.t_max, refine=2)
+    spline = _cf_spline(ts, phi.values)
     gu = g_values(u)
     out = _quad_values(spline, ts, u, w, gu)
     out[0] = 1.0 + 0.0j
@@ -205,7 +213,6 @@ def cf_map(phi: CfGrid) -> CfGrid:
     # re-evaluate a spread of grid points with a doubled rule; disagreement
     # means the panel budget was too coarse for this iterate
     idx = np.unique(np.linspace(1, ts.size - 1, 9).astype(int))
-    u2, w2 = _u_rule(phi.t_max, refine=2)
     ref = _quad_values(spline, ts[idx], u2, w2, g_values(u2))
     err = float(np.abs(out[idx] - ref).max())
     if err > CF_ABS_TOL:

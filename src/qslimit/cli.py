@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from functools import partial
 
 import numpy as np
@@ -25,7 +26,7 @@ from .density_solver import (
     iterate_density,
     uniform_density,
 )
-from .envelope_integrals import sup_fk_bound
+from .envelope_integrals import SUP_F1_CAP, SUP_F_CAP, sup_fk_bound
 from .moments import abs_moment_bounds, pump_moments
 from .quicksort_sim import simulate
 from .report import run_acceptance
@@ -158,7 +159,12 @@ def _cmd_cdf(args) -> int:
 
 
 def _load_cdf_csv(path: str) -> Grid:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    """An x,F CSV (one header line) as a Grid; x must be uniformly spaced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty file is rejected below
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] < 2 or data.shape[1] < 2:
+        raise ValueError(f"{path}: a CDF CSV needs at least 2 rows of x,F")
     xs, Fs = data[:, 0], data[:, 1]
     dx = float(xs[1] - xs[0])
     steps = np.diff(xs)
@@ -213,8 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bounds)
 
-    for name, k, cap, hlp in [("supf", 0, 16.0, "integrated envelope bound on sup f"),
-                              ("supf1", 1, 2466.0, "integrated envelope bound on sup f'")]:
+    for name, k, cap, hlp in [("supf", 0, SUP_F_CAP, "integrated envelope bound on sup f"),
+                              ("supf1", 1, SUP_F1_CAP, "integrated envelope bound on sup f'")]:
         p = sub.add_parser(name, help=hlp)
         p.add_argument("--trick", action="store_true",
                        help="use the logarithmic refinement")

@@ -33,7 +33,7 @@ import warnings
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core_numerics import Grid, fixed_point, g_func
+from .core_numerics import MAX_GRID_POINTS, Grid, fixed_point, g_func
 from .moments import VARIANCE
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
     "apply_T",
     "iterate_density",
     "cdf",
-    "positivity_check",
-    "restrict",
     "convergence_report",
 ]
 
@@ -57,18 +55,15 @@ F_U_CAP = 32.0 * (1.0 + 1e-6)
 class DensityGrid:
     """A probability density sampled on a uniform grid covering the bulk."""
 
-    def __init__(self, grid: Grid, validate: bool = True):
+    def __init__(self, grid: Grid):
         if float(grid.values.min()) < 0.0:
             raise ValueError("density values must be nonnegative")
         self.grid = grid
-        if validate:
-            if grid.x0 > -2.0 or grid.x_max < 4.0:
-                raise ValueError(
-                    f"density grid [{grid.x0}, {grid.x_max}] must cover [-2, 4]"
-                )
-            m = self.mass()
-            if not 0.99 <= m <= 1.01:
-                raise ValueError(f"density mass {m} strays from 1 by more than 1%")
+        if grid.x0 > -2.0 or grid.x_max < 4.0:
+            raise ValueError(f"density grid [{grid.x0}, {grid.x_max}] must cover [-2, 4]")
+        m = self.mass()
+        if not 0.99 <= m <= 1.01:
+            raise ValueError(f"density mass {m} strays from 1 by more than 1%")
 
     @property
     def xs(self) -> np.ndarray:
@@ -168,8 +163,10 @@ def _hat_deposit(u: float, gu: float, x0: float, dx: float, n: int,
 
 def apply_T(f: DensityGrid, u_nodes: int = 64) -> DensityGrid:
     """One sweep of the integral-equation map, renormalized to unit mass."""
-    if u_nodes < 2:
-        raise ValueError(f"u_nodes must be >= 2, got {u_nodes}")
+    # leggauss builds a dense u_nodes x u_nodes matrix: cap it like a grid
+    if not 2 <= u_nodes <= math.isqrt(MAX_GRID_POINTS):
+        raise ValueError(f"u_nodes must be in [2, {math.isqrt(MAX_GRID_POINTS)}], "
+                         f"got {u_nodes}")
     xs, vals, dx = f.xs, f.values, f.dx
     n = vals.size
     F, Phi = _cdf_antiderivative(vals, dx)
@@ -227,32 +224,6 @@ def cdf(f: DensityGrid) -> Grid:
     """Trapezoid CDF of the density, clamped to [0, 1] and nondecreasing."""
     inc = np.concatenate([[0.0], np.cumsum(0.5 * (f.values[1:] + f.values[:-1]) * f.dx)])
     return Grid(f.grid.x0, f.dx, np.clip(inc, 0.0, 1.0))
-
-
-def positivity_check(f: DensityGrid, threshold: float = 0.0) -> bool:
-    """True iff the density exceeds `threshold` at every grid point.
-
-    On wide windows this is expected to fail even for the converged fixed
-    point: the left tail falls off doubly exponentially, and below
-    x ~ -3.97 the true values are smaller than the least positive float64
-    subnormal (about 4.9e-324), so those cells hold exact zeros.  Restrict
-    to the bulk (see `restrict`) when asserting positivity of a solution.
-    """
-    return bool(np.all(f.values > threshold))
-
-
-def restrict(f: DensityGrid, x_lo: float, x_hi: float) -> DensityGrid:
-    """Slice a density to the sub-window [x_lo, x_hi] (no renormalisation).
-
-    The slice keeps the original grid values; mass validation is skipped
-    because a restriction deliberately discards tail mass.
-    """
-    i_lo = int(math.ceil((x_lo - f.grid.x0) / f.dx - 1e-9))
-    i_hi = int(math.floor((x_hi - f.grid.x0) / f.dx + 1e-9))
-    if not (0 <= i_lo < i_hi < f.values.size):
-        raise ValueError("restriction window outside the grid")
-    sub = Grid(f.grid.x0 + i_lo * f.dx, f.dx, f.values[i_lo : i_hi + 1].copy())
-    return DensityGrid(sub, validate=False)
 
 
 def convergence_report(f: DensityGrid, iterations: int, history) -> dict:

@@ -28,10 +28,16 @@ from .cf_bounds import (
 from .core_numerics import integrate  # noqa: F401
 
 __all__ = [
+    "SUP_F_CAP",
+    "SUP_F1_CAP",
     "piece_integral",
     "sup_fk_bound",
     "maxf_theorem_check",
 ]
+
+# the paper's theorems: sup f < 16 and sup |f'| < 2466
+SUP_F_CAP = 16.0
+SUP_F1_CAP = 2466.0
 
 
 def _log_antiderivative(t: float, k: int) -> float:
@@ -79,17 +85,12 @@ def sup_fk_bound(envelope: PiecewiseEnvelope, k: int) -> float:
 
 
 def maxf_theorem_check() -> tuple:
-    """Recompute the headline uniform bounds: sup f < 16 and sup |f'| < 2466.
+    """The headline uniform bounds (sup f, sup |f'|), to compare with the caps.
 
-    Returns the two computed values after asserting both inequalities; a
-    failure here means the bound ladder itself is broken.
+    sup f comes from the log-spliced chain through p = 7/2, sup |f'| from the
+    one through p = 9/2; the caller checks them against SUP_F_CAP and
+    SUP_F1_CAP, so a broken bound ladder shows up as a failed check.
     """
-    env_f = make_envelope(build_chain([3.5]), use_log=True)
-    sup_f = sup_fk_bound(env_f, 0)
-    env_f1 = make_envelope(build_chain([4.5]), use_log=True)
-    sup_f1 = sup_fk_bound(env_f1, 1)
-    if not sup_f < 16.0:
-        raise RuntimeError(f"sup f bound {sup_f} fails the < 16 theorem check")
-    if not sup_f1 < 2466.0:
-        raise RuntimeError(f"sup f' bound {sup_f1} fails the < 2466 theorem check")
+    sup_f = sup_fk_bound(make_envelope(build_chain([3.5]), use_log=True), 0)
+    sup_f1 = sup_fk_bound(make_envelope(build_chain([4.5]), use_log=True), 1)
     return sup_f, sup_f1

@@ -15,8 +15,8 @@ The derivation is spelled out in docs/moment_pump.md.  m_0 = 1 and m_1 = 0
 seed the recursion; m_2 must come out as 7 - 2 pi^2 / 3.
 
 Odd absolute moments have no closed recursion here; they are bounded via
-Lyapunov's inequality E|Y|^j <= (E Y^{j+1})^{j/(j+1)} for odd j, which is all
-the derivative bound ladder needs.
+Lyapunov's inequality E|Y|^j <= (E Y^{j+1})^{j/(j+1)} for odd j, and
+`qslimit moments --json` reports those bounds next to the moments.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class MomentSequence:
     """Moments m[0..K] of the limit law with the structural sanity checks."""
 
     values: tuple
-    abs_tol: float
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.values)
@@ -89,12 +88,6 @@ class MomentSequence:
 
     def __getitem__(self, j: int) -> float:
         return self.values[j]
-
-    def to_json(self):
-        return {
-            "abs_tol": self.abs_tol,
-            "moments": list(self.values),
-        }
 
 
 def pump_moments(K: int = 8, spec: QuadratureSpec = _MOMENT_SPEC) -> MomentSequence:
@@ -123,7 +116,7 @@ def pump_moments(K: int = 8, spec: QuadratureSpec = _MOMENT_SPEC) -> MomentSeque
                 coeff = math.comb(k, a) * math.comb(k - a, b)
                 s += coeff * gm(a, b, c) * m[a] * m[b]
         m.append(s * (k + 1.0) / (k - 1.0))
-    return MomentSequence(tuple(m), spec.abs_tol)
+    return MomentSequence(tuple(m))
 
 
 def abs_moment_bounds(ms: MomentSequence) -> list:

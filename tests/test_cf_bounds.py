@@ -21,13 +21,11 @@ from qslimit.cf_bounds import (
     c_interp,
     c_step,
     crossing,
-    derivative_cf_bound,
     display_ceiling,
     make_envelope,
     vdc_cf,
 )
 from qslimit.core_numerics import QuadratureSpec
-from qslimit.moments import abs_moment_bounds
 
 CHAIN = build_chain([3.5, 4.5])
 ENV = make_envelope(CHAIN)
@@ -232,23 +230,3 @@ def test_vdc_decays_like_the_bound():
 def test_vdc_within_envelope(y, z, t):
     spec = QuadratureSpec(abs_tol=1e-8, max_subdivisions=200_000)
     assert abs(vdc_cf(y, z, t, spec)) <= 2.0 / math.sqrt(t) + 10.0 * spec.abs_tol
-
-
-def test_derivative_bound_reductions(moments8):
-    bounds = abs_moment_bounds(moments8)
-    assert derivative_cf_bound(0, 1.5, CHAIN, bounds) == CHAIN.constant_at(1.5)
-    assert derivative_cf_bound(2, 0.0, CHAIN, bounds) == bounds[2]
-    got = derivative_cf_bound(1, 0.5, CHAIN, bounds)
-    expected = 2.0 * math.sqrt(4.0 * math.pi * bounds[2])
-    assert got == pytest.approx(expected, rel=1e-12)
-    assert got == pytest.approx(4.596, abs=5e-3)
-
-
-def test_derivative_bound_rejections(moments8):
-    bounds = abs_moment_bounds(moments8)
-    with pytest.raises(KeyError, match="deeper chain"):
-        derivative_cf_bound(0, 0.9, CHAIN, bounds)
-    with pytest.raises(ValueError):
-        derivative_cf_bound(3, 0.5, CHAIN, [1.0, 0.65, 0.43])
-    with pytest.raises(ValueError):
-        derivative_cf_bound(-1, 0.5, CHAIN, bounds)

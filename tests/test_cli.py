@@ -157,6 +157,16 @@ def test_simulate_json_histogram_and_ks(tmp_path, capsys):
     assert sum(int(line.split(",")[2]) for line in lines[1:]) == 20000
 
 
+@pytest.mark.parametrize("text", ["x,F\n0,0.5\n", "x,F\n"])
+def test_simulate_rejects_a_one_row_cdf(tmp_path, capsys, text):
+    cdf_path = tmp_path / "one_row.csv"
+    cdf_path.write_text(text)
+    assert main(["simulate", "--n", "10", "--samples", "100",
+                 "--cdf", str(cdf_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cdf_path}: ") and err.count("\n") == 1
+
+
 def test_simulate_is_byte_deterministic(tmp_path):
     p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"
     args = ["simulate", "--n", "40", "--samples", "5000", "--seed", "9"]
@@ -196,12 +206,13 @@ _SIZING_FLAGS = {
     "--t-max": st.floats(0.5, 10.0),
     "--grid-size": st.integers(2, 64),
     "--dx": st.floats(0.05, 1.0),
+    "--u-nodes": st.integers(2, 16),
 }
 _FLAGS_OF = {
     "phi": ("--iters", "--tol", "--t-max", "--grid-size"),
     "invert": ("--iters", "--tol", "--t-max", "--grid-size", "--dx"),
-    "density": ("--iters", "--tol", "--dx"),
-    "cdf": ("--iters", "--tol", "--dx"),
+    "density": ("--iters", "--tol", "--dx", "--u-nodes"),
+    "cdf": ("--iters", "--tol", "--dx", "--u-nodes"),
 }
 
 
@@ -246,6 +257,10 @@ def test_sizing_flags_never_escape_as_tracebacks(argv):
     ["density", "--dx", "1e-9"],
     ["invert", "--dx", "1e-9"],
     ["phi", "--grid-size", "1000000000"],
+    ["phi", "--t-max", "1e9"],
+    ["invert", "--t-max", "1e9"],
+    ["density", "--u-nodes", "100000"],
+    ["cdf", "--u-nodes", "100000"],
 ])
 def test_bad_sizes_exit_one(argv, capsys):
     assert main(argv) == 1

@@ -14,8 +14,6 @@ from qslimit.density_solver import (
     convergence_report,
     gaussian_density,
     iterate_density,
-    positivity_check,
-    restrict,
     uniform_density,
 )
 from qslimit.moments import VARIANCE
@@ -35,7 +33,7 @@ def test_density_grid_validation():
     vals = np.full(2001, 0.1)
     vals[3] = -0.1
     with pytest.raises(ValueError):
-        DensityGrid(Grid(-4.0, 0.005, vals), validate=False)  # negative
+        DensityGrid(Grid(-4.0, 0.005, vals))  # negative
 
 
 def test_map_preserves_the_mean():
@@ -51,8 +49,10 @@ def test_map_variance_action_on_a_narrow_gaussian():
 
 
 def test_map_requires_enough_u_nodes():
-    with pytest.raises(ValueError):
-        apply_T(gaussian_density(), u_nodes=1)
+    # at most 1024: the Legendre rule's dense matrix is capped like a grid, 1024^2 = 2**20
+    for u_nodes in (1, 1025):
+        with pytest.raises(ValueError, match=r"\[2, 1024\]"):
+            apply_T(gaussian_density(), u_nodes=u_nodes)
 
 
 def test_map_warns_when_clipping_spikes():
@@ -66,25 +66,19 @@ def test_map_rejects_mass_escape():
         apply_T(uniform_density(a=5.0, b=6.0))
 
 
+def _on(f, lo, hi):
+    """The density's values at the grid points in [lo, hi]."""
+    return f.values[(f.xs >= lo) & (f.xs <= hi)]
+
+
 def test_one_sweep_spreads_the_support():
     u0 = uniform_density()
-    assert positivity_check(u0) is False     # zeros outside [-1, 1]
-    assert positivity_check(restrict(u0, -0.99, 0.99)) is True
+    assert np.any(u0.values == 0.0)          # zeros outside [-1, 1]
+    assert np.all(_on(u0, -0.99, 0.99) > 0.0)
+    assert np.all(_on(u0, 1.01, 1.9) == 0.0)
     u1 = apply_T(u0)
     lo = -2.0 * math.log(2.0)                # = -1 - (2 ln 2 - 1)
-    assert positivity_check(restrict(u1, lo + 0.02, 1.9)) is True
-
-
-def test_positivity_threshold_semantics():
-    u0 = uniform_density()
-    mid = restrict(u0, -0.5, 0.5)            # constant 1/2 inside
-    assert positivity_check(mid, threshold=0.49) is True
-    assert positivity_check(mid, threshold=0.51) is False
-
-
-def test_restrict_rejects_windows_off_the_grid():
-    with pytest.raises(ValueError):
-        restrict(uniform_density(), -10.0, 0.0)
+    assert np.all(_on(u1, lo + 0.02, 1.9) > 0.0)
 
 
 def test_mean_stays_pinned_along_the_iteration():
@@ -119,7 +113,8 @@ def test_fixed_point_statistics(density_fixed):
 
 def test_fixed_point_positive_in_the_bulk(density_fixed):
     dens, _, _ = density_fixed
-    assert positivity_check(restrict(dens, -1.0, 3.0)) is True
+    bulk = _on(dens, -1.0, 3.0)
+    assert bulk.size >= 800 and np.all(bulk > 0.0)
 
 
 def test_uniform_start_reaches_the_same_fixed_point(density_fixed):

@@ -8,7 +8,11 @@ import pytest
 
 from qslimit.cf_bounds import DecayBound, build_chain, make_envelope
 from qslimit.core_numerics import QuadratureSpec, integrate
+import qslimit.envelope_integrals as envelope_integrals
+from qslimit import report
 from qslimit.envelope_integrals import (
+    SUP_F1_CAP,
+    SUP_F_CAP,
     maxf_theorem_check,
     piece_integral,
     sup_fk_bound,
@@ -105,3 +109,16 @@ def test_headline_theorem_numbers():
     assert supf1 < 2466.0
     assert supf == pytest.approx(15.278652912212367, rel=1e-9)
     assert supf1 == pytest.approx(2465.895390577847, rel=1e-9)
+
+
+def test_a_failing_theorem_is_a_failed_check(monkeypatch):
+    # push sup f over its cap: the gate must say FAIL, not raise
+    def inflated(envelope, k):
+        return sup_fk_bound(envelope, k) + (1.0 if k == 0 else 0.0)
+
+    monkeypatch.setattr(envelope_integrals, "sup_fk_bound", inflated)
+    supf, supf1 = maxf_theorem_check()
+    assert supf > SUP_F_CAP and supf1 < SUP_F1_CAP
+    res = report.check_sup_bounds()
+    assert res.passed is False
+    assert res.line().startswith("FAIL  sup-bounds: ")

@@ -71,15 +71,15 @@ def test_even_root_growth_stays_bounded(moments8):
 
 def test_moment_sequence_validation():
     with pytest.raises(ValueError):
-        MomentSequence((2.0, 0.0, 0.4), 1e-12)        # m0 != 1
+        MomentSequence((2.0, 0.0, 0.4))        # m0 != 1
     with pytest.raises(ValueError):
-        MomentSequence((1.0, 0.1, 0.4), 1e-12)        # mean not zero
+        MomentSequence((1.0, 0.1, 0.4))        # mean not zero
     with pytest.raises(ValueError):
-        MomentSequence((1.0, 0.0, -0.4), 1e-12)       # negative even moment
+        MomentSequence((1.0, 0.0, -0.4))       # negative even moment
     with pytest.raises(ValueError, match="Lyapunov"):
-        MomentSequence((1.0, 0.0, 1.0, 0.0, 0.5), 1e-12)
+        MomentSequence((1.0, 0.0, 1.0, 0.0, 0.5))
     with pytest.raises(ValueError):
-        MomentSequence((1.0, 0.0), 1e-12)             # too short
+        MomentSequence((1.0, 0.0))             # too short
 
 
 def test_degenerate_pump_collapses_to_zero(monkeypatch):
@@ -110,10 +110,3 @@ def test_abs_moment_bounds_structure(moments8):
                                        rel=1e-12)
     # Lyapunov makes these genuine upper bounds for the odd orders
     assert out[3] >= abs(moments8[3])
-
-
-def test_to_json_payload(moments8):
-    payload = moments8.to_json()
-    assert set(payload) == {"abs_tol", "moments"}
-    assert payload["moments"][0] == 1.0
-    assert len(payload["moments"]) == 9
