@@ -15,13 +15,13 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 
 import numpy as np
 
 from qslimit.cf_solver import init_gaussian_cf, invert_cf, iterate_cf
+from qslimit.cli import _csv
 from qslimit.density_solver import gaussian_density, iterate_density
 from qslimit.moments import pump_moments
 
@@ -70,11 +70,8 @@ def main(argv=None) -> int:
         print(f"  {k}   {ms[k]:<14.8f}  {ma:<14.8f}  {mb:<14.8f}")
 
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "f_density_map", "f_cf_inversion", "abs_gap"])
-            for x, a, b, d in zip(xs[mask], f_a, f_b, gap):
-                w.writerow([f"{x:.17g}", f"{a:.17g}", f"{b:.17g}", f"{d:.17g}"])
+        with open(args.csv, "w") as fh:
+            fh.write(_csv(["x,f_density_map,f_cf_inversion,abs_gap"], xs[mask], f_a, f_b, gap))
         print(f"\nwrote {int(mask.sum())} rows to {args.csv}")
     return 0
 

@@ -13,8 +13,7 @@ from .core_numerics import (
     Grid,
     IterationError,
     QuadratureError,
-    QuadratureSpec,
-    g_func,
+    g_values,
     integrate,
 )
 from .density_solver import DensityGrid, apply_T, cdf, gaussian_density, iterate_density
@@ -34,14 +33,13 @@ __all__ = [
     "MomentSequence",
     "PiecewiseEnvelope",
     "QuadratureError",
-    "QuadratureSpec",
     "VARIANCE",
     "apply_T",
     "build_chain",
     "cdf",
     "exact_mean",
     "exact_variance",
-    "g_func",
+    "g_values",
     "gaussian_density",
     "init_gaussian_cf",
     "integrate",

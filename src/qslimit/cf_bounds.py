@@ -28,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_numerics import (
-    DEFAULT_QUADRATURE,
-    ENDPOINT_EPS,
-    QuadratureSpec,
-    h_values,
-    integrate,
-)
+from .core_numerics import ENDPOINT_EPS, h_values, integrate
 
 __all__ = [
     "DecayBound",
@@ -69,7 +63,6 @@ class DecayBound:
     p: float
     c: float
     form: str = PURE_POWER
-    valid_from: float = 0.0
     provenance: str = ""
 
     def __post_init__(self):
@@ -79,8 +72,6 @@ class DecayBound:
             raise ValueError(f"bound constant must be positive and finite, got {self.c}")
         if self.p < 0.0:
             raise ValueError(f"decay exponent must be >= 0, got {self.p}")
-        if self.form == POWER_LOG and self.valid_from < LOG_BOUND_T_MIN:
-            raise ValueError(f"power_log bounds are only certified for t >= {LOG_BOUND_T_MIN}")
 
     def evaluate(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -124,9 +115,6 @@ class BoundChain:
         raise KeyError(f"chain has no rung at exponent p={p}; available: "
                        f"{[e.p for e in self.entries]}")
 
-    def max_exponent(self) -> float:
-        return self.entries[-1].p
-
     def to_json(self):
         return [
             {
@@ -169,8 +157,7 @@ def c_step(p: float, cp: float) -> DecayBound:
 
 
 # logarithmic refinement 32 pi^2 t^{-2} (ln(t/(4 pi)) + 2), certified for t >= 1.72
-LOG_BOUND = DecayBound(2.0, 32.0 * math.pi**2, POWER_LOG, LOG_BOUND_T_MIN,
-                       "logarithmic_refinement")
+LOG_BOUND = DecayBound(2.0, 32.0 * math.pi**2, POWER_LOG, "logarithmic_refinement")
 
 # exponents reachable by the lemma chain: the four base rungs, then unit
 # steps upward from 3/2
@@ -187,23 +174,19 @@ def _is_ladder_exponent(p: float) -> bool:
     return False
 
 
-def build_chain(targets) -> BoundChain:
-    """Assemble the bound ladder covering every requested exponent.
+def build_chain(p_max: float) -> BoundChain:
+    """Assemble the bound ladder of every reachable rung up to exponent p_max.
 
-    The chain always contains all reachable rungs up to the largest target:
-    c_0 = 1, c_{1/2} = 2, c_{3/4} = sqrt(8 pi), c_1 = 4 pi, then
-    c_{3/2} by doubling from 3/4 and unit steps beyond.
+    The rungs are c_0 = 1, c_{1/2} = 2, c_{3/4} = sqrt(8 pi), c_1 = 4 pi,
+    then c_{3/2} by doubling from 3/4 and unit steps beyond; p_max must be
+    one of them.
     """
-    targets = sorted(set(float(p) for p in targets))
-    if not targets:
-        raise ValueError("build_chain needs at least one target exponent")
-    for p in targets:
-        if p < 0.0 or not _is_ladder_exponent(p):
-            raise ValueError(
-                f"no lemma chain reaches exponent p={p}; reachable exponents are "
-                f"0, 1/2, 3/4, 1, and 3/2 + k for integer k >= 0"
-            )
-    p_max = targets[-1]
+    p_max = float(p_max)
+    if not 0.0 <= p_max < math.inf or not _is_ladder_exponent(p_max):
+        raise ValueError(
+            f"no lemma chain reaches exponent p={p_max}; reachable exponents are "
+            f"0, 1/2, 3/4, 1, and 3/2 + k for integer k >= 0"
+        )
     entries = [b for b in _BASE_RUNGS if b.p <= p_max]
     if p_max >= 1.5:
         entries.append(c_double(0.75, c_interp(0.75).c))
@@ -319,7 +302,7 @@ def make_envelope(chain: BoundChain, use_log: bool = False) -> PiecewiseEnvelope
     plain = PiecewiseEnvelope(tuple(pieces))
     if not use_log:
         return plain
-    if chain.max_exponent() <= 2.0:
+    if chain.entries[-1].p <= 2.0:
         raise ValueError("the log refinement needs a chain rung with p > 2 "
                          "for the envelope tail to return to")
 
@@ -350,16 +333,15 @@ def make_envelope(chain: BoundChain, use_log: bool = False) -> PiecewiseEnvelope
     return PiecewiseEnvelope(tuple(out))
 
 
-def vdc_cf(y: float, z: float, t: float,
-           spec: QuadratureSpec = DEFAULT_QUADRATURE) -> complex:
+def vdc_cf(y: float, z: float, t: float, abs_tol: float = 1e-10) -> complex:
     """The oscillatory integral behind the van der Corput rung.
 
     Computes int_0^1 exp(i t h(y, z, u)) du as one complex quadrature on
-    [eps, 1-eps]; the trimmed slivers contribute at most 2*eps in modulus.
-    The stationary-phase mechanism caps the modulus at 2 t^{-1/2} for every
-    real y, z.
+    [eps, 1-eps] to absolute tolerance `abs_tol`; the trimmed slivers add at
+    most 2*eps in modulus.  The stationary-phase mechanism caps the modulus at
+    2 t^{-1/2} for every real y, z.
     """
     if not t > 0.0:
         raise ValueError(f"vdc_cf needs t > 0, got {t}")
     lo, hi = ENDPOINT_EPS, 1.0 - ENDPOINT_EPS
-    return integrate(lambda u: np.exp(1j * t * h_values(y, z, u)), lo, hi, spec)
+    return integrate(lambda u: np.exp(1j * t * h_values(y, z, u)), lo, hi, abs_tol)

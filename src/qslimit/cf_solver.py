@@ -38,7 +38,6 @@ from .core_numerics import (
     Grid,
     QuadratureError,
     fixed_point,
-    g_func,
     g_values,
 )
 from .moments import VARIANCE
@@ -55,6 +54,10 @@ __all__ = [
 # quadrature contract for one application of the map: the doubled-rule
 # cross-check must agree to this absolute tolerance
 CF_ABS_TOL = 1e-9
+
+# cap on the spline-pair evaluations of one sweep (u-nodes x t-points), about
+# 9x the default 1760 x 4096; past it a single sweep would run for minutes
+_MAX_SWEEP_PAIRS = 2**26
 
 
 @dataclass(frozen=True)
@@ -138,27 +141,28 @@ def _cf_spline(ts: np.ndarray, values: np.ndarray) -> CubicSpline:
     return CubicSpline(ext_t, ext_v)
 
 
-def _u_rule(t_max: float, refine: int = 1):
+def _u_rule(t_max: float, n_t: int, refine: int = 1):
     """Composite Gauss-Legendre nodes/weights on (eps, 1/2], symmetry-folded.
 
     Panels are dyadic toward 0 (the toll's log-singular derivative) and are
     subdivided so each carries at most ~2 pi of oscillation budget at the
     largest t, counting both the toll phase and the slowly varying phases of
     the two interpolated factors.  Raises ValueError, before building any
-    array, if the rule would need more than MAX_GRID_POINTS nodes.
+    array, if the rule would need more than MAX_GRID_POINTS nodes, or more
+    than _MAX_SWEEP_PAIRS spline pairs to be applied at `n_t` values of t.
     """
     edges = [ENDPOINT_EPS]
     while edges[-1] * 2.0 < _DYADIC_TOP:
         edges.append(edges[-1] * 2.0)
     edges.extend([_DYADIC_TOP, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0, 1.0 / 2.0])
     panels = []
-    for a, b in zip(edges, edges[1:]):
-        budget = t_max * (abs(g_func(a) - g_func(b)) + 2.0 * (b - a))
+    for a, b, dg in zip(edges, edges[1:], np.abs(np.diff(g_values(edges)))):
+        budget = t_max * (dg + 2.0 * (b - a))
         panels.append((a, b, max(1, math.ceil(refine * budget / (2.0 * math.pi)))))
     total = _GL_NODES.size * sum(n_sub for _, _, n_sub in panels)
-    if total > MAX_GRID_POINTS:
-        raise ValueError(f"the u-rule for t_max={t_max} needs {total} nodes, "
-                         f"over the cap of {MAX_GRID_POINTS}")
+    if total > MAX_GRID_POINTS or total * n_t > _MAX_SWEEP_PAIRS:
+        raise ValueError(f"the u-rule for t_max={t_max} needs {total} nodes x {n_t} t-points, "
+                         f"over the caps of {MAX_GRID_POINTS} nodes, {_MAX_SWEEP_PAIRS} pairs")
     nodes, weights = [], []
     for a, b, n_sub in panels:
         sub = np.linspace(a, b, n_sub + 1)
@@ -193,9 +197,12 @@ def cf_map(phi: CfGrid) -> CfGrid:
     overshoots are clamped back to the unit disk.
     """
     ts = phi.ts
-    # both rules are built, and so checked against the node cap, before any quadrature
-    u, w = _u_rule(phi.t_max)
-    u2, w2 = _u_rule(phi.t_max, refine=2)
+    # a spread of grid points re-evaluated with a doubled rule; disagreement
+    # means the panel budget was too coarse for this iterate
+    idx = np.unique(np.linspace(1, ts.size - 1, 9).astype(int))
+    # both rules are built, and so checked against the caps, before any quadrature
+    u, w = _u_rule(phi.t_max, ts.size)
+    u2, w2 = _u_rule(phi.t_max, idx.size, refine=2)
     spline = _cf_spline(ts, phi.values)
     gu = g_values(u)
     out = _quad_values(spline, ts, u, w, gu)
@@ -210,9 +217,6 @@ def cf_map(phi: CfGrid) -> CfGrid:
     hot = mod > 1.0
     out[hot] /= mod[hot]
 
-    # re-evaluate a spread of grid points with a doubled rule; disagreement
-    # means the panel budget was too coarse for this iterate
-    idx = np.unique(np.linspace(1, ts.size - 1, 9).astype(int))
     ref = _quad_values(spline, ts[idx], u2, w2, g_values(u2))
     err = float(np.abs(out[idx] - ref).max())
     if err > CF_ABS_TOL:

@@ -89,7 +89,7 @@ def _iterate_density_from(args):
 
 
 def _cmd_bounds(args) -> int:
-    chain = build_chain([args.max_p])
+    chain = build_chain(args.max_p)
     env = make_envelope(chain, use_log=args.log)
     if args.json:
         _emit(args, _dump_json({"chain": chain.to_json(),
@@ -109,8 +109,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sup(args, k: int, cap: float) -> int:
-    targets = [4.5] if args.with_9_2 else [3.5]
-    env = make_envelope(build_chain(targets), use_log=args.trick)
+    env = make_envelope(build_chain(4.5 if args.with_9_2 else 3.5), use_log=args.trick)
     val = sup_fk_bound(env, k)
     verdict = "PASS" if val < cap else "FAIL"
     if args.json:

@@ -22,15 +22,12 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "QuadratureSpec",
     "QuadratureError",
     "IterationError",
     "fixed_point",
-    "DEFAULT_QUADRATURE",
     "ENDPOINT_EPS",
     "MAX_GRID_POINTS",
     "integrate",
-    "g_func",
     "g_values",
     "h_values",
 ]
@@ -58,23 +55,6 @@ class IterationError(RuntimeError):
     def __init__(self, message: str, history):
         super().__init__(message)
         self.history = list(history)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Absolute-error budget and subdivision cap for `integrate`."""
-
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 200_000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise ValueError(f"abs_tol must be a positive finite float, got {self.abs_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -175,20 +155,24 @@ _GAUSS_WEIGHTS = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
+# stops an integrand that cannot meet its tolerance (a NaN, a singularity)
+_MAX_PANELS = 200_000
 
 
-def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE):
+def integrate(f, a: float, b: float, abs_tol: float = 1e-10):
     """Integrate a real- or complex-valued vectorized callable over [a, b].
 
     `f` must accept a numpy array and return values of the same shape.  A
     complex integrand is one pass with a complex result; a real one gives a
-    float.  The panel budget is spent where the Gauss/Kronrod discrepancy
-    (its modulus) says the integrand is hard; if the budget runs out before
-    every panel meets its proportional share of `spec.abs_tol`, a
+    float.  Panels are bisected where the Gauss/Kronrod discrepancy (its
+    modulus) exceeds their length-proportional share of the absolute
+    tolerance `abs_tol`.  If more than 200,000 panels would be needed, a
     QuadratureError is raised rather than a silently inaccurate value.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
+    if not (abs_tol > 0.0 and math.isfinite(abs_tol)):
+        raise ValueError(f"abs_tol must be a positive finite float, got {abs_tol}")
     span = b - a
     lo = np.array([a])
     hi = np.array([b])
@@ -202,16 +186,16 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE):
         k15 = half * (fx @ _KRONROD_WEIGHTS)
         g7 = half * (fx[:, _GAUSS_IDX] @ _GAUSS_WEIGHTS)
         err = np.abs(k15 - g7)
-        budget = spec.abs_tol * (hi - lo) / span
+        budget = abs_tol * (hi - lo) / span
         done = err <= budget
         # NaN panels compare False and keep subdividing until the cap trips.
         total += k15[done].sum()
         lo, hi = lo[~done], hi[~done]
         panels_used += 2 * lo.size
-        if panels_used > spec.max_subdivisions:
+        if panels_used > _MAX_PANELS:
             raise QuadratureError(
-                f"integral on [{a}, {b}] did not reach abs_tol={spec.abs_tol} "
-                f"within {spec.max_subdivisions} panels "
+                f"integral on [{a}, {b}] did not reach abs_tol={abs_tol} "
+                f"within {_MAX_PANELS} panels "
                 f"({lo.size} panels still above budget, worst error {err[~done].max():.3e})"
             )
         mids = 0.5 * (lo + hi)
@@ -224,25 +208,13 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE):
 # Toll function and tilted phase.
 
 
-def g_func(u: float) -> float:
-    """Toll function 2u ln u + 2(1-u) ln(1-u) + 1 on [0, 1].
-
-    Endpoints take their limit value 1.  The two entropy terms are evaluated
-    with the smaller coordinate first, so g_func(u) and g_func(1-u) run the
-    identical float program and agree bitwise whenever u and 1-u are exact
-    complements.
-    """
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"g_func requires 0 <= u <= 1, got {u}")
-    a = min(u, 1.0 - u)
-    b = max(u, 1.0 - u)
-    if a == 0.0:
-        return 1.0
-    return 2.0 * a * math.log(a) + 2.0 * b * math.log(b) + 1.0
-
-
 def g_values(u: np.ndarray) -> np.ndarray:
-    """Vectorized toll function on (0, 1); no endpoint or domain handling."""
+    """Toll function 2u ln u + 2(1-u) ln(1-u) + 1, vectorized over u in (0, 1).
+
+    No endpoint or domain handling.  The two entropy terms are evaluated with
+    the smaller coordinate first, so g(u) and g(1-u) run the identical float
+    program and agree bitwise whenever u and 1-u are exact complements.
+    """
     u = np.asarray(u, dtype=np.float64)
     v = 1.0 - u
     a = np.minimum(u, v)

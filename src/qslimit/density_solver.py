@@ -33,7 +33,7 @@ import warnings
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core_numerics import MAX_GRID_POINTS, Grid, fixed_point, g_func
+from .core_numerics import MAX_GRID_POINTS, Grid, fixed_point, g_values
 from .moments import VARIANCE
 
 __all__ = [
@@ -93,12 +93,11 @@ def _normalized(x0: float, dx: float, values: np.ndarray) -> DensityGrid:
     return DensityGrid(Grid(x0, dx, values / mass))
 
 
-def gaussian_density(mean: float = 0.0, var: float = VARIANCE,
-                     x_min: float = -4.0, x_max: float = 6.0,
-                     dx: float = 0.005) -> DensityGrid:
-    """Gaussian seed; defaults match the limit law's first two moments."""
+def gaussian_density(var: float = VARIANCE, x_min: float = -4.0,
+                     x_max: float = 6.0, dx: float = 0.005) -> DensityGrid:
+    """Mean-zero Gaussian seed; the default variance is the limit law's."""
     xs = Grid.domain(x_min, x_max, dx).xs
-    vals = np.exp(-0.5 * (xs - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
+    vals = np.exp(-0.5 * xs**2 / var) / math.sqrt(2.0 * math.pi * var)
     return _normalized(x_min, dx, vals)
 
 
@@ -173,8 +172,7 @@ def apply_T(f: DensityGrid, u_nodes: int = 64) -> DensityGrid:
     us, ws = _u_quadrature(u_nodes)
     out = np.zeros(n)
     clipped = False
-    for u, wu in zip(us, ws):
-        gu = g_func(float(u))
+    for u, wu, gu in zip(us, ws, g_values(us)):
         one_m = 1.0 - u
         wide = np.interp(xs / one_m, xs, vals, left=0.0, right=0.0) / one_m
         k_lo, masses = _hat_deposit(float(u), gu, f.grid.x0, dx, n, vals, F, Phi)

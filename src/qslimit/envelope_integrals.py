@@ -91,6 +91,6 @@ def maxf_theorem_check() -> tuple:
     one through p = 9/2; the caller checks them against SUP_F_CAP and
     SUP_F1_CAP, so a broken bound ladder shows up as a failed check.
     """
-    sup_f = sup_fk_bound(make_envelope(build_chain([3.5]), use_log=True), 0)
-    sup_f1 = sup_fk_bound(make_envelope(build_chain([4.5]), use_log=True), 1)
+    sup_f = sup_fk_bound(make_envelope(build_chain(3.5), use_log=True), 0)
+    sup_f1 = sup_fk_bound(make_envelope(build_chain(4.5), use_log=True), 1)
     return sup_f, sup_f1

@@ -24,12 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core_numerics import (
-    ENDPOINT_EPS,
-    QuadratureSpec,
-    g_values,
-    integrate,
-)
+from .core_numerics import ENDPOINT_EPS, g_values, integrate
 
 __all__ = [
     "MomentSequence",
@@ -42,10 +37,10 @@ __all__ = [
 # Var Y = 7 - 2 pi^2 / 3, the unique fixed point of v -> (2/3) v + int g^2
 VARIANCE = 7.0 - 2.0 * math.pi**2 / 3.0
 
-_MOMENT_SPEC = QuadratureSpec(abs_tol=1e-12, max_subdivisions=50_000)
+_MOMENT_ABS_TOL = 1e-12
 
 
-def g_moment(a: int, b: int, c: int, spec: QuadratureSpec = _MOMENT_SPEC) -> float:
+def g_moment(a: int, b: int, c: int) -> float:
     """Mixed toll integral int_0^1 u^a (1-u)^b g(u)^c du."""
     for name, v in (("a", a), ("b", b), ("c", c)):
         if v < 0 or int(v) != v:
@@ -54,7 +49,7 @@ def g_moment(a: int, b: int, c: int, spec: QuadratureSpec = _MOMENT_SPEC) -> flo
     def integrand(u):
         return u**a * (1.0 - u) ** b * g_values(u) ** c
 
-    return integrate(integrand, ENDPOINT_EPS, 1.0 - ENDPOINT_EPS, spec)
+    return integrate(integrand, ENDPOINT_EPS, 1.0 - ENDPOINT_EPS, _MOMENT_ABS_TOL)
 
 
 @dataclass(frozen=True)
@@ -90,7 +85,7 @@ class MomentSequence:
         return self.values[j]
 
 
-def pump_moments(K: int = 8, spec: QuadratureSpec = _MOMENT_SPEC) -> MomentSequence:
+def pump_moments(K: int = 8) -> MomentSequence:
     """Pump the fixed-point equation up to E Y^K."""
     if K < 2:
         raise ValueError(f"pump_moments needs K >= 2, got {K}")
@@ -100,7 +95,7 @@ def pump_moments(K: int = 8, spec: QuadratureSpec = _MOMENT_SPEC) -> MomentSeque
         # g_moment is symmetric under (a, b) swap since g(u) = g(1-u)
         key = (min(a, b), max(a, b), c)
         if key not in cache:
-            cache[key] = g_moment(*key, spec=spec)
+            cache[key] = g_moment(*key)
         return cache[key]
 
     m = [1.0, 0.0]

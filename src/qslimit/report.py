@@ -18,7 +18,6 @@ import numpy as np
 
 from .cf_bounds import build_chain, make_envelope, vdc_cf
 from .cf_solver import init_gaussian_cf, invert_cf, iterate_cf
-from .core_numerics import QuadratureSpec
 from .density_solver import cdf, gaussian_density, iterate_density
 from .envelope_integrals import SUP_F1_CAP, SUP_F_CAP, maxf_theorem_check, sup_fk_bound
 from .moments import VARIANCE, pump_moments
@@ -81,7 +80,7 @@ def build_artifacts(seed: int = 42, samples: int = 200_000) -> dict:
             gaussian_density(), max_iter=60, tol=1e-6, u_nodes=64)
     density_seconds = time.perf_counter() - t0
     return {
-        "envelope": make_envelope(build_chain([1.5, 2.5, 3.5]), use_log=True),
+        "envelope": make_envelope(build_chain(3.5), use_log=True),
         "phi": phi,
         "cf_iters": cf_iters,
         "cf_diff": cf_history[-1],
@@ -98,7 +97,7 @@ def build_artifacts(seed: int = 42, samples: int = 200_000) -> dict:
 
 
 def check_bound_chain() -> CriterionResult:
-    chain = build_chain([1.5, 2.5, 3.5])
+    chain = build_chain(3.5)
     c32 = chain.constant_at(1.5)
     checks = [186.3 < c32 <= 187.0]
     for p, ceil_ in _CEILINGS.items():
@@ -117,7 +116,7 @@ def check_bound_chain() -> CriterionResult:
 
 def check_sup_bounds() -> CriterionResult:
     # maxf_theorem_check gives the log-spliced sup f (p <= 7/2) and sup f' (p <= 9/2)
-    chain = build_chain([1.5, 2.5, 3.5])
+    chain = build_chain(3.5)
     plain = make_envelope(chain)
     plain0 = sup_fk_bound(plain, 0)
     plain1 = sup_fk_bound(plain, 1)
@@ -142,7 +141,7 @@ def check_sup_bounds() -> CriterionResult:
 
 
 def check_vdc(seed: int = 2718) -> CriterionResult:
-    spec = QuadratureSpec(abs_tol=1e-8, max_subdivisions=200_000)
+    abs_tol = 1e-8
     rng = np.random.Generator(np.random.PCG64(seed))
     pairs = rng.uniform(-5.0, 5.0, size=(100, 2))
     ts = np.geomspace(1.0, 1e4, 20)
@@ -150,8 +149,8 @@ def check_vdc(seed: int = 2718) -> CriterionResult:
     ok = True
     for y, z in pairs:
         for t in ts:
-            margin = abs(vdc_cf(float(y), float(z), float(t), spec)) \
-                - (2.0 / math.sqrt(t) + 10.0 * spec.abs_tol)
+            margin = abs(vdc_cf(float(y), float(z), float(t), abs_tol)) \
+                - (2.0 / math.sqrt(t) + 10.0 * abs_tol)
             worst = max(worst, margin)
             ok = ok and margin <= 0.0
     return _result(

@@ -261,6 +261,10 @@ def test_sizing_flags_never_escape_as_tracebacks(argv):
     ["invert", "--t-max", "1e9"],
     ["density", "--u-nodes", "100000"],
     ["cdf", "--u-nodes", "100000"],
+    ["phi", "--t-max", "50000"],
+    ["invert", "--t-max", "50000"],
+    ["phi", "--grid-size", "1000000"],
+    ["bounds", "--max-p", "inf"],
 ])
 def test_bad_sizes_exit_one(argv, capsys):
     assert main(argv) == 1

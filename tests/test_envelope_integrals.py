@@ -7,7 +7,7 @@ import math
 import pytest
 
 from qslimit.cf_bounds import DecayBound, build_chain, make_envelope
-from qslimit.core_numerics import QuadratureSpec, integrate
+from qslimit.core_numerics import integrate
 import qslimit.envelope_integrals as envelope_integrals
 from qslimit import report
 from qslimit.envelope_integrals import (
@@ -18,8 +18,8 @@ from qslimit.envelope_integrals import (
     sup_fk_bound,
 )
 
-CHAIN_35 = build_chain([3.5])
-CHAIN_45 = build_chain([3.5, 4.5])
+CHAIN_35 = build_chain(3.5)
+CHAIN_45 = build_chain(4.5)
 
 
 def test_constant_head_piece():
@@ -63,10 +63,8 @@ def test_closed_forms_match_quadrature():
                     continue
                 closed = piece_integral((t_lo, t_hi, bound), k)
                 # k = 2 on the log window is ~3e6: budget relative to it
-                spec = QuadratureSpec(abs_tol=max(1e-9, 1e-13 * abs(closed)),
-                                      max_subdivisions=100_000)
-                brute = integrate(lambda t: t**k * bound.evaluate(t),
-                                  t_lo, t_hi, spec)
+                brute = integrate(lambda t: t**k * bound.evaluate(t), t_lo, t_hi,
+                                  abs_tol=max(1e-9, 1e-13 * abs(closed)))
                 assert closed == pytest.approx(brute, rel=1e-12, abs=1e-9)
 
 
@@ -100,7 +98,7 @@ def test_deeper_chains_only_improve():
 
 def test_tail_depth_rejection():
     with pytest.raises(ValueError, match="extend the chain"):
-        sup_fk_bound(make_envelope(build_chain([1.5])), 1)
+        sup_fk_bound(make_envelope(build_chain(1.5)), 1)
 
 
 def test_headline_theorem_numbers():

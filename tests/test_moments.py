@@ -85,7 +85,7 @@ def test_moment_sequence_validation():
 def test_degenerate_pump_collapses_to_zero(monkeypatch):
     # with g identically zero the unique fixed point is the point mass at 0,
     # so every pumped moment beyond m0 must vanish
-    def beta_only(a, b, c, spec=None):
+    def beta_only(a, b, c):
         if c > 0:
             return 0.0
         return (math.factorial(a) * math.factorial(b)
