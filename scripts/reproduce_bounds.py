@@ -12,10 +12,11 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import csv
+import math
 import sys
 
 from qslimit.cf_bounds import build_chain, display_ceiling, make_envelope
+from qslimit.cli import _csv
 from qslimit.envelope_integrals import sup_fk_bound
 
 
@@ -43,7 +44,7 @@ def main(argv=None) -> int:
         f0_plain = sup_fk_bound(env_plain, 0)
         # the log splice needs a rung past p = 2 to rejoin the tail
         env_log = make_envelope(chain, use_log=True) if depth > 2 else None
-        f0_log = sup_fk_bound(env_log, 0) if env_log is not None else float("nan")
+        f0_log = sup_fk_bound(env_log, 0) if env_log is not None else math.nan
         row = {"depth": depth, "sup_f_plain": f0_plain, "sup_f_log": f0_log}
         if depth >= 3.5 and env_log is not None:
             row["sup_f1_plain"] = sup_fk_bound(env_plain, 1)
@@ -60,10 +61,9 @@ def main(argv=None) -> int:
 
     if args.csv:
         keys = ["depth", "sup_f_plain", "sup_f_log", "sup_f1_plain", "sup_f1_log"]
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=keys)
-            w.writeheader()
-            w.writerows(rows)
+        with open(args.csv, "w") as fh:
+            fh.write(_csv([",".join(keys)],
+                          *([row.get(k, math.nan) for row in rows] for k in keys)))
         print(f"wrote {len(rows)} rows to {args.csv}")
     return 0
 

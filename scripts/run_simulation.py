@@ -14,11 +14,10 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 
-from qslimit.cli import _load_cdf_csv
+from qslimit.cli import _csv, _load_cdf_csv
 from qslimit.moments import VARIANCE
 from qslimit.quicksort_sim import exact_variance, simulate
 
@@ -52,15 +51,16 @@ def main(argv=None) -> int:
         if ref is not None:
             line += f"      {summary.ks:.4f}"
         print(line + f"   ({time.perf_counter() - t0:.1f}s)")
-        rows.append({"n": n, "exact_var_over_n2": exact,
-                     "sample_var": summary.var_std, "rel_gap": rel,
-                     "ks": summary.ks if ref is not None else ""})
+        row = {"n": n, "exact_var_over_n2": exact,
+               "sample_var": summary.var_std, "rel_gap": rel}
+        if ref is not None:
+            row["ks"] = summary.ks
+        rows.append(row)
 
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            w.writeheader()
-            w.writerows(rows)
+        keys = list(rows[0])
+        with open(args.csv, "w") as fh:
+            fh.write(_csv([",".join(keys)], *([row[k] for row in rows] for k in keys)))
         print(f"\nwrote {len(rows)} rows to {args.csv}")
     return 0
 

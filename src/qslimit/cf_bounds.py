@@ -163,6 +163,7 @@ LOG_BOUND = DecayBound(2.0, 32.0 * math.pi**2, POWER_LOG, "logarithmic_refinemen
 # steps upward from 3/2
 _BASE_RUNGS = (DecayBound(0.0, 1.0, provenance="modulus_at_most_one"),
                c_half(), c_interp(0.75), c_interp(1.0))
+_MAX_LADDER_P = 29.5  # deepest rung whose constant fits a float: c_{30.5} overflows
 
 
 def _is_ladder_exponent(p: float) -> bool:
@@ -178,14 +179,14 @@ def build_chain(p_max: float) -> BoundChain:
     """Assemble the bound ladder of every reachable rung up to exponent p_max.
 
     The rungs are c_0 = 1, c_{1/2} = 2, c_{3/4} = sqrt(8 pi), c_1 = 4 pi,
-    then c_{3/2} by doubling from 3/4 and unit steps beyond; p_max must be
-    one of them.
+    then c_{3/2} by doubling from 3/4 and unit steps beyond, up to 29.5;
+    p_max must be one of them.
     """
     p_max = float(p_max)
-    if not 0.0 <= p_max < math.inf or not _is_ladder_exponent(p_max):
+    if not 0.0 <= p_max <= _MAX_LADDER_P or not _is_ladder_exponent(p_max):
         raise ValueError(
             f"no lemma chain reaches exponent p={p_max}; reachable exponents are "
-            f"0, 1/2, 3/4, 1, and 3/2 + k for integer k >= 0"
+            f"0, 1/2, 3/4, 1, and 3/2 + k for integer k >= 0 up to {_MAX_LADDER_P}"
         )
     entries = [b for b in _BASE_RUNGS if b.p <= p_max]
     if p_max >= 1.5:

@@ -8,15 +8,14 @@ we ever use: means, second moments, full small-n distributions, and samples
 are each generated straight from that decomposition, never by sorting.
 
 Float recurrences accumulate rounding at the ulp level (e.g. the n=3 variance
-2/9 comes out a few ulps off), so small n are computed in exact rational
-arithmetic and converted, with floats taking over where the rationals get
-heavy.
+2/9 comes out a few ulps off), so for n <= 20 the variance is read off the
+exact law, an int64 table of permutation counts (20! < 2**63), with a float
+recurrence taking over above.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +39,7 @@ __all__ = [
 ]
 
 _EXACT_MEAN_MAX = 64     # rational closed form below this, float fsum above
-_EXACT_VAR_MAX = 16      # rational recurrence below this, float vectors above
+_EXACT_LAW_MAX = 20      # 20! < 2**63: the int64 law table is exact up to here
 _SAMPLE_CHUNK = 10_000   # runs split together by sample_many
 
 
@@ -67,21 +66,6 @@ def exact_mean(n: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _rational_var_tables(n_max: int):
-    """Exact (mean, second moment) tables from the pivot decomposition."""
-    a = [Fraction(0)] * (n_max + 1)
-    s = [Fraction(0)] * (n_max + 1)
-    for n in range(2, n_max + 1):
-        a[n] = Fraction(n - 1) + Fraction(2, n) * sum(a[:n], Fraction(0))
-        cross = sum((a[k] * a[n - 1 - k] for k in range(n)), Fraction(0))
-        s[n] = (Fraction(2, n) * sum(s[:n], Fraction(0))
-                + Fraction(2, n) * cross
-                + Fraction(4 * (n - 1), n) * sum(a[:n], Fraction(0))
-                + Fraction((n - 1) ** 2))
-    return a, s
-
-
-@lru_cache(maxsize=None)
 def _float_var_table(n_max: int) -> np.ndarray:
     a = np.zeros(n_max + 1)
     s = np.zeros(n_max + 1)
@@ -97,13 +81,15 @@ def _float_var_table(n_max: int) -> np.ndarray:
 
 
 def exact_variance(n: int) -> float:
-    """Var X_n from the second-moment recurrence (exact rationals for small n)."""
+    """Var X_n: correctly rounded from the exact law for n <= 20, float recurrence above."""
     n = _check_n(n)
     if n <= 1:
         return 0.0
-    if n <= _EXACT_VAR_MAX:
-        a, s = _rational_var_tables(_EXACT_VAR_MAX)
-        return float(s[n] - a[n] * a[n])
+    if n <= _EXACT_LAW_MAX:
+        counts, total = exact_distribution(n).tolist(), math.factorial(n)
+        s1 = sum(k * c for k, c in enumerate(counts))
+        s2 = sum(k * k * c for k, c in enumerate(counts))
+        return (total * s2 - s1 * s1) / (total * total)
     return float(_float_var_table(n)[n])
 
 
@@ -118,25 +104,26 @@ def variance_closed_form(n: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def exact_distribution(n: int):
-    """Full law of X_n for small n as {count: Fraction probability}.
+def exact_distribution(n: int) -> np.ndarray:
+    """Law of X_n for n <= 20 as read-only int64 counts C_n, indexed 0..n(n-1)/2.
 
-    Cost explodes with the support, so this is capped at n = 7; larger n
-    should be sampled instead.
+    C_n[k] is the number of the n! orderings of n keys that cost k
+    comparisons.  Pivot rank i interleaves its two sublists in binom(n-1, i-1)
+    ways, so C_n[k] = sum_i binom(n-1, i-1) (C_{i-1} * C_{n-i})[k - (n-1)]
+    with * the convolution.
     """
     n = _check_n(n)
-    if n > 7:
-        raise ValueError(f"exact_distribution is limited to n <= 7, got {n}")
-    if n <= 1:
-        return {0: Fraction(1)}
-    dist = defaultdict(Fraction)
+    if n > _EXACT_LAW_MAX:
+        raise ValueError(f"exact_distribution is limited to n <= {_EXACT_LAW_MAX}, got {n}")
+    counts = np.zeros(n * (n - 1) // 2 + 1, dtype=np.int64)
+    if n == 0:
+        counts[0] = 1
     for i in range(1, n + 1):
-        left = exact_distribution(i - 1)
-        right = exact_distribution(n - i)
-        for cl, pl in left.items():
-            for cr, pr in right.items():
-                dist[n - 1 + cl + cr] += pl * pr / n
-    return dict(sorted(dist.items()))
+        split = math.comb(n - 1, i - 1) * np.convolve(exact_distribution(i - 1),
+                                                      exact_distribution(n - i))
+        counts[n - 1:n - 1 + split.size] += split
+    counts.flags.writeable = False
+    return counts
 
 
 def sample_many(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -194,15 +181,18 @@ def chi_square_vs_exact(samples: np.ndarray, n: int):
     Cells with expected count below 5 are pooled into a single cell before
     the statistic is formed.  Returns (statistic, dof, p_value).
     """
-    dist = exact_distribution(n)
+    counts = exact_distribution(n)
     samples = np.asarray(samples)
     m = samples.size
-    support = np.array(sorted(dist.keys()))
-    probs = np.array([float(dist[k]) for k in support])
-    observed = np.array([(samples == k).sum() for k in support], dtype=np.float64)
-    stray = m - observed.sum()
+    support = counts > 0
+    probs = counts[support] / math.factorial(n)
+    if m and not 0 <= samples.min() <= samples.max() < counts.size:
+        raise ValueError(f"samples must lie in 0..{counts.size - 1}, the range of X_{n}")
+    observed = np.bincount(samples, minlength=counts.size)
+    stray = observed[~support].sum()
     if stray:
-        raise ValueError(f"{int(stray)} samples fall outside the exact support")
+        raise ValueError(f"{stray} samples fall outside the exact support")
+    observed = observed[support].astype(np.float64)
     expected = m * probs
     small = expected < 5.0
     if small.any():
@@ -252,6 +242,8 @@ def simulate(n: int, m: int, seed: int = 0, reference_cdf: Grid = None) -> tuple
     grid is supplied the summary also carries the KS distance against it.
     Returns (summary, standardized_sample).
     """
+    if m < 2:
+        raise ValueError(f"simulate needs at least 2 samples for the sample variance, got {m}")
     rng = np.random.Generator(np.random.PCG64(seed))
     raw = sample_many(n, m, rng)
     ys = standardize(raw, n)

@@ -112,6 +112,10 @@ def test_chain_root_growth():
 def test_build_chain_unreachable_exponent():
     with pytest.raises(ValueError, match="reachable"):
         build_chain(2.0)
+    # c_{30.5} would overflow a float; 29.5 is the deepest rung
+    assert math.isfinite(build_chain(29.5).entries[-1].c)
+    with pytest.raises(ValueError, match="up to 29.5"):
+        build_chain(30.5)
 
 
 def test_display_ceilings():

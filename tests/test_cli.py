@@ -265,6 +265,8 @@ def test_sizing_flags_never_escape_as_tracebacks(argv):
     ["invert", "--t-max", "50000"],
     ["phi", "--grid-size", "1000000"],
     ["bounds", "--max-p", "inf"],
+    ["bounds", "--max-p", "30.5"],
+    ["simulate", "--n", "10", "--samples", "1"],
 ])
 def test_bad_sizes_exit_one(argv, capsys):
     assert main(argv) == 1

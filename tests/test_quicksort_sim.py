@@ -1,5 +1,6 @@
 """Comparison-count recurrences, exact small-n laws, and the seeded sampler."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -76,23 +77,43 @@ def test_negative_or_fractional_n_rejected():
 
 
 def test_exact_distribution_three_keys():
-    dist = exact_distribution(3)
-    assert dist == {2: Fraction(1, 3), 3: Fraction(2, 3)}
+    # of the 6 orderings, the 2 with the middle key first take 2 comparisons
+    assert exact_distribution(3).tolist() == [0, 0, 2, 4]
+
+
+def _quicksort_comparisons(keys) -> int:
+    if len(keys) <= 1:
+        return 0
+    pivot, rest = keys[0], keys[1:]
+    return (len(rest) + _quicksort_comparisons([k for k in rest if k < pivot])
+            + _quicksort_comparisons([k for k in rest if k > pivot]))
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_exact_distribution_counts_quicksort_on_every_permutation(n):
+    costs = [_quicksort_comparisons(list(p)) for p in itertools.permutations(range(n))]
+    expected = np.bincount(costs, minlength=n * (n - 1) // 2 + 1)
+    assert exact_distribution(n).tolist() == expected.tolist()
 
 
 def test_exact_distribution_moments_match_recurrences():
-    for n in range(8):
-        dist = exact_distribution(n)
-        assert sum(dist.values()) == 1
-        mean = sum(Fraction(c) * p for c, p in dist.items())
-        var = sum(Fraction(c) ** 2 * p for c, p in dist.items()) - mean**2
+    for n in range(21):
+        counts, total = exact_distribution(n), math.factorial(n)
+        assert counts.dtype == np.int64 and not counts.flags.writeable
+        assert counts.size == n * (n - 1) // 2 + 1
+        assert counts.sum() == total
+        # the worst case: every pivot is the least or greatest key left
+        assert counts[n * (n - 1) // 2] == 2 ** max(n - 1, 0)
+        mean = sum(Fraction(k * c, total) for k, c in enumerate(counts.tolist()))
+        second = sum(Fraction(k * k * c, total) for k, c in enumerate(counts.tolist()))
         assert exact_mean(n) == float(mean)
-        assert exact_variance(n) == float(var)
+        assert exact_variance(n) == float(second - mean**2)
 
 
-def test_exact_distribution_caps_at_seven():
-    with pytest.raises(ValueError):
-        exact_distribution(8)
+def test_exact_distribution_caps_at_twenty():
+    assert exact_distribution(20).sum() == math.factorial(20)
+    with pytest.raises(ValueError, match="n <= 20"):
+        exact_distribution(21)
 
 
 def test_sampler_degenerate_cases():
@@ -148,11 +169,19 @@ def test_chi_square_against_exact_law():
     rng = np.random.Generator(np.random.PCG64(43))
     _, _, p7 = chi_square_vs_exact(sample_many(7, 20_000, rng), 7)
     assert p7 > 0.001
+    rng = np.random.Generator(np.random.PCG64(20))
+    _, dof20, p20 = chi_square_vs_exact(sample_many(20, 20_000, rng), 20)
+    assert dof20 >= 1
+    assert p20 > 0.001
 
 
 def test_chi_square_rejects_impossible_counts():
     with pytest.raises(ValueError):
         chi_square_vs_exact(np.array([0, 2, 3]), 3)  # 0 is outside the support
+    with pytest.raises(ValueError, match="0..3"):
+        chi_square_vs_exact(np.array([2, 3, 4]), 3)  # no run of 3 keys costs 4
+    with pytest.raises(ValueError, match="0..3"):
+        chi_square_vs_exact(np.array([-1, 2, 3]), 3)
 
 
 def test_summary_validation():

@@ -4,7 +4,12 @@ import re
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import stats
+
+from qslimit.cli import _csv
+from qslimit.quicksort_sim import exact_variance
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -31,6 +36,41 @@ def test_run_simulation(capsys):
     exact, sample = float(rows[0][1]), float(rows[0][2])
     assert rows[0][1] == "0.3538266678"
     assert abs(sample / exact - 1.0) < 0.1
+
+
+def _csv_cells(path):
+    raw = path.read_bytes()
+    assert b"\r" not in raw and raw.endswith(b"\n")
+    header, *rows = raw.decode().splitlines()
+    for row in rows:  # every cell is the %.17g form of the float it reads back as
+        assert all(f"{float(cell):.17g}" == cell for cell in row.split(","))
+    return header, [row.split(",") for row in rows]
+
+
+def test_script_csvs_use_the_cli_writer(tmp_path, capsys):
+    bounds_path = tmp_path / "bounds.csv"
+    assert _main("reproduce_bounds")(["--depths", "1.5", "4.5", "--csv", str(bounds_path)]) == 0
+    header, rows = _csv_cells(bounds_path)
+    assert header == "depth,sup_f_plain,sup_f_log,sup_f1_plain,sup_f1_log"
+    assert rows[0][0] == "1.5" and rows[0][2:] == ["nan", "nan", "nan"]
+    assert float(rows[1][4]) == 2465.8953905778517
+
+    sim_path = tmp_path / "sim.csv"
+    assert _main("run_simulation")(["--ns", "100", "--samples", "200",
+                                    "--csv", str(sim_path)]) == 0
+    header, rows = _csv_cells(sim_path)
+    assert header == "n,exact_var_over_n2,sample_var,rel_gap"
+    assert rows[0][0] == "100" and float(rows[0][1]) == exact_variance(100) / 100**2
+
+    cdf_path = tmp_path / "normal.csv"
+    xs = np.linspace(-8.0, 8.0, 1601)
+    cdf_path.write_text(_csv(["x,F"], xs, stats.norm.cdf(xs)))
+    assert _main("run_simulation")(["--ns", "100", "--samples", "200", "--ref-cdf",
+                                    str(cdf_path), "--csv", str(sim_path)]) == 0
+    header, rows = _csv_cells(sim_path)
+    assert header == "n,exact_var_over_n2,sample_var,rel_gap,ks"
+    assert 0.0 <= float(rows[0][4]) <= 1.0
+    capsys.readouterr()
 
 
 def test_run_simulation_rejects_a_non_uniform_cdf(tmp_path):
