@@ -5,7 +5,10 @@ uniformly random permutation of n distinct keys (pivot = first element, the
 two sublists recursed on independently).  Conditioning on the pivot rank i
 gives X_n = n - 1 + X_{i-1} + X'_{n-i} with i uniform on {1..n}, which is all
 we ever use: means, second moments, full small-n distributions, and samples
-are each generated straight from that decomposition, never by sorting.
+are each generated straight from that decomposition, never by sorting.  The
+sampler splits subproblems down to size 64 and draws each smaller one whole,
+by inverse CDF, from a table of the laws of X_s for s <= 64 that the same
+decomposition builds in floats.
 
 Float recurrences accumulate rounding at the ulp level (e.g. the n=3 variance
 2/9 comes out a few ulps off), so for n <= 20 the variance is read off the
@@ -40,6 +43,7 @@ __all__ = [
 
 _EXACT_MEAN_MAX = 64     # rational closed form below this, float fsum above
 _EXACT_LAW_MAX = 20      # 20! < 2**63: the int64 law table is exact up to here
+_LEAF_MAX = 64           # sample_many draws subproblems up to this size from _leaf_table
 _SAMPLE_CHUNK = 10_000   # runs split together by sample_many
 
 
@@ -65,19 +69,36 @@ def exact_mean(n: int) -> float:
     return 2.0 * (n + 1) * h - 4.0 * n
 
 
-@lru_cache(maxsize=None)
-def _float_var_table(n_max: int) -> np.ndarray:
-    a = np.zeros(n_max + 1)
-    s = np.zeros(n_max + 1)
-    sum_a = 0.0
-    sum_s = 0.0
-    for n in range(1, n_max + 1):
-        a[n] = (n - 1) + 2.0 * sum_a / n
-        cross = float(np.dot(a[:n], a[n - 1::-1]))
-        s[n] = (2.0 * sum_s + 2.0 * cross + 4.0 * (n - 1) * sum_a) / n + float(n - 1) ** 2
-        sum_a += a[n]
-        sum_s += s[n]
-    return s - a * a
+class _VarianceRecurrence:
+    """Var X_n for n above the exact table, by the forward recurrence for E X_n, E X_n^2.
+
+    One table serves every n: a larger n extends it from the stored running
+    sums, so each entry is computed once and equals a fresh build to the bit.
+    """
+
+    def __init__(self):
+        self.a = np.zeros(1)   # E X_k
+        self.s = np.zeros(1)   # E X_k^2
+        self.sum_a = 0.0
+        self.sum_s = 0.0
+
+    def __call__(self, n: int) -> float:
+        done = self.a.size - 1
+        if n > done:
+            self.a = np.concatenate([self.a, np.zeros(n - done)])
+            self.s = np.concatenate([self.s, np.zeros(n - done)])
+            a, s = self.a, self.s
+            for k in range(done + 1, n + 1):
+                a[k] = (k - 1) + 2.0 * self.sum_a / k
+                cross = float(np.dot(a[:k], a[k - 1::-1]))
+                s[k] = ((2.0 * self.sum_s + 2.0 * cross + 4.0 * (k - 1) * self.sum_a) / k
+                        + float(k - 1) ** 2)
+                self.sum_a += a[k]
+                self.sum_s += s[k]
+        return float(self.s[n] - self.a[n] * self.a[n])
+
+
+_float_variance = _VarianceRecurrence()
 
 
 def exact_variance(n: int) -> float:
@@ -90,7 +111,7 @@ def exact_variance(n: int) -> float:
         s1 = sum(k * c for k, c in enumerate(counts))
         s2 = sum(k * k * c for k, c in enumerate(counts))
         return (total * s2 - s1 * s1) / (total * total)
-    return float(_float_var_table(n)[n])
+    return _float_variance(n)
 
 
 def variance_closed_form(n: int) -> float:
@@ -126,12 +147,53 @@ def exact_distribution(n: int) -> np.ndarray:
     return counts
 
 
+@lru_cache(maxsize=None)
+def _leaf_table() -> tuple:
+    """Stacked integer CDFs of X_s for s <= 64, for inverse-CDF leaf draws.
+
+    The float laws come from P_s = (1/s) sum_i shift_{s-1}(P_{i-1} * P_{s-i}),
+    the decomposition behind exact_distribution.  Row s holds ceil(F_s * 2^53),
+    F_s divided by its own last entry so that the rounding of the sums is
+    spread over the row, not dumped on the far tail, and the row ends at
+    exactly 2^53.  Row s is offset by s * 2^53: the rows form one nondecreasing
+    int64 array (64 * 2^53 < 2^63) and every row keeps all 53 bits of the
+    uniform, where a float offset u + s would round the CDF near s = 64 to
+    ~1e-14.  Returns (cdf, starts), row s being cdf[starts[s]:starts[s + 1]].
+    """
+    laws = [np.ones(1)]
+    for s in range(1, _LEAF_MAX + 1):
+        law = np.zeros(s * (s - 1) // 2 + 1)
+        for i in range(1, s + 1):
+            split = np.convolve(laws[i - 1], laws[s - i])
+            law[s - 1:s - 1 + split.size] += split
+        laws.append(law / s)
+    rows = []
+    for s, law in enumerate(laws):
+        cum = np.cumsum(law)
+        rows.append(np.ceil(cum / cum[-1] * 2.0**53).astype(np.int64) + (s << 53))
+    starts = np.cumsum([0] + [row.size for row in rows])
+    cdf = np.concatenate(rows)
+    cdf.flags.writeable = False
+    starts.flags.writeable = False
+    return cdf, starts
+
+
+def _leaf_draw(sizes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One draw of X_s for each size s <= 64 in sizes, by inverse CDF on _leaf_table."""
+    cdf, starts = _leaf_table()
+    u = rng.integers(0, 1 << 53, size=sizes.size, dtype=np.int64)
+    return np.searchsorted(cdf, u + (sizes << 53), side="right") - starts[sizes]
+
+
 def sample_many(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """m independent draws of X_n, vectorized over runs.
 
     Runs are processed in chunks; within a chunk all pending subproblems of
-    all runs are split at once (one integers() call per level), and each
-    split charges size-1 comparisons to its run via bincount.
+    all runs above size 64 are split at once (one integers() call per level),
+    and each split charges size-1 comparisons to its run via bincount.  Every
+    subproblem of size 2..64 is instead drawn whole, by inverse CDF, from the
+    table of the laws of X_s for s <= 64, so n <= 64 is one table lookup per
+    chunk.
     """
     n = _check_n(n)
     if m <= 0:
@@ -142,10 +204,13 @@ def sample_many(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
         totals = np.zeros(width)
         sizes = np.full(width, n, dtype=np.int64)
         owners = np.arange(width)
-        while sizes.size:
-            active = sizes > 1
-            sizes = sizes[active]
-            owners = owners[active]
+        while True:
+            leaf = (sizes > 1) & (sizes <= _LEAF_MAX)
+            totals += np.bincount(owners[leaf], weights=_leaf_draw(sizes[leaf], rng),
+                                  minlength=width)
+            split = sizes > _LEAF_MAX
+            sizes = sizes[split]
+            owners = owners[split]
             if not sizes.size:
                 break
             totals += np.bincount(owners, weights=sizes - 1, minlength=width)

@@ -13,6 +13,8 @@ from qslimit.core_numerics import Grid
 from qslimit.moments import VARIANCE
 from qslimit.quicksort_sim import (
     SimulationSummary,
+    _VarianceRecurrence,
+    _leaf_table,
     chi_square_vs_exact,
     exact_distribution,
     exact_mean,
@@ -56,6 +58,28 @@ def test_variance_recurrence_matches_closed_form():
     for n in (5, 16, 17, 50, 317, 2000):
         assert exact_variance(n) == pytest.approx(variance_closed_form(n),
                                                   rel=1e-10)
+
+
+def _variance_table_reference(n_max: int) -> np.ndarray:
+    # the recurrence built whole, in one pass to n_max
+    a = np.zeros(n_max + 1)
+    s = np.zeros(n_max + 1)
+    sum_a = sum_s = 0.0
+    for n in range(1, n_max + 1):
+        a[n] = (n - 1) + 2.0 * sum_a / n
+        cross = float(np.dot(a[:n], a[n - 1::-1]))
+        s[n] = (2.0 * sum_s + 2.0 * cross + 4.0 * (n - 1) * sum_a) / n + float(n - 1) ** 2
+        sum_a += a[n]
+        sum_s += s[n]
+    return s - a * a
+
+
+def test_variance_table_extends_to_the_same_bits():
+    reference = _variance_table_reference(3000)
+    table = _VarianceRecurrence()
+    for n in (2900, 21, 2949, 1500, 3000, 2950):
+        assert table(n) == reference[n]
+    assert table.a.size == 3001
 
 
 def test_variance_ratio_converges_slowly():
@@ -114,6 +138,51 @@ def test_exact_distribution_caps_at_twenty():
     assert exact_distribution(20).sum() == math.factorial(20)
     with pytest.raises(ValueError, match="n <= 20"):
         exact_distribution(21)
+
+
+def _leaf_row(s: int) -> np.ndarray:
+    cdf, starts = _leaf_table()
+    return cdf[starts[s]:starts[s + 1]] - (s << 53)
+
+
+def test_leaf_table_matches_the_integer_law():
+    for s in range(65):
+        row = _leaf_row(s)
+        assert row.size == s * (s - 1) // 2 + 1
+        assert row[-1] == 2**53 and np.all(np.diff(row) >= 0)
+        probs = np.diff(row, prepend=0) / 2.0**53
+        if s <= 20:
+            counts = exact_distribution(s)
+            exact_cdf = np.cumsum(counts) / math.factorial(s)
+            assert np.max(np.abs(row / 2.0**53 - exact_cdf)) <= 4e-15
+            assert np.array_equal(probs > 0, counts > 0)
+        if s >= 2:
+            k = np.arange(row.size)
+            mean = float(probs @ k)
+            assert mean == pytest.approx(exact_mean(s), rel=1e-12)
+            assert float(probs @ (k - mean) ** 2) == pytest.approx(exact_variance(s),
+                                                                   rel=1e-12, abs=1e-12)
+
+
+def _min_cost(n: int) -> int:
+    low = [0, 0]
+    for k in range(2, n + 1):
+        low.append(k - 1 + min(low[i - 1] + low[k - i] for i in range(1, k + 1)))
+    return low[n]
+
+
+@pytest.mark.parametrize("n", [65, 100, 129])
+def test_sampler_seam_between_splitting_and_leaf_draws(n):
+    # the loop makes the first split (and a few more at 129), leaf draws do
+    # the rest: a lost or doubled toll at the seam moves the mean by dozens
+    # of standard errors
+    m = 20_000
+    xs = sample_many(n, m, np.random.Generator(np.random.PCG64(n)))
+    assert _min_cost(n) <= xs.min() and xs.max() <= n * (n - 1) // 2
+    se = math.sqrt(exact_variance(n) / m)
+    assert abs(float(xs.mean()) - exact_mean(n)) < 3.0 * se
+    again = sample_many(n, m, np.random.Generator(np.random.PCG64(n)))
+    assert np.array_equal(xs, again)
 
 
 def test_sampler_degenerate_cases():
