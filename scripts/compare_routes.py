@@ -35,7 +35,7 @@ def main(argv=None) -> int:
     ap.add_argument("--window", type=float, nargs=2, default=[-2.0, 4.0],
                     metavar=("LO", "HI"))
     ap.add_argument("--quick", action="store_true",
-                    help="small CF grid (t_max 50, 1024 points): ~6 s instead of ~30 s")
+                    help="small CF grid (t_max 50, 1024 points): ~4 s instead of ~17 s")
     ap.add_argument("--csv", default="")
     args = ap.parse_args(argv)
     x_lo, x_hi = args.window

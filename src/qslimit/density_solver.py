@@ -204,7 +204,15 @@ def iterate_density(f0: DensityGrid, max_iter: int = 60, tol: float = 1e-6,
     Returns (fixed_point, iterations, diff_history).  The differences should
     eventually contract geometrically; if the last five ratios do not stay
     below 0.95 a warning is attached rather than an error, since the sweep
-    may simply have hit its discretization floor.
+    may simply be approaching its discretization floor.  A run that stalls
+    there for 5 sweeps raises IterationError, as any fixed_point run does.
+
+    This route stays on plain iteration.  Anderson mixing (the CF route's
+    mode) pushes density values below zero, to -6e-4 at dx = 0.005, and
+    clamping them back breaks the translation-neutral direction of the map:
+    the mixed run converged on a translated fixed point with mean -5.7e-4
+    (against -5.3e-6), 5.8e-4 in the sup norm from the plain result.
+    Mixing here needs a re-centering step first.
     """
     cur, it, history = fixed_point(lambda f: apply_T(f, u_nodes=u_nodes), f0,
                                    max_iter, tol, "density")

@@ -1,10 +1,11 @@
 """Shared fixtures.
 
 The characteristic-function fixed point is the one genuinely expensive
-artifact (~15 s), so everything downstream of it is computed once per session
-through `build_artifacts` and shared.  Acceptance tests append their
-CriterionResult records to a session list; the terminal summary reprints them
-as one PASS/FAIL line each at the end of the run.
+artifact (13 map evaluations, 12-15 s on a 2-core Xeon), so everything
+downstream of it is computed once per session through `build_artifacts` and
+shared.  Acceptance tests append their CriterionResult records to a session
+list; the terminal summary reprints them as one PASS/FAIL line each at the
+end of the run.
 """
 
 import pytest

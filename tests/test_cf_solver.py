@@ -15,7 +15,7 @@ from qslimit.cf_solver import (
     iterate_cf,
 )
 from qslimit.cli import _csv, main
-from qslimit.core_numerics import IterationError
+from qslimit.core_numerics import IterationError, fixed_point
 from qslimit.moments import VARIANCE
 
 
@@ -66,9 +66,26 @@ def test_iteration_error_carries_history():
     assert len(err.value.history) == 1
 
 
+def test_anderson_lands_on_the_plain_fixed_point():
+    start = init_gaussian_cf(t_max=50.0, n=1024)
+    phi, iters, history = iterate_cf(start, tol=1e-8)
+    ref, ref_iters, ref_history = fixed_point(cf_map, start, 200, 1e-8, "plain cf")
+    assert history[-1] < 1e-8 and ref_history[-1] < 1e-8
+    assert iters < ref_iters
+    assert np.max(np.abs(phi.values - ref.values)) <= 1e-7
+
+
+def test_a_tolerance_below_the_floor_stops_early():
+    # dt ~ 0.1 leaves a residual floor near 5e-8; mixing past it amplifies noise
+    with pytest.raises(IterationError, match="discretization floor") as err:
+        iterate_cf(init_gaussian_cf(t_max=50.0, n=512), tol=1e-8)
+    assert len(err.value.history) <= 30
+    assert min(err.value.history) > 1e-8
+
+
 def test_fixed_point_reached(cf_fixed):
     phi, iters, diff = cf_fixed
-    assert iters <= 200
+    assert iters <= 15
     assert diff < 1e-8
     assert phi.values[0] == 1.0 + 0.0j
     assert np.all(np.abs(phi.values) <= 1.0 + 1e-9)

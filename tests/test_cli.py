@@ -82,6 +82,18 @@ def test_phi_csv(tmp_path, capsys):
     assert tuple(float(v) for v in lines[1].split(",")) == (0.0, 1.0, 0.0)
 
 
+def test_phi_at_the_discretization_floor_exits_one(tmp_path, capsys):
+    # tol 1e-8 is below this grid's floor: one error line, no 200-sweep stall
+    out_path = tmp_path / "phi.csv"
+    rc = main(["--output", str(out_path), "phi", "--t-max", "50",
+               "--grid-size", "512"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: cf iteration reached its discretization floor")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_invert_csv(tmp_path):
     out_path = tmp_path / "f.csv"
     rc = main(["--output", str(out_path), "invert", "--t-max", "50",

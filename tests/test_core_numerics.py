@@ -189,3 +189,61 @@ def test_fixed_point_runs_out_of_budget():
 def test_fixed_point_rejects_bad_arguments(max_iter, tol):
     with pytest.raises(ValueError):
         fixed_point(lambda p: p, _Point(0.0), max_iter=max_iter, tol=tol, name="x")
+
+
+class _Vec:
+    def __init__(self, v):
+        self.values = np.asarray(v, dtype=np.float64)
+
+
+def _affine_contraction(dim=8):
+    # symmetric, eigenvalues spread over [-0.9, 0.9]: spectral radius 0.9
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    a = q @ np.diag(np.linspace(-0.9, 0.9, dim)) @ q.T
+    b = rng.standard_normal(dim)
+    return a, b, np.linalg.solve(np.eye(dim) - a, b)
+
+
+def test_anderson_beats_plain_on_an_affine_contraction():
+    a, b, exact = _affine_contraction()
+    tol = 1e-10
+    runs = {}
+    for project in (None, _Vec):
+        x, iters, history = fixed_point(lambda p: _Vec(a @ p.values + b), _Vec(np.zeros(8)),
+                                        max_iter=1000, tol=tol, name="affine",
+                                        project=project)
+        assert iters == len(history) and history[-1] < tol
+        # |M x - x*| <= |A| |(I - A)^-1| |M x - x| <= 0.9 * 10 * tol
+        assert np.abs(x.values - exact).max() <= 10.0 * tol
+        runs[project] = iters
+    assert runs[_Vec] <= runs[None] / 3
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_anderson_is_exact_on_a_small_affine_map(dim):
+    # with the whole space inside the window, Anderson mixing on an affine
+    # map is equivalent to GMRES (Walker & Ni 2011): it ends after dim + 2 evaluations
+    a, b, exact = _affine_contraction(dim)
+    x, iters, _ = fixed_point(lambda p: _Vec(a @ p.values + b), _Vec(np.zeros(dim)),
+                              max_iter=100, tol=1e-12, name="small affine", project=_Vec)
+    assert iters <= dim + 2
+    assert np.abs(x.values - exact).max() <= 1e-11
+
+
+def test_fixed_point_stops_at_a_noise_floor():
+    # a rough 1e-6 perturbation of the contraction: no sweep gets below ~1e-7
+    a, b, _ = _affine_contraction()
+
+    def step(p):
+        return _Vec(a @ p.values + b + 1e-6 * np.sin(1e9 * p.values))
+
+    for project in (_Vec, None):
+        with pytest.raises(IterationError, match="discretization floor") as err:
+            fixed_point(step, _Vec(np.zeros(8)), max_iter=1000, tol=1e-10,
+                        name="jittered", project=project)
+        history = err.value.history
+        assert len(history) < 200
+        best = int(np.argmin(history))
+        assert len(history) == best + 6  # five sweeps without a new best
+        assert min(history) > 1e-8
