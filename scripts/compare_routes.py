@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from qslimit.cf_solver import init_gaussian_cf, invert_cf, iterate_cf
-from qslimit.cli import _csv
+from qslimit.cli import _csv, _guarded
 from qslimit.density_solver import gaussian_density, iterate_density
 from qslimit.moments import pump_moments
 
@@ -77,4 +77,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_guarded(main))

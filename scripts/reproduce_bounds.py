@@ -16,7 +16,7 @@ import math
 import sys
 
 from qslimit.cf_bounds import build_chain, display_ceiling, make_envelope
-from qslimit.cli import _csv
+from qslimit.cli import _csv, _guarded
 from qslimit.envelope_integrals import sup_fk_bound
 
 
@@ -69,4 +69,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_guarded(main))

@@ -3,7 +3,7 @@
 
 Sweeps input sizes, simulating m runs at each n, and reports how the sample
 variance of (X_n - E X_n)/n approaches the limiting variance together with
-the exact-recurrence value Var X_n / n^2.  Optionally checks each sample
+the exact value Var X_n / n^2.  Optionally checks each sample
 against a gridded reference CDF with the KS statistic.
 
 Usage:
@@ -17,7 +17,7 @@ import argparse
 import sys
 import time
 
-from qslimit.cli import _csv, _load_cdf_csv
+from qslimit.cli import _csv, _guarded, _load_cdf_csv
 from qslimit.moments import VARIANCE
 from qslimit.quicksort_sim import exact_variance, simulate
 
@@ -66,4 +66,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_guarded(main))

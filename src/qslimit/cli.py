@@ -2,14 +2,15 @@
 
 All output is deterministic given the flags and --seed: JSON is pretty-printed
 with sorted keys, CSV numbers use %.17g, and every random stream is a PCG64
-seeded explicitly.  Exit codes: 0 success, 1 any pipeline error (diagnostic on
-stderr), 2 usage errors (argparse).
+seeded explicitly.  Exit codes: 0 success, 1 any pipeline error, a closed
+stdout included (one error: line on stderr), 2 usage errors (argparse).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from functools import partial
@@ -275,13 +276,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _guarded(run, *args) -> int:
+    """Exit code of run(*args) with stdout flushed: a pipeline error is 1 and one error: line.
+
+    Flushing here, not at interpreter exit, catches a reader that closed the
+    pipe (`| head`); stdout then points at the null device, so the exit-time
+    flush of what is still buffered cannot fail a second time.
+    """
     try:
-        return args.func(args)
+        code = run(*args)
+        sys.stdout.flush()
+        return code
     except (ValueError, KeyError, QuadratureError, IterationError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.stderr.write(f"error: {exc}\n")
         return 1
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    return _guarded(args.func, args)
 
 
 if __name__ == "__main__":

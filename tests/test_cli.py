@@ -3,9 +3,12 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -15,6 +18,7 @@ from scipy import stats
 
 from qslimit.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
 
 def _read(path):
     with open(path) as fh:
@@ -305,3 +309,22 @@ def test_console_script():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", [["-m", "qslimit", "bounds"],
+                                     [str(ROOT / "scripts" / "reproduce_bounds.py")]],
+                         ids=["qslimit", "reproduce_bounds"])
+def test_closed_stdout_exits_one(command, buffered):
+    # the reader closes the pipe before the first byte: buffered output
+    # fails at the last flush, unbuffered output at the first write
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, *command], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == "error: [Errno 32] Broken pipe\n"

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qslimit import density_solver
 from qslimit.core_numerics import Grid, IterationError
 from qslimit.density_solver import (
     DensityGrid,
@@ -99,6 +100,28 @@ def test_iteration_error_carries_history():
             warnings.simplefilter("ignore", RuntimeWarning)
             iterate_density(gaussian_density(), max_iter=2)
     assert len(err.value.history) == 2
+
+
+def _contract_to(target, ratio):
+    """A stand-in for apply_T: the convex step f -> target + ratio (f - target)."""
+    def step(f, u_nodes):
+        values = target.values + ratio * (f.values - target.values)
+        return DensityGrid(Grid(f.grid.x0, f.dx, values))
+    return step
+
+
+def test_slow_contraction_warns_not_geometric(monkeypatch):
+    # the diffs of this map shrink by exactly `ratio` per sweep
+    target, start = gaussian_density(dx=0.01), uniform_density(dx=0.01)
+    monkeypatch.setattr(density_solver, "apply_T", _contract_to(target, 0.97))
+    with pytest.warns(RuntimeWarning, match="not uniformly geometric"):
+        _, iters, history = iterate_density(start, max_iter=1000)
+    assert 100 < iters < 1000 and history[-1] < 1e-6
+    monkeypatch.setattr(density_solver, "apply_T", _contract_to(target, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, iters, _ = iterate_density(start, max_iter=1000)
+    assert 6 <= iters < 100
 
 
 def test_fixed_point_statistics(density_fixed):

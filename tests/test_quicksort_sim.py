@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from qslimit.core_numerics import Grid
 from qslimit.moments import VARIANCE
 from qslimit.quicksort_sim import (
     SimulationSummary,
-    _VarianceRecurrence,
     _leaf_table,
     chi_square_vs_exact,
     exact_distribution,
@@ -23,7 +23,6 @@ from qslimit.quicksort_sim import (
     sample_many,
     simulate,
     standardize,
-    variance_closed_form,
 )
 
 
@@ -54,14 +53,8 @@ def test_exact_variance_small_cases():
     assert exact_variance(3) == float(Fraction(2, 9))  # exactly 2/9
 
 
-def test_variance_recurrence_matches_closed_form():
-    for n in (5, 16, 17, 50, 317, 2000):
-        assert exact_variance(n) == pytest.approx(variance_closed_form(n),
-                                                  rel=1e-10)
-
-
 def _variance_table_reference(n_max: int) -> np.ndarray:
-    # the recurrence built whole, in one pass to n_max
+    # the one-pass recurrence for E X_n and E X_n^2, in floats
     a = np.zeros(n_max + 1)
     s = np.zeros(n_max + 1)
     sum_a = sum_s = 0.0
@@ -74,22 +67,33 @@ def _variance_table_reference(n_max: int) -> np.ndarray:
     return s - a * a
 
 
-def test_variance_table_extends_to_the_same_bits():
-    reference = _variance_table_reference(3000)
-    table = _VarianceRecurrence()
-    for n in (2900, 21, 2949, 1500, 3000, 2950):
-        assert table(n) == reference[n]
-    assert table.a.size == 3001
+def test_variance_recurrence_matches_closed_form():
+    reference = _variance_table_reference(2000)
+    for n in (5, 16, 17, 50, 317, 2000):
+        assert exact_variance(n) == pytest.approx(reference[n], rel=1e-10)
+
+
+def test_moments_are_the_rounded_rational_recurrence():
+    # the same one-pass recurrence in exact arithmetic: both closed forms
+    # must be its correctly rounded value for every n <= 64
+    a, s = [Fraction(0)], [Fraction(0)]
+    for n in range(1, 65):
+        a.append(n - 1 + 2 * sum(a) / n)
+        cross = sum(a[i] * a[n - 1 - i] for i in range(n))
+        s.append((2 * sum(s) + 2 * cross + 4 * (n - 1) * sum(a[:n])) / n + (n - 1) ** 2)
+    for n in range(65):
+        assert exact_mean(n) == float(a[n]), n
+        assert exact_variance(n) == float(s[n] - a[n] ** 2), n
 
 
 def test_variance_ratio_converges_slowly():
     # var(X_n)/n^2 approaches 7 - 2 pi^2/3 ~ 0.42026 from below, and the
     # approach is slow: at n = 2000 the ratio is still 1.5% short, and only
     # around n = 10^5 does it close to within 1%.
-    r2000 = variance_closed_form(2000) / 2000**2
+    r2000 = exact_variance(2000) / 2000**2
     assert r2000 == pytest.approx(0.41400139420126436, rel=1e-10)
     assert abs(r2000 - VARIANCE) / VARIANCE > 0.01
-    r1e5 = variance_closed_form(100_000) / 100_000**2
+    r1e5 = exact_variance(100_000) / 100_000**2
     assert abs(r1e5 - VARIANCE) / VARIANCE < 0.01
 
 
@@ -183,6 +187,20 @@ def test_sampler_seam_between_splitting_and_leaf_draws(n):
     assert abs(float(xs.mean()) - exact_mean(n)) < 3.0 * se
     again = sample_many(n, m, np.random.Generator(np.random.PCG64(n)))
     assert np.array_equal(xs, again)
+
+
+def test_sampler_memory_is_bounded_in_n():
+    # a chunk holds at most 10^8 keys, here 500 runs instead of all 2000
+    n, m = 200_000, 2000
+    tracemalloc.start()
+    try:
+        xs = sample_many(n, m, np.random.Generator(np.random.PCG64(n)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    se = math.sqrt(exact_variance(n) / m)
+    assert abs(float(xs.mean()) - exact_mean(n)) < 6.0 * se
 
 
 def test_sampler_degenerate_cases():
