@@ -35,7 +35,6 @@ that names the floor, after 5 sweeps without progress.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -69,59 +68,33 @@ CF_ABS_TOL = 1e-9
 _MAX_SWEEP_PAIRS = 2**26
 
 
-@dataclass(frozen=True)
-class CfGrid:
-    """Characteristic function sampled on t = 0, dt, ..., T."""
-
-    grid: Grid
+class CfGrid(Grid):
+    """A Grid of phi on t = 0, dx, ..., x_max: 2+ points, phi(0) == 1, |phi| <= 1 + 1e-9."""
 
     def __post_init__(self):
-        if self.grid.x0 != 0.0:
+        super().__post_init__()
+        if self.x0 != 0.0:
             raise ValueError("CfGrid must start at t = 0")
-        v = self.grid.values
+        v = self.values
+        if v.size < 2:
+            raise ValueError(f"a CF grid needs at least 2 points, got {v.size}")
         if v[0] != 1.0 + 0.0j:
             raise ValueError(f"phi(0) must be exactly 1, got {v[0]}")
         if float(np.abs(v).max()) > 1.0 + 1e-9:
             raise ValueError("characteristic function modulus exceeds 1 + 1e-9")
 
-    @classmethod
-    def from_values(cls, t_max: float, values) -> "CfGrid":
-        values = np.asarray(values, dtype=np.complex128)
-        if values.size < 2:
-            raise ValueError(f"a CF grid needs at least 2 points, got {values.size}")
-        return cls(Grid(0.0, t_max / (values.size - 1), values))
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.grid.values
-
-    @property
-    def ts(self) -> np.ndarray:
-        return self.grid.xs
-
-    @property
-    def n(self) -> int:
-        return self.grid.n
-
-    @property
-    def dt(self) -> float:
-        return self.grid.dx
-
-    @property
-    def t_max(self) -> float:
-        return self.grid.x_max
-
 
 def _t_nodes(t_max: float, n: int) -> np.ndarray:
-    if n > MAX_GRID_POINTS:
-        raise ValueError(f"a CF grid of {n} points exceeds the cap of {MAX_GRID_POINTS}")
+    # checked before init_*_cf divides t_max by n - 1
+    if not 2 <= n <= MAX_GRID_POINTS:
+        raise ValueError(f"a CF grid needs 2 to {MAX_GRID_POINTS} points, got {n}")
     return np.linspace(0.0, t_max, n)
 
 
 def init_gaussian_cf(t_max: float = 200.0, n: int = 4096) -> CfGrid:
     """Mean-zero Gaussian seed with the limit law's variance 7 - 2 pi^2/3."""
     ts = _t_nodes(t_max, n)
-    return CfGrid.from_values(t_max, np.exp(-0.5 * VARIANCE * ts**2) + 0.0j)
+    return CfGrid(0.0, t_max / (n - 1), np.exp(-0.5 * VARIANCE * ts**2) + 0.0j)
 
 
 def init_uniform_cf(t_max: float = 200.0, n: int = 4096) -> CfGrid:
@@ -133,7 +106,7 @@ def init_uniform_cf(t_max: float = 200.0, n: int = 4096) -> CfGrid:
     ts = _t_nodes(t_max, n)
     vals = np.sinc(a * ts / math.pi) + 0.0j
     vals[0] = 1.0
-    return CfGrid.from_values(t_max, vals)
+    return CfGrid(0.0, t_max / (n - 1), vals)
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
@@ -215,13 +188,13 @@ def cf_map(phi: CfGrid) -> CfGrid:
     most the quadrature tolerance; anything above 1e-9 is an error, smaller
     overshoots are clamped back to the unit disk.
     """
-    ts = phi.ts
+    ts = phi.xs
     # a spread of grid points re-evaluated with a doubled rule; disagreement
     # means the panel budget was too coarse for this iterate
     idx = np.unique(np.linspace(1, ts.size - 1, 9).astype(int))
     # both rules are built, and so checked against the caps, before any quadrature
-    u, w = _u_rule(phi.t_max, ts.size)
-    u2, w2 = _u_rule(phi.t_max, idx.size, refine=2)
+    u, w = _u_rule(phi.x_max, ts.size)
+    u2, w2 = _u_rule(phi.x_max, idx.size, refine=2)
     spline = _cf_spline(ts, phi.values)
     gu = g_values(u)
     out = _quad_values(spline, ts, u, w, gu)
@@ -240,7 +213,7 @@ def cf_map(phi: CfGrid) -> CfGrid:
             f"u-quadrature self-check failed: doubled rule moved values by "
             f"{err:.3e} > abs_tol={CF_ABS_TOL}"
         )
-    return CfGrid.from_values(phi.t_max, out)
+    return CfGrid(0.0, phi.dx, out)
 
 
 def iterate_cf(init: CfGrid, max_iter: int = 200, tol: float = 1e-8):
@@ -252,9 +225,8 @@ def iterate_cf(init: CfGrid, max_iter: int = 200, tol: float = 1e-8):
     IterationError with the history if the budget runs out or the residual
     stalls at the grid's discretization floor.
     """
-    t_max = init.t_max
     return fixed_point(cf_map, init, max_iter, tol, "cf",
-                       project=lambda v: CfGrid.from_values(t_max, _onto_disk(v)))
+                       project=lambda v: CfGrid(0.0, init.dx, _onto_disk(v)))
 
 
 def _tail_estimate(phi: CfGrid, k: int) -> float:
@@ -265,8 +237,8 @@ def _tail_estimate(phi: CfGrid, k: int) -> float:
     modulus: the decay exponent is fitted on the last stretch of the grid and
     floored at 9/2, the deepest certified rung we build by default.
     """
-    ts, mod = phi.ts, np.abs(phi.values)
-    t_max = phi.t_max
+    ts, mod = phi.xs, np.abs(phi.values)
+    t_max = phi.x_max
     window = ts >= 0.75 * t_max
     m_tail = float(mod[window].max())
     if m_tail <= 0.0:
@@ -284,7 +256,9 @@ def _tail_estimate(phi: CfGrid, k: int) -> float:
 def invert_cf(phi: CfGrid, k: int = 0, xs: Grid = None) -> Grid:
     """Fourier-invert the grid to the k-th derivative of the density on xs.
 
-    Trapezoid rule in t.  Before inverting, the discarded tail t > T is
+    `xs` is any Grid, a DensityGrid included, whose nodes are wanted; the
+    default is [-4, 6] in steps of 0.005.  Returns a plain Grid on those
+    nodes.  Trapezoid rule in t.  Before inverting, the discarded tail t > T is
     estimated from the computed decay of |phi|; if it could move the result
     by 1e-6 or more the truncation is refused and a larger T is required.
     """
@@ -295,12 +269,12 @@ def invert_cf(phi: CfGrid, k: int = 0, xs: Grid = None) -> Grid:
     tail = _tail_estimate(phi, k)
     if tail >= 1e-6:
         raise ValueError(
-            f"truncation tail estimate {tail:.3e} at T={phi.t_max} exceeds 1e-6 "
+            f"truncation tail estimate {tail:.3e} at T={phi.x_max} exceeds 1e-6 "
             f"for k={k}; rebuild the fixed point with a larger T"
         )
-    ts = phi.ts
-    wt = np.full(ts.size, phi.dt)
-    wt[0] = wt[-1] = 0.5 * phi.dt
+    ts = phi.xs
+    wt = np.full(ts.size, phi.dx)
+    wt[0] = wt[-1] = 0.5 * phi.dx
     coef = wt * (-1j * ts) ** k * phi.values
     x = xs.xs
     out = np.empty(x.size)

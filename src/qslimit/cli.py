@@ -126,7 +126,7 @@ def _cmd_sup(args, k: int, cap: float) -> int:
 def _cmd_phi(args) -> int:
     phi, iters, history = _iterate_cf_from(args)
     sys.stderr.write(f"converged in {iters} sweeps, final diff {history[-1]:.3e}\n")
-    _emit(args, _csv(["t,re,im"], phi.ts, phi.values.real, phi.values.imag))
+    _emit(args, _csv(["t,re,im"], phi.xs, phi.values.real, phi.values.imag))
     return 0
 
 
@@ -140,12 +140,12 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    dens, iters, hist = _iterate_density_from(args)
+    dens, _, hist = _iterate_density_from(args)
     if args.convergence is not None:
         with open(args.convergence, "w") as fh:
-            fh.write(_dump_json(convergence_report(dens, iters, hist)))
+            fh.write(_dump_json(convergence_report(dens, hist)))
     if args.json:
-        _emit(args, _dump_json(convergence_report(dens, iters, hist)))
+        _emit(args, _dump_json(convergence_report(dens, hist)))
     else:
         _emit(args, _csv(["x,f"], dens.xs, dens.values))
     return 0

@@ -48,11 +48,13 @@ _EXACT_LAW_MAX = 20      # 20! < 2**63: the int64 law table is exact up to here
 _LEAF_MAX = 64           # sample_many draws subproblems up to this size from _leaf_table
 _SAMPLE_CHUNK = 10_000   # runs split together by sample_many, at most
 _SAMPLE_KEYS = 10**8     # keys (runs x n) split together by sample_many, at most
+_MAX_N = 10**8           # exact moments cost O(n) fsum terms; a draw holds O(n) subproblems
+_MAX_SAMPLES = 2**26     # sample_many's output array: 512 MiB of int64
 
 
 def _check_n(n: int) -> int:
-    if n != int(n) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n}")
+    if n != int(n) or not 0 <= n <= _MAX_N:
+        raise ValueError(f"n must be an integer in [0, {_MAX_N}], got {n}")
     return int(n)
 
 
@@ -149,8 +151,8 @@ def sample_many(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     for s <= 64, so n <= 64 is one table lookup per chunk.
     """
     n = _check_n(n)
-    if m <= 0:
-        raise ValueError(f"m must be positive, got {m}")
+    if not 0 < m <= _MAX_SAMPLES:
+        raise ValueError(f"m must be in [1, {_MAX_SAMPLES}], got {m}")
     out = np.empty(m, dtype=np.int64)
     chunk = max(1, min(_SAMPLE_CHUNK, _SAMPLE_KEYS // max(n, 1)))
     for start in range(0, m, chunk):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cf_bounds import build_chain, make_envelope, vdc_cf
 from .cf_solver import init_gaussian_cf, invert_cf, iterate_cf
-from .density_solver import cdf, gaussian_density, iterate_density
+from .density_solver import cdf, gaussian_density, geometric_tail, iterate_density
 from .envelope_integrals import SUP_F1_CAP, SUP_F_CAP, maxf_theorem_check, sup_fk_bound
 from .moments import VARIANCE, pump_moments
 from .quicksort_sim import (
@@ -165,8 +165,8 @@ def check_cf_fixed_point(art: dict) -> CriterionResult:
     phi = art["phi"]
     env = art["envelope"]
     mod = np.abs(phi.values[1:])
-    excess = float((mod - env.evaluate(phi.ts[1:])).max())
-    dt = phi.dt
+    excess = float((mod - env.evaluate(phi.xs[1:])).max())
+    dt = phi.dx
     second = (2.0 - 2.0 * phi.values[1].real) / dt**2
     checks = [
         art["cf_diff"] < 1e-8,
@@ -186,7 +186,7 @@ def check_cf_fixed_point(art: dict) -> CriterionResult:
 
 def check_density_fixed_point(art: dict) -> CriterionResult:
     dens = art["density"]
-    grid, fv = dens.grid, dens.values
+    fv = dens.values
     mean = dens.mean()
     var = dens.variance()
     fmax = float(fv.max())
@@ -198,8 +198,8 @@ def check_density_fixed_point(art: dict) -> CriterionResult:
     # bulk-window contract on [-1, 3], and report the zero cells openly.
     zero_idx = np.flatnonzero(fv == 0.0)
     zero_hi = float(dens.xs[zero_idx].max()) if zero_idx.size else -np.inf
-    positive_where_representable = bool(np.all(fv[_index(grid, -3.9):-1] > 0.0))
-    bulk_positive = bool(np.all(fv[_index(grid, -1.0):_index(grid, 3.0) + 1] > 0.0))
+    positive_where_representable = bool(np.all(fv[_index(dens, -3.9):-1] > 0.0))
+    bulk_positive = bool(np.all(fv[_index(dens, -1.0):_index(dens, 3.0) + 1] > 0.0))
     checks = [
         art["density_iters"] <= 60,
         art["density_history"][-1] < 1e-6,
@@ -226,8 +226,8 @@ def check_density_fixed_point(art: dict) -> CriterionResult:
 def check_route_independence(art: dict) -> CriterionResult:
     dens = art["density"]
     xs, fv, dx = dens.xs, dens.values, dens.dx
-    inv = invert_cf(art["phi"], xs=dens.grid)
-    lo, hi = _index(dens.grid, -2.0), _index(dens.grid, 4.0) + 1
+    inv = invert_cf(art["phi"], xs=dens)
+    lo, hi = _index(dens, -2.0), _index(dens, 4.0) + 1
     sup = float(np.abs(inv.values[lo:hi] - fv[lo:hi]).max())
     ms = art["moments"]
     grid_moments = [float(np.trapezoid(xs**k * fv, dx=dx)) for k in (2, 3, 4)]
@@ -273,10 +273,7 @@ def check_simulation(art: dict) -> CriterionResult:
 
 def check_excluded_claims(art: dict) -> CriterionResult:
     """Observations that stay observations: no assertion is attached."""
-    hist = art["density_history"]
-    tail = hist[-5:]
-    ratios = [b / a for a, b in zip(tail, tail[1:])]
-    geometric = all(r < 0.95 for r in ratios) if len(ratios) == 4 else False
+    ratios, geometric = geometric_tail(art["density_history"])
     return _result(
         "excluded-claims",
         [True],

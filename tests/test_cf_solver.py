@@ -22,7 +22,7 @@ from qslimit.moments import VARIANCE
 def test_gaussian_start_value_at_one():
     phi = init_gaussian_cf(t_max=200.0, n=4001)  # dt = 0.05 puts t=1 on-grid
     i = 20
-    assert phi.ts[i] == pytest.approx(1.0, abs=1e-12)
+    assert phi.xs[i] == pytest.approx(1.0, abs=1e-12)
     assert phi.values[i].real == pytest.approx(math.exp(-VARIANCE / 2.0), rel=1e-9)
     assert phi.values[i].imag == 0.0
     assert phi.values[0] == 1.0 + 0.0j
@@ -36,22 +36,29 @@ def test_uniform_start_is_a_valid_cf():
 
 def test_cf_grid_validation():
     with pytest.raises(ValueError, match="exactly 1"):
-        CfGrid.from_values(10.0, np.array([0.9 + 0.0j, 0.5]))
+        CfGrid(0.0, 10.0, np.array([0.9 + 0.0j, 0.5]))
     bad = np.ones(11, dtype=complex)
     bad[3] = 1.5
     with pytest.raises(ValueError, match="modulus"):
-        CfGrid.from_values(10.0, bad)
+        CfGrid(0.0, 1.0, bad)
     with pytest.raises(ValueError, match="at least 2 points"):
-        CfGrid.from_values(10.0, np.ones(1, dtype=complex))
+        CfGrid(0.0, 10.0, np.ones(1, dtype=complex))
+    with pytest.raises(ValueError, match="t = 0"):
+        CfGrid(0.5, 1.0, np.ones(11, dtype=complex))
+    with pytest.raises(ValueError, match="dx > 0"):  # the Grid checks run first
+        CfGrid(0.0, 0.0, np.ones(11, dtype=complex))
+    for n in (1, 0, -1):
+        with pytest.raises(ValueError, match="2 to"):
+            init_gaussian_cf(t_max=10.0, n=n)
 
 
 def test_map_of_the_trivial_cf_is_the_oscillatory_integral():
     # with phi = 1 the self-convolution drops out and only exp(itg(u)) remains
-    ones = CfGrid.from_values(10.0, np.ones(101, dtype=complex))
+    ones = CfGrid(0.0, 0.1, np.ones(101, dtype=complex))
     mapped = cf_map(ones)
     assert mapped.values[0] == 1.0 + 0.0j
     for i in (3, 17, 42, 100):
-        t = float(mapped.ts[i])
+        t = float(mapped.xs[i])
         assert abs(mapped.values[i] - vdc_cf(0.0, 0.0, t)) < 1e-9
 
 
@@ -93,7 +100,7 @@ def test_fixed_point_reached(cf_fixed):
 
 def test_fixed_point_low_order_moments(cf_fixed):
     phi, _, _ = cf_fixed
-    dt = phi.dt
+    dt = phi.dx
     # phi(-t) = conj(phi(t)): central differences at 0 need only the t>0 side
     second = (2.0 - 2.0 * phi.values[1].real) / dt**2
     assert second == pytest.approx(VARIANCE, abs=1e-3)
@@ -143,7 +150,7 @@ def test_invert_rejects_bad_derivative_order(cf_fixed):
 def test_csv_formats(cf_fixed, tmp_path):
     # phi as the CLI writes it: t,re,im rows whose %.17g values read back exactly
     phi, _, _ = cf_fixed
-    text = _csv(["t,re,im"], phi.ts, phi.values.real, phi.values.imag)
+    text = _csv(["t,re,im"], phi.xs, phi.values.real, phi.values.imag)
     lines = text.strip().splitlines()
     assert lines[0] == "t,re,im"
     assert len(lines) == phi.n + 1

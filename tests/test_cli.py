@@ -283,6 +283,8 @@ def test_sizing_flags_never_escape_as_tracebacks(argv):
     ["bounds", "--max-p", "inf"],
     ["bounds", "--max-p", "30.5"],
     ["simulate", "--n", "10", "--samples", "1"],
+    ["simulate", "--n", "1000000000000", "--samples", "2"],
+    ["simulate", "--n", "10", "--samples", "1000000000000"],
 ])
 def test_bad_sizes_exit_one(argv, capsys):
     assert main(argv) == 1

@@ -14,10 +14,12 @@ from qslimit.density_solver import (
     cdf,
     convergence_report,
     gaussian_density,
+    geometric_tail,
     iterate_density,
     uniform_density,
 )
 from qslimit.moments import VARIANCE
+from qslimit.report import check_excluded_claims
 
 G_SQUARED = (7.0 - 2.0 * math.pi**2 / 3.0) / 3.0
 
@@ -29,12 +31,18 @@ def test_initial_densities_are_normalized():
 
 
 def test_density_grid_validation():
-    with pytest.raises(ValueError):
-        DensityGrid(Grid(0.0, 0.005, np.ones(201)))  # misses [-2, 4]
+    with pytest.raises(ValueError, match="cover"):
+        DensityGrid(0.0, 0.005, np.ones(201))  # misses [-2, 4]
     vals = np.full(2001, 0.1)
     vals[3] = -0.1
-    with pytest.raises(ValueError):
-        DensityGrid(Grid(-4.0, 0.005, vals))  # negative
+    with pytest.raises(ValueError, match="nonnegative"):
+        DensityGrid(-4.0, 0.005, vals)
+    with pytest.raises(ValueError, match="mass"):
+        DensityGrid(-4.0, 0.005, np.full(2001, 0.2))
+    with pytest.raises(ValueError, match="finite"):  # the Grid checks run first
+        DensityGrid(-4.0, 0.005, np.full(2001, np.nan))
+    f = gaussian_density()
+    assert isinstance(f, Grid) and f.grid is f
 
 
 def test_map_preserves_the_mean():
@@ -106,7 +114,7 @@ def _contract_to(target, ratio):
     """A stand-in for apply_T: the convex step f -> target + ratio (f - target)."""
     def step(f, u_nodes):
         values = target.values + ratio * (f.values - target.values)
-        return DensityGrid(Grid(f.grid.x0, f.dx, values))
+        return DensityGrid(f.x0, f.dx, values)
     return step
 
 
@@ -122,6 +130,24 @@ def test_slow_contraction_warns_not_geometric(monkeypatch):
         warnings.simplefilter("error")
         _, iters, _ = iterate_density(start, max_iter=1000)
     assert 6 <= iters < 100
+
+
+def test_warning_and_report_read_one_ratio_window(monkeypatch):
+    # the 5th-from-last ratio (0.96) lies outside the four-ratio window
+    fast = [1.0, 0.96, 0.48, 0.24, 0.12, 0.06]
+    slow = [1.0, 0.5, 0.25, 0.125, 0.0625, 0.06]
+    f0 = gaussian_density(dx=0.01)
+    for history, geometric in ((fast, True), (slow, False)):
+        monkeypatch.setattr(density_solver, "fixed_point",
+                            lambda *args, h=history: (f0, len(h), h))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            iterate_density(f0)
+        warned = any("not uniformly geometric" in str(w.message) for w in caught)
+        assert warned == (not geometric)
+        assert geometric_tail(history)[1] == geometric
+        detail = check_excluded_claims({"density_history": history}).detail
+        assert f"geometric={geometric}" in detail
 
 
 def test_fixed_point_statistics(density_fixed):
@@ -166,7 +192,7 @@ def test_cdf_shape(density_fixed):
 
 def test_convergence_report_keys(density_fixed):
     dens, iters, history = density_fixed
-    rep = convergence_report(dens, iters, history)
+    rep = convergence_report(dens, history)
     assert set(rep) == {"iterations", "diff_history", "mean", "variance",
                         "max_f", "min_f"}
     assert rep["iterations"] == iters
