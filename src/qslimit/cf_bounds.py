@@ -159,20 +159,10 @@ def c_step(p: float, cp: float) -> DecayBound:
 # logarithmic refinement 32 pi^2 t^{-2} (ln(t/(4 pi)) + 2), certified for t >= 1.72
 LOG_BOUND = DecayBound(2.0, 32.0 * math.pi**2, POWER_LOG, "logarithmic_refinement")
 
-# exponents reachable by the lemma chain: the four base rungs, then unit
-# steps upward from 3/2
+# the four base rungs; build_chain doubles the 3/4 rung and steps on from there
 _BASE_RUNGS = (DecayBound(0.0, 1.0, provenance="modulus_at_most_one"),
                c_half(), c_interp(0.75), c_interp(1.0))
 _MAX_LADDER_P = 29.5  # deepest rung whose constant fits a float: c_{30.5} overflows
-
-
-def _is_ladder_exponent(p: float) -> bool:
-    if any(abs(p - b.p) <= 1e-12 for b in _BASE_RUNGS):
-        return True
-    if p >= 1.5 - 1e-12:
-        k = round(p - 1.5)
-        return abs(p - (1.5 + k)) <= 1e-12
-    return False
 
 
 def build_chain(p_max: float) -> BoundChain:
@@ -180,19 +170,23 @@ def build_chain(p_max: float) -> BoundChain:
 
     The rungs are c_0 = 1, c_{1/2} = 2, c_{3/4} = sqrt(8 pi), c_1 = 4 pi,
     then c_{3/2} by doubling from 3/4 and unit steps beyond, up to 29.5;
-    p_max must be one of them.
+    p_max must be one of them (within 1e-12).
     """
     p_max = float(p_max)
-    if not 0.0 <= p_max <= _MAX_LADDER_P or not _is_ladder_exponent(p_max):
-        raise ValueError(
-            f"no lemma chain reaches exponent p={p_max}; reachable exponents are "
-            f"0, 1/2, 3/4, 1, and 3/2 + k for integer k >= 0 up to {_MAX_LADDER_P}"
-        )
-    entries = [b for b in _BASE_RUNGS if b.p <= p_max]
-    if p_max >= 1.5:
-        entries.append(c_double(0.75, c_interp(0.75).c))
-        while entries[-1].p + 1.0 <= p_max + 1e-12:
-            entries.append(c_step(entries[-1].p, entries[-1].c))
+    unreachable = ValueError(
+        f"no lemma chain reaches exponent p={p_max}; reachable exponents are "
+        f"0, 1/2, 3/4, 1, and 3/2 + k for integer k >= 0 up to {_MAX_LADDER_P}"
+    )
+    if not 0.0 <= p_max <= _MAX_LADDER_P:
+        raise unreachable
+    top = p_max + 1e-12
+    entries = [b for b in _BASE_RUNGS if b.p <= top]
+    if top >= 1.5:
+        entries.append(c_double(0.75, _BASE_RUNGS[2].c))
+    while entries[-1].p + 1.0 <= top:
+        entries.append(c_step(entries[-1].p, entries[-1].c))
+    if abs(entries[-1].p - p_max) > 1e-12:
+        raise unreachable
     return BoundChain(tuple(entries))
 
 

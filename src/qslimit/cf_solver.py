@@ -53,7 +53,6 @@ from .moments import VARIANCE
 __all__ = [
     "CfGrid",
     "init_gaussian_cf",
-    "init_uniform_cf",
     "cf_map",
     "iterate_cf",
     "invert_cf",
@@ -84,29 +83,12 @@ class CfGrid(Grid):
             raise ValueError("characteristic function modulus exceeds 1 + 1e-9")
 
 
-def _t_nodes(t_max: float, n: int) -> np.ndarray:
-    # checked before init_*_cf divides t_max by n - 1
-    if not 2 <= n <= MAX_GRID_POINTS:
-        raise ValueError(f"a CF grid needs 2 to {MAX_GRID_POINTS} points, got {n}")
-    return np.linspace(0.0, t_max, n)
-
-
 def init_gaussian_cf(t_max: float = 200.0, n: int = 4096) -> CfGrid:
     """Mean-zero Gaussian seed with the limit law's variance 7 - 2 pi^2/3."""
-    ts = _t_nodes(t_max, n)
+    if not 2 <= n <= MAX_GRID_POINTS:
+        raise ValueError(f"a CF grid needs 2 to {MAX_GRID_POINTS} points, got {n}")
+    ts = np.linspace(0.0, t_max, n)
     return CfGrid(0.0, t_max / (n - 1), np.exp(-0.5 * VARIANCE * ts**2) + 0.0j)
-
-
-def init_uniform_cf(t_max: float = 200.0, n: int = 4096) -> CfGrid:
-    """Variance-matched uniform seed, sin(a t)/(a t) with a = sqrt(3 Var Y).
-
-    Used to confirm that the iteration forgets its starting point.
-    """
-    a = math.sqrt(3.0 * VARIANCE)
-    ts = _t_nodes(t_max, n)
-    vals = np.sinc(a * ts / math.pi) + 0.0j
-    vals[0] = 1.0
-    return CfGrid(0.0, t_max / (n - 1), vals)
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
@@ -250,7 +232,9 @@ def _tail_estimate(phi: CfGrid, k: int) -> float:
         q = min(max(4.5, -slope), 400.0)
     if q <= k + 1.5:
         q = k + 1.5
-    return m_tail * t_max ** (k + 1) / ((q - k - 1.0) * math.pi)
+    # in logs: t_max ** (k + 1) overflows a float from k = 133 at T = 200
+    log_tail = (k + 1) * math.log(t_max) + math.log(m_tail / ((q - k - 1.0) * math.pi))
+    return math.exp(log_tail) if log_tail < 709.0 else math.inf
 
 
 def invert_cf(phi: CfGrid, k: int = 0, xs: Grid = None) -> Grid:

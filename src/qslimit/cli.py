@@ -53,13 +53,6 @@ def _emit(args, text: str) -> None:
             fh.write(text)
 
 
-def _chain_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-p", type=float, default=3.5,
-                   help="largest decay exponent in the chain (default 3.5)")
-    p.add_argument("--log", action="store_true",
-                   help="splice the logarithmic refinement into the envelope")
-
-
 def _cf_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-max", type=float, default=200.0)
     p.add_argument("--grid-size", type=int, default=4096)
@@ -67,10 +60,14 @@ def _cf_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-8)
 
 
-def _density_args(p: argparse.ArgumentParser) -> None:
+def _x_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x-min", type=float, default=-4.0)
     p.add_argument("--x-max", type=float, default=6.0)
     p.add_argument("--dx", type=float, default=0.005)
+
+
+def _density_args(p: argparse.ArgumentParser) -> None:
+    _x_grid_args(p)
     p.add_argument("--iters", type=int, default=60)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--u-nodes", type=int, default=64)
@@ -131,6 +128,9 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    # flags are checked before the solve, which takes seconds to minutes
+    if args.k < 0:
+        raise ValueError(f"--k must be a nonnegative derivative order, got {args.k}")
     xs = Grid.domain(args.x_min, args.x_max, args.dx)
     phi, _, _ = _iterate_cf_from(args)
     out = invert_cf(phi, k=args.k, xs=xs)
@@ -215,7 +215,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="decay-bound chain and envelope")
-    _chain_args(p)
+    p.add_argument("--max-p", type=float, default=3.5,
+                   help="largest decay exponent in the chain (default 3.5)")
+    p.add_argument("--log", action="store_true",
+                   help="splice the logarithmic refinement into the envelope")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bounds)
 
@@ -236,9 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", help="Fourier-invert the CF fixed point")
     _cf_args(p)
     p.add_argument("--k", type=int, default=0, help="derivative order")
-    p.add_argument("--x-min", type=float, default=-4.0)
-    p.add_argument("--x-max", type=float, default=6.0)
-    p.add_argument("--dx", type=float, default=0.005)
+    _x_grid_args(p)
     p.set_defaults(func=_cmd_invert)
 
     p = sub.add_parser("density", help="iterate the density map, dump x,f")

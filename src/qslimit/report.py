@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,13 +70,10 @@ def _index(grid, x: float) -> int:
 def build_artifacts(seed: int = 42, samples: int = 200_000) -> dict:
     """Everything the acceptance checks share, computed once."""
     t0 = time.perf_counter()
-    phi, cf_iters, cf_history = iterate_cf(init_gaussian_cf(), max_iter=200, tol=1e-8)
+    phi, cf_iters, cf_history = iterate_cf(init_gaussian_cf())
     cf_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        dens, dens_iters, dens_hist = iterate_density(
-            gaussian_density(), max_iter=60, tol=1e-6, u_nodes=64)
+    dens, dens_iters, dens_hist = iterate_density(gaussian_density())
     density_seconds = time.perf_counter() - t0
     return {
         "envelope": make_envelope(build_chain(3.5), use_log=True),

@@ -118,6 +118,23 @@ def test_build_chain_unreachable_exponent():
         build_chain(30.5)
 
 
+def test_build_chain_accepts_exactly_the_rungs_it_builds():
+    ladder = [0.0, 0.5, 0.75, 1.0] + [1.5 + k for k in range(29)]  # up to 29.5
+    for p in ladder:
+        assert build_chain(p).entries[-1].p == p
+        for q in (p - 1e-13, p + 1e-13):
+            if not 0.0 <= q <= 29.5:
+                continue
+            try:
+                last = build_chain(q).entries[-1].p
+            except ValueError:
+                continue
+            assert last == p, (q, last)  # never a chain that ends on another rung
+    for q in (0.6, 1.2, 2.0, 30.5, math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="reachable"):
+            build_chain(q)
+
+
 def test_display_ceilings():
     ceilings = {e.p: display_ceiling(e) for e in CHAIN.entries}
     assert ceilings[0.0] == 1.0

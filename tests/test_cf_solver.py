@@ -10,13 +10,20 @@ from qslimit.cf_solver import (
     CfGrid,
     cf_map,
     init_gaussian_cf,
-    init_uniform_cf,
     invert_cf,
     iterate_cf,
 )
 from qslimit.cli import _csv, main
 from qslimit.core_numerics import IterationError, fixed_point
 from qslimit.moments import VARIANCE
+
+
+def uniform_cf(t_max=200.0, n=4096):
+    """Variance-matched uniform start sin(a t)/(a t), a = sqrt(3 Var Y); its 1/t decay
+    shows the iteration forgets its start and the inversion refuses fat tails."""
+    ts = np.linspace(0.0, t_max, n)
+    vals = np.sinc(math.sqrt(3.0 * VARIANCE) * ts / math.pi) + 0.0j
+    return CfGrid(0.0, t_max / (n - 1), vals)
 
 
 def test_gaussian_start_value_at_one():
@@ -29,7 +36,7 @@ def test_gaussian_start_value_at_one():
 
 
 def test_uniform_start_is_a_valid_cf():
-    phi = init_uniform_cf()
+    phi = uniform_cf()
     assert phi.values[0] == 1.0 + 0.0j
     assert np.all(np.abs(phi.values) <= 1.0 + 1e-12)
 
@@ -69,7 +76,7 @@ def test_iterate_rejects_bad_tolerance():
 
 def test_iteration_error_carries_history():
     with pytest.raises(IterationError) as err:
-        iterate_cf(init_uniform_cf(t_max=50.0, n=512), max_iter=1)
+        iterate_cf(uniform_cf(t_max=50.0, n=512), max_iter=1)
     assert len(err.value.history) == 1
 
 
@@ -110,7 +117,7 @@ def test_fixed_point_low_order_moments(cf_fixed):
 
 def test_both_starts_land_on_the_same_fixed_point(cf_fixed):
     phi_g, _, _ = cf_fixed
-    phi_u, iters_u, history_u = iterate_cf(init_uniform_cf(), tol=1e-8)
+    phi_u, iters_u, history_u = iterate_cf(uniform_cf(), tol=1e-8)
     assert iters_u <= 200
     assert history_u[-1] < 1e-8
     assert np.max(np.abs(phi_u.values - phi_g.values)) < 1e-6
@@ -138,7 +145,7 @@ def test_inversion_derivative_route(cf_fixed):
 def test_inversion_rejects_fat_tails():
     # the sinc start decays like 1/t; its truncation tail cannot be certified
     with pytest.raises(ValueError, match="tail"):
-        invert_cf(init_uniform_cf())
+        invert_cf(uniform_cf())
 
 
 def test_invert_rejects_bad_derivative_order(cf_fixed):

@@ -285,6 +285,9 @@ def test_sizing_flags_never_escape_as_tracebacks(argv):
     ["simulate", "--n", "10", "--samples", "1"],
     ["simulate", "--n", "1000000000000", "--samples", "2"],
     ["simulate", "--n", "10", "--samples", "1000000000000"],
+    ["invert", "--t-max", "30", "--grid-size", "256", "--tol", "1e-6", "--k", "300"],
+    ["invert", "--k", "-1"],
+    ["moments", "--max-k", "100000"],
 ])
 def test_bad_sizes_exit_one(argv, capsys):
     assert main(argv) == 1

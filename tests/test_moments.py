@@ -43,6 +43,16 @@ def test_pump_requires_k_at_least_two():
         pump_moments(1)
 
 
+def test_pump_caps_k_before_any_quadrature(monkeypatch):
+    calls = []
+    monkeypatch.setattr(moments_mod, "g_moment", lambda *abc: calls.append(abc) or 0.0)
+    for K in (41, 100_000):
+        with pytest.raises(ValueError, match="2 <= K <= 40"):
+            moments_mod.pump_moments(K)
+    assert calls == []
+    assert len(moments_mod.pump_moments(40)) == 41  # the cap itself still runs
+
+
 def test_pumped_variance_hits_the_closed_form(moments8):
     assert moments8[0] == 1.0
     assert moments8[1] == 0.0
