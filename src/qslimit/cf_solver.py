@@ -51,12 +51,18 @@ from .core_numerics import (
 from .moments import VARIANCE
 
 __all__ = [
+    "CF_MAX_ITER",
+    "CF_TOL",
     "CfGrid",
     "init_gaussian_cf",
     "cf_map",
     "iterate_cf",
     "invert_cf",
 ]
+
+# default sweep budget and sup-norm tolerance of iterate_cf
+CF_MAX_ITER = 200
+CF_TOL = 1e-8
 
 # quadrature contract for one application of the map: the doubled-rule
 # cross-check must agree to this absolute tolerance
@@ -198,7 +204,7 @@ def cf_map(phi: CfGrid) -> CfGrid:
     return CfGrid(0.0, phi.dx, out)
 
 
-def iterate_cf(init: CfGrid, max_iter: int = 200, tol: float = 1e-8):
+def iterate_cf(init: CfGrid, max_iter: int = CF_MAX_ITER, tol: float = CF_TOL):
     """Solve phi = M phi in the sup norm by Anderson-mixed iteration.
 
     Mixed values are put back on the unit disk with phi(0) = 1 before the

@@ -18,9 +18,11 @@ from functools import partial
 import numpy as np
 
 from .cf_bounds import build_chain, make_envelope
-from .cf_solver import init_gaussian_cf, invert_cf, iterate_cf
+from .cf_solver import CF_MAX_ITER, CF_TOL, init_gaussian_cf, invert_cf, iterate_cf
 from .core_numerics import Grid, IterationError, QuadratureError
 from .density_solver import (
+    DENSITY_MAX_ITER,
+    DENSITY_TOL,
     cdf,
     convergence_report,
     gaussian_density,
@@ -56,8 +58,8 @@ def _emit(args, text: str) -> None:
 def _cf_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-max", type=float, default=200.0)
     p.add_argument("--grid-size", type=int, default=4096)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--iters", type=int, default=CF_MAX_ITER)
+    p.add_argument("--tol", type=float, default=CF_TOL)
 
 
 def _x_grid_args(p: argparse.ArgumentParser) -> None:
@@ -68,8 +70,8 @@ def _x_grid_args(p: argparse.ArgumentParser) -> None:
 
 def _density_args(p: argparse.ArgumentParser) -> None:
     _x_grid_args(p)
-    p.add_argument("--iters", type=int, default=60)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--iters", type=int, default=DENSITY_MAX_ITER)
+    p.add_argument("--tol", type=float, default=DENSITY_TOL)
     p.add_argument("--u-nodes", type=int, default=64)
     p.add_argument("--init", choices=["gaussian", "uniform"], default="gaussian")
 

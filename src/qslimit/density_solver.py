@@ -23,6 +23,17 @@ sampled by linear interpolation with value 0 outside; lattice sums of smooth
 decaying samples carry no comparable mean bias.  Each sweep renormalizes the
 mass to 1; a pre-normalization mass outside [0.9, 1.1] aborts, since it means
 the grid is truncating real probability.
+
+The convolution itself runs by real FFT, one transform length per sweep, with
+the outputs below the FFT's round-off scale summed directly.  A plain FFT
+would not do: its round-off, about 5e-16 of the largest possible output,
+would replace every value below f(-2.3) ~ 1e-16 with noise of either sign,
+while the fixed point stays positive and representable down to f(-3.9) ~
+1e-288, which the acceptance gate asserts.  Summing those tail outputs as
+direct sums of nonnegative products keeps them to full relative precision and
+keeps exact zeros exact; every output taken from the FFT lies at least 2000
+times above its round-off, so it is positive without a clamp.  At dx = 0.001
+(10,001 points) a sweep costs about a third of the direct convolution's.
 """
 
 from __future__ import annotations
@@ -32,12 +43,15 @@ import warnings
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .core_numerics import MAX_GRID_POINTS, Grid, fixed_point, g_values
 from .moments import VARIANCE
 
 __all__ = [
     "DensityGrid",
+    "DENSITY_MAX_ITER",
+    "DENSITY_TOL",
     "F_U_CAP",
     "gaussian_density",
     "uniform_density",
@@ -48,9 +62,18 @@ __all__ = [
     "convergence_report",
 ]
 
+# default sweep budget and sup-norm tolerance of iterate_density
+DENSITY_MAX_ITER = 60
+DENSITY_TOL = 1e-6
+
 # pointwise cap for the conditional densities: f_u <= 16/max(u, 1-u) <= 32,
 # held with a small float allowance; exceedances are flagged, not silently kept
 F_U_CAP = 32.0 * (1.0 + 1e-6)
+
+# FFT convolution round-off is at most 5e-16 * sum(wide) * max(masses)
+# (measured on converged and compact-support iterates); outputs below this
+# fraction of that scale, 2000 times the round-off, are summed directly
+_FFT_TAIL = 1e-12
 
 
 class DensityGrid(Grid):
@@ -99,11 +122,19 @@ def gaussian_density(var: float = VARIANCE, x_min: float = -4.0,
 def uniform_density(a: float = -1.0, b: float = 1.0,
                     x_min: float = -4.0, x_max: float = 6.0,
                     dx: float = 0.005) -> DensityGrid:
-    """Uniform seed on [a, b]; an alternative start for route-independence runs."""
+    """Uniform seed on [a, b]; an alternative start for route-independence runs.
+
+    The support is the node index range ceil((a - x_min)/dx) to
+    floor((b - x_min)/dx), each taken with a 1e-9 allowance, so an endpoint
+    that lies on the grid up to float rounding is included at either end and
+    a symmetric interval gives a symmetric seed.
+    """
     if not a < b:
         raise ValueError("uniform_density needs a < b")
-    xs = Grid.domain(x_min, x_max, dx).xs
-    vals = np.where((xs >= a) & (xs <= b), 1.0 / (b - a), 0.0)
+    vals = np.zeros(Grid.domain(x_min, x_max, dx).n)
+    lo = max(math.ceil((a - x_min) / dx - 1e-9), 0)
+    hi = max(math.floor((b - x_min) / dx + 1e-9) + 1, 0)
+    vals[lo:hi] = 1.0 / (b - a)
     return _normalized(x_min, dx, vals)
 
 
@@ -155,8 +186,53 @@ def _hat_deposit(u: float, gu: float, x0: float, dx: float, n: int,
     return k_lo, np.maximum(dep, 0.0)
 
 
+def _padded(v: np.ndarray, a: int, b: int) -> np.ndarray:
+    """v[a:b], with zeros at the indices outside [0, v.size)."""
+    out = np.zeros(b - a)
+    lo, hi = max(a, 0), min(b, v.size)
+    if lo < hi:
+        out[lo - a:hi - a] = v[lo:hi]
+    return out
+
+
+def _convolve(wide: np.ndarray, masses: np.ndarray, start: int, nfft: int) -> np.ndarray:
+    """Outputs start .. start + wide.size - 1 of wide * masses, zero off its support.
+
+    Both factors are nonnegative.  The bulk comes from a real FFT of length
+    nfft >= wide.size + masses.size - 1.  Every output below _FFT_TAIL times
+    the round-off scale is then recomputed as a direct sum of nonnegative
+    products: it keeps full relative precision down to the subnormals and an
+    exact zero stays zero, while each output kept from the FFT lies far above
+    its round-off and so is positive.  For unimodal factors the recomputed
+    outputs are the two tails.
+    """
+    n = wide.size
+    nz_w, nz_m = np.flatnonzero(wide), np.flatnonzero(masses)
+    # trimming leading and trailing zeros shortens both the FFT and the sums
+    wide = wide[nz_w[0]:nz_w[-1] + 1]
+    masses = masses[nz_m[0]:nz_m[-1] + 1]
+    start -= int(nz_w[0] + nz_m[0])
+    full = irfft(rfft(wide, nfft) * rfft(masses, nfft), nfft)
+    out = _padded(full[:wide.size + masses.size - 1], start, start + n)
+    small = out < _FFT_TAIL * float(wide.sum()) * float(masses.max())
+    runs = np.concatenate(([False], small, [False]))
+    edges = np.flatnonzero(runs[1:] != runs[:-1])
+    for a, b in zip(edges[::2] + start, edges[1::2] + start):
+        # masses[j] meets wide[p - j] inside wide's range only for ja <= j < jb
+        ja, jb = max(0, a - wide.size + 1), min(masses.size, b)
+        out[a - start:b - start] = (
+            np.convolve(_padded(wide, a - jb + 1, b - ja), masses[ja:jb], mode="valid")
+            if ja < jb else 0.0)
+    return out
+
+
 def apply_T(f: DensityGrid, u_nodes: int = 64) -> DensityGrid:
-    """One sweep of the integral-equation map, renormalized to unit mass."""
+    """One sweep of the integral-equation map, renormalized to unit mass.
+
+    Each u-node's convolution is an FFT bulk plus direct sums for the outputs
+    below the round-off threshold (the two tails of these unimodal iterates),
+    so the sweep's tails keep full relative precision; see `_convolve`.
+    """
     # leggauss builds a dense u_nodes x u_nodes matrix: cap it like a grid
     if not 2 <= u_nodes <= math.isqrt(MAX_GRID_POINTS):
         raise ValueError(f"u_nodes must be in [2, {math.isqrt(MAX_GRID_POINTS)}], "
@@ -165,17 +241,15 @@ def apply_T(f: DensityGrid, u_nodes: int = 64) -> DensityGrid:
     n = vals.size
     F, Phi = _cdf_antiderivative(vals, dx)
     us, ws = _u_quadrature(u_nodes)
+    # u < 1/2 keeps each node's deposit to at most (n - 1)/2 + 5 masses
+    nfft = next_fast_len(n + n // 2 + 8, real=True)
     out = np.zeros(n)
     clipped = False
     for u, wu, gu in zip(us, ws, g_values(us)):
         one_m = 1.0 - u
         wide = np.interp(xs / one_m, xs, vals, left=0.0, right=0.0) / one_m
         k_lo, masses = _hat_deposit(float(u), gu, f.x0, dx, n, vals, F, Phi)
-        f_u = np.convolve(wide, masses)
-        pos = np.arange(n) - k_lo
-        valid = (pos >= 0) & (pos < f_u.size)
-        contrib = np.zeros(n)
-        contrib[valid] = f_u[pos[valid]]
+        contrib = _convolve(wide, masses, -k_lo, nfft)
         if float(contrib.max()) > F_U_CAP:
             clipped = True
             np.minimum(contrib, F_U_CAP, out=contrib)
@@ -192,8 +266,8 @@ def apply_T(f: DensityGrid, u_nodes: int = 64) -> DensityGrid:
     return DensityGrid(f.x0, dx, out / pre_mass)
 
 
-def iterate_density(f0: DensityGrid, max_iter: int = 60, tol: float = 1e-6,
-                    u_nodes: int = 64):
+def iterate_density(f0: DensityGrid, max_iter: int = DENSITY_MAX_ITER,
+                    tol: float = DENSITY_TOL, u_nodes: int = 64):
     """Iterate the map to its fixed point in the sup norm.
 
     Returns (fixed_point, iterations, diff_history).  The differences should

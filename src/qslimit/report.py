@@ -16,8 +16,15 @@ from fractions import Fraction
 import numpy as np
 
 from .cf_bounds import build_chain, make_envelope, vdc_cf
-from .cf_solver import init_gaussian_cf, invert_cf, iterate_cf
-from .density_solver import cdf, gaussian_density, geometric_tail, iterate_density
+from .cf_solver import CF_MAX_ITER, CF_TOL, init_gaussian_cf, invert_cf, iterate_cf
+from .density_solver import (
+    DENSITY_MAX_ITER,
+    DENSITY_TOL,
+    cdf,
+    gaussian_density,
+    geometric_tail,
+    iterate_density,
+)
 from .envelope_integrals import SUP_F1_CAP, SUP_F_CAP, maxf_theorem_check, sup_fk_bound
 from .moments import VARIANCE, pump_moments
 from .quicksort_sim import (
@@ -165,8 +172,8 @@ def check_cf_fixed_point(art: dict) -> CriterionResult:
     dt = phi.dx
     second = (2.0 - 2.0 * phi.values[1].real) / dt**2
     checks = [
-        art["cf_diff"] < 1e-8,
-        art["cf_iters"] <= 200,
+        art["cf_diff"] < CF_TOL,
+        art["cf_iters"] <= CF_MAX_ITER,
         excess <= 1e-6,
         abs(second - 0.42026) <= 1e-3,
         art["cf_seconds"] < 120.0,
@@ -197,8 +204,8 @@ def check_density_fixed_point(art: dict) -> CriterionResult:
     positive_where_representable = bool(np.all(fv[_index(dens, -3.9):-1] > 0.0))
     bulk_positive = bool(np.all(fv[_index(dens, -1.0):_index(dens, 3.0) + 1] > 0.0))
     checks = [
-        art["density_iters"] <= 60,
-        art["density_history"][-1] < 1e-6,
+        art["density_iters"] <= DENSITY_MAX_ITER,
+        art["density_history"][-1] < DENSITY_TOL,
         abs(mean) < 5e-3,
         abs(var - 0.42026) < 5e-3,
         abs(dens.mass() - 1.0) <= 1e-9,

@@ -19,7 +19,7 @@ from qslimit.density_solver import (
     uniform_density,
 )
 from qslimit.moments import VARIANCE
-from qslimit.report import check_excluded_claims
+from qslimit.report import check_density_fixed_point, check_excluded_claims
 
 G_SQUARED = (7.0 - 2.0 * math.pi**2 / 3.0) / 3.0
 
@@ -28,6 +28,14 @@ def test_initial_densities_are_normalized():
     for f in (gaussian_density(), uniform_density()):
         assert f.mass() == pytest.approx(1.0, abs=1e-9)
         assert np.all(f.values >= 0.0)
+
+
+def test_symmetric_uniform_start_is_centred():
+    # -0.7 and 0.7 sit on the grid only up to float rounding; both ends count
+    for dx in (0.005, 0.0025, 0.001):
+        f = uniform_density(-0.7, 0.7, dx=dx)
+        assert abs(f.mean()) < 1e-15
+        assert np.count_nonzero(f.values) == round(1.4 / dx) + 1
 
 
 def test_density_grid_validation():
@@ -88,6 +96,53 @@ def test_one_sweep_spreads_the_support():
     u1 = apply_T(u0)
     lo = -2.0 * math.log(2.0)                # = -1 - (2 ln 2 - 1)
     assert np.all(_on(u1, lo + 0.02, 1.9) > 0.0)
+
+
+def _check_against_direct(calls):
+    """A stand-in for _convolve that checks each call against np.convolve."""
+    fft_convolve = density_solver._convolve
+
+    def checked(wide, masses, start, nfft):
+        n = wide.size
+        assert nfft >= n + masses.size - 1
+        got = fft_convolve(wide, masses, start, nfft)
+        full = np.convolve(wide, masses)
+        pos = start + np.arange(n)
+        ref = np.where((pos >= 0) & (pos < full.size),
+                       full[np.clip(pos, 0, full.size - 1)], 0.0)
+        scale = float(wide.sum()) * float(masses.max())
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        assert float(np.abs(got - ref).max()) <= 1e-13 * scale
+        # relative precision in the tails, absolute (a few ulps) among subnormals
+        tail = got < density_solver._FFT_TAIL * scale
+        ulps = masses.size * np.finfo(float).smallest_subnormal
+        assert np.all(np.abs(got - ref)[tail] <= 1e-12 * ref[tail] + ulps)
+        calls.append(float(ref[ref > 0.0].min()))
+        return got
+    return checked
+
+
+def test_fft_convolution_matches_the_direct_sum(monkeypatch, density_fixed):
+    # a converged iterate, tails down to the subnormals, and a start whose
+    # compact support leaves exact zero runs in both factors
+    dens, _, _ = density_fixed
+    least = []
+    for f in (dens, uniform_density()):
+        calls = []
+        monkeypatch.setattr(density_solver, "_convolve", _check_against_direct(calls))
+        apply_T(f)
+        assert len(calls) == 64
+        least.append(min(calls))
+    assert least[0] < 1e-300
+
+
+def test_fine_grid_fixed_point_passes_the_gate():
+    # positive on [-3.9, 6) with zeros only below -3.9, on a grid finer than the report's
+    f, iters, history = iterate_density(gaussian_density(dx=0.0025))
+    art = {"density": f, "density_iters": iters, "density_history": history,
+           "density_seconds": 0.0}
+    result = check_density_fixed_point(art)
+    assert result.passed, result.detail
 
 
 def test_mean_stays_pinned_along_the_iteration():
