@@ -16,11 +16,14 @@ formula
 
     f^(k)(x) = (1/pi) Re int_0^T (-i t)^k e^{-i t x} phi(t) dt.
 
-The u-integral is evaluated with a composite Gauss-Legendre rule whose panels
-follow the oscillation budget of the phase t g(u) (dyadic toward the endpoint,
-phase-equidistributed in the middle); every sweep is cross-validated against a
-doubled rule on a subsample of grid points, so a too-coarse rule raises
-instead of silently converging to the wrong fixed point.
+The u-integral is evaluated with `core_numerics.panel_rule`, a composite
+Gauss-Legendre rule whose panels follow the oscillation budget of the phase
+t g(u) (dyadic toward the endpoint, phase-equidistributed in the middle).
+Each of 8 equal blocks of t gets the rule sized for its own largest t.  Every
+sweep is cross-validated against each block's doubled rule at a spread of
+grid points and at the last t of every block, where its rule is coarsest, so
+a too-coarse rule raises instead of silently converging to the wrong fixed
+point.
 
 The fixed point is solved by Anderson(5) mixing in the shared driver
 `core_numerics.fixed_point`: real coefficients summing to 1 combine the last
@@ -37,16 +40,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
 
 from .core_numerics import (
-    ENDPOINT_EPS,
+    DYADIC_EDGES,
     MAX_GRID_POINTS,
+    PANEL_ORDER,
     Grid,
     QuadratureError,
     fixed_point,
     g_values,
+    panel_counts,
+    panel_rule,
 )
 from .moments import VARIANCE
 
@@ -68,8 +73,9 @@ CF_TOL = 1e-8
 # cross-check must agree to this absolute tolerance
 CF_ABS_TOL = 1e-9
 
-# cap on the spline-pair evaluations of one sweep (u-nodes x t-points), about
-# 9x the default 1760 x 4096; past it a single sweep would run for minutes
+# cap on the spline-pair evaluations of one sweep (u-nodes x t-points, summed
+# over the blocks), about 13x the default grid's 5.1M; past it a single sweep
+# would run for minutes
 _MAX_SWEEP_PAIRS = 2**26
 
 
@@ -97,12 +103,25 @@ def init_gaussian_cf(t_max: float = 200.0, n: int = 4096) -> CfGrid:
     return CfGrid(0.0, t_max / (n - 1), np.exp(-0.5 * VARIANCE * ts**2) + 0.0j)
 
 
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
-_DYADIC_TOP = 1.0 / 32.0
 # grid points reflected through t = 0 (conjugate symmetry) before splining;
 # an unsymmetric boundary fit at t = 0 turns value noise into a curvature
 # error that the map recycles at small t instead of contracting
 _REFLECT = 8
+
+# The u-rule of the folded map on (eps, 1/2]: per unit of t, interval i
+# carries the toll's phase |dg| plus a phase of du for each of the two
+# interpolated factors, and every panel at most 2 pi of their sum.
+_U_PHASE = np.abs(np.diff(g_values(DYADIC_EDGES))) + 2.0 * np.diff(DYADIC_EDGES)
+_U_BUDGET = 2.0 * math.pi
+# equal blocks of the t-grid, each with the rule for its largest t: the node
+# count grows linearly with t, so 8 blocks need 0.71 of the spline pairs of a
+# single rule sized for T at the default grid
+_T_BLOCKS = 8
+# no block's rule is sized below t = 25: there the spline pieces of phi's
+# bulk, not the phase, set the error.  At T = 50 with 1024 points the rule
+# for t = 6.25 misses the fixed point's map by 9e-10, the one for t = 25 by
+# 2.3e-11 (the rule for T: 2.7e-12); T/8 is 25 at the default T = 200
+_T_RULE_FLOOR = 25.0
 
 
 def _cf_spline(ts: np.ndarray, values: np.ndarray) -> CubicSpline:
@@ -111,43 +130,16 @@ def _cf_spline(ts: np.ndarray, values: np.ndarray) -> CubicSpline:
     return CubicSpline(ext_t, ext_v)
 
 
-def _u_rule(t_max: float, n_t: int, refine: int = 1):
-    """Composite Gauss-Legendre nodes/weights on (eps, 1/2], symmetry-folded.
-
-    Panels are dyadic toward 0 (the toll's log-singular derivative) and are
-    subdivided so each carries at most ~2 pi of oscillation budget at the
-    largest t, counting both the toll phase and the slowly varying phases of
-    the two interpolated factors.  Raises ValueError, before building any
-    array, if the rule would need more than MAX_GRID_POINTS nodes, or more
-    than _MAX_SWEEP_PAIRS spline pairs to be applied at `n_t` values of t.
-    """
-    edges = [ENDPOINT_EPS]
-    while edges[-1] * 2.0 < _DYADIC_TOP:
-        edges.append(edges[-1] * 2.0)
-    edges.extend([_DYADIC_TOP, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0, 1.0 / 2.0])
-    panels = []
-    for a, b, dg in zip(edges, edges[1:], np.abs(np.diff(g_values(edges)))):
-        budget = t_max * (dg + 2.0 * (b - a))
-        panels.append((a, b, max(1, math.ceil(refine * budget / (2.0 * math.pi)))))
-    total = _GL_NODES.size * sum(n_sub for _, _, n_sub in panels)
-    if total > MAX_GRID_POINTS or total * n_t > _MAX_SWEEP_PAIRS:
-        raise ValueError(f"the u-rule for t_max={t_max} needs {total} nodes x {n_t} t-points, "
-                         f"over the caps of {MAX_GRID_POINTS} nodes, {_MAX_SWEEP_PAIRS} pairs")
-    nodes, weights = [], []
-    for a, b, n_sub in panels:
-        sub = np.linspace(a, b, n_sub + 1)
-        centers = 0.5 * (sub[:-1] + sub[1:])
-        halves = 0.5 * (sub[1:] - sub[:-1])
-        nodes.append((centers[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel())
-        weights.append((halves[:, None] * _GL_WEIGHTS[None, :]).ravel())
-    u = np.concatenate(nodes)
-    w = 2.0 * np.concatenate(weights)  # fold: the integrand is u <-> 1-u symmetric
-    return u, w
+def _u_rule(t_top: float, refine: int = 1):
+    """The folded u-rule for every t <= t_top (weights doubled: the integrand
+    is u <-> 1-u symmetric)."""
+    u, w = panel_rule(DYADIC_EDGES, t_top * _U_PHASE, _U_BUDGET, refine)
+    return u, 2.0 * w
 
 
-def _quad_values(spline, t_sel: np.ndarray, u: np.ndarray, w: np.ndarray,
-                 gu: np.ndarray) -> np.ndarray:
+def _quad_values(spline, t_sel: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Apply the u-rule at the selected t values (vectorized, chunked)."""
+    gu = g_values(u)
     out = np.empty(t_sel.size, dtype=np.complex128)
     chunk = max(1, int(1_500_000 // max(u.size, 1)))
     for i in range(0, t_sel.size, chunk):
@@ -172,20 +164,38 @@ def _onto_disk(values: np.ndarray) -> np.ndarray:
 def cf_map(phi: CfGrid) -> CfGrid:
     """One application of the fixed-point map M on the grid.
 
-    The value at t = 0 is pinned to 1 exactly.  Moduli may overshoot 1 by at
-    most the quadrature tolerance; anything above 1e-9 is an error, smaller
-    overshoots are clamped back to the unit disk.
+    The grid is cut into 8 equal blocks of t, each integrated with the
+    u-rule sized for its largest t (or for t = 25, if that is larger).  The
+    value at t = 0 is pinned to 1 exactly.  Moduli may overshoot 1 by at most
+    the quadrature tolerance; anything above 1e-9 is an error, smaller
+    overshoots are clamped back to the unit disk.  Raises ValueError, before
+    any rule is built, if a rule would need more than MAX_GRID_POINTS nodes
+    or the sweep more than _MAX_SWEEP_PAIRS spline pairs.
     """
     ts = phi.xs
-    # a spread of grid points re-evaluated with a doubled rule; disagreement
-    # means the panel budget was too coarse for this iterate
-    idx = np.unique(np.linspace(1, ts.size - 1, 9).astype(int))
-    # both rules are built, and so checked against the caps, before any quadrature
-    u, w = _u_rule(phi.x_max, ts.size)
-    u2, w2 = _u_rule(phi.x_max, idx.size, refine=2)
+    ends = np.unique(np.linspace(0, ts.size, _T_BLOCKS + 1).astype(int))
+    tops = np.maximum(ts[ends[1:] - 1], _T_RULE_FLOOR)
+    # every rule is sized, and so checked against the caps, before any is built:
+    # panel_counts refuses a doubled rule over MAX_GRID_POINTS nodes, and each
+    # block's rule has half the nodes of its doubled rule
+    nodes = [PANEL_ORDER * int(panel_counts(top * _U_PHASE, _U_BUDGET, refine=2).sum()) // 2
+             for top in tops]
+    pairs = int(np.dot(nodes, np.diff(ends)))
+    if pairs > _MAX_SWEEP_PAIRS:
+        raise ValueError(f"the u-rules for t_max={phi.x_max} need {pairs} spline pairs "
+                         f"per sweep, over the cap of {_MAX_SWEEP_PAIRS}")
+    # a spread of grid points and the last t of every block, where its rule is
+    # coarsest, re-evaluated with the block's doubled rule; disagreement means
+    # the panel budget was too coarse for this iterate
+    check = np.union1d(np.linspace(1, ts.size - 1, 9).astype(int), ends[1:] - 1)
+    check = check[check > 0]
     spline = _cf_spline(ts, phi.values)
-    gu = g_values(u)
-    out = _quad_values(spline, ts, u, w, gu)
+    out = np.empty(ts.size, dtype=np.complex128)
+    ref = np.empty(check.size, dtype=np.complex128)
+    for lo, hi, top in zip(ends, ends[1:], tops):
+        out[lo:hi] = _quad_values(spline, ts[lo:hi], *_u_rule(top))
+        mine = (check >= lo) & (check < hi)
+        ref[mine] = _quad_values(spline, ts[check[mine]], *_u_rule(top, refine=2))
     overshoot = float(np.abs(out).max()) - 1.0
     if overshoot > 1e-9:
         raise QuadratureError(
@@ -193,9 +203,7 @@ def cf_map(phi: CfGrid) -> CfGrid:
             f"the u-quadrature did not converge"
         )
     out = _onto_disk(out)
-
-    ref = _quad_values(spline, ts[idx], u2, w2, g_values(u2))
-    err = float(np.abs(out[idx] - ref).max())
+    err = float(np.abs(out[check] - ref).max())
     if err > CF_ABS_TOL:
         raise QuadratureError(
             f"u-quadrature self-check failed: doubled rule moved values by "

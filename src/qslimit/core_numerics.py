@@ -2,7 +2,9 @@
 
 Provides the sampled-grid container used throughout (real or complex
 values), the one fixed-point driver both solvers run on, a deterministic
-adaptive Gauss-Kronrod integrator, and the entropy-like toll function
+adaptive Gauss-Kronrod integrator, the composite Gauss-Legendre rule whose
+panels follow an integrand's phase (the rule of both oscillatory
+u-integrals), and the entropy-like toll function
 
     g(u) = 2 u ln u + 2 (1-u) ln(1-u) + 1,      0 <= u <= 1,
 
@@ -19,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "Grid",
@@ -28,6 +31,10 @@ __all__ = [
     "ENDPOINT_EPS",
     "MAX_GRID_POINTS",
     "integrate",
+    "DYADIC_EDGES",
+    "PANEL_ORDER",
+    "panel_counts",
+    "panel_rule",
     "g_values",
     "h_values",
 ]
@@ -253,6 +260,61 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10):
         lo = np.concatenate([lo, mids])
         hi = np.concatenate([mids, hi])
     return complex(total) if np.iscomplexobj(k15) else float(total)
+
+
+# ---------------------------------------------------------------------------
+# Fixed composite rules for oscillatory integrands: one rule serves many
+# integrands (every t of a block), where bisection would re-split each anew.
+
+PANEL_ORDER = 16
+_PANEL_NODES, _PANEL_WEIGHTS = leggauss(PANEL_ORDER)
+
+# Break points on [ENDPOINT_EPS, 1/2]: dyadic toward 0, where g' is
+# log-singular, up to eps * 2**34 = 0.017, then octaves from 1/32 to 1/2.
+DYADIC_EDGES = np.concatenate([ENDPOINT_EPS * 2.0 ** np.arange(35),
+                               [1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0, 1.0 / 2.0]])
+DYADIC_EDGES.flags.writeable = False
+
+
+def panel_counts(phase, budget: float, refine: int = 1) -> np.ndarray:
+    """Panels per interval of `panel_rule`: refine * max(1, ceil(phase / budget)).
+
+    Raises ValueError, before any array of panels is made, if a phase is not
+    finite or the rule would need more than MAX_GRID_POINTS nodes.
+    """
+    per = refine * np.maximum(1.0, np.ceil(np.asarray(phase, dtype=np.float64) / budget))
+    nodes = PANEL_ORDER * float(per.sum())
+    if not nodes <= MAX_GRID_POINTS:  # NaN and inf fail too
+        raise ValueError(f"a phase-adapted rule would need {nodes:.3g} nodes, over the "
+                         f"cap of {MAX_GRID_POINTS}")
+    return per.astype(np.int64)
+
+
+def panel_rule(edges, phase, budget: float, refine: int = 1):
+    """Composite 16-point Gauss-Legendre (nodes, weights) on the intervals
+    between `edges`, nodes increasing.
+
+    `phase[i]` is the phase variation of the integrand over interval i (for
+    exp(i t h) with h monotone there, t |h(b) - h(a)|).  Interval i is cut
+    into `panel_counts(phase, budget, refine)[i]` equal panels: at refine = 1
+    none carries more than `budget` radians, refine = 2 halves every panel
+    (the doubled rule of a self-check).
+    """
+    counts = panel_counts(phase, budget, refine)
+    edges = np.asarray(edges, dtype=np.float64)
+    a = np.repeat(edges[:-1], counts)
+    b = np.repeat(edges[1:], counts)
+    n = np.repeat(counts, counts)
+    step = (b - a) / n
+    k = np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # panel edges where np.linspace(a, b, n + 1) puts them, the last one exactly b
+    lo = a + k * step
+    hi = np.where(k + 1 == n, b, a + (k + 1) * step)
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = (center[:, None] + half[:, None] * _PANEL_NODES[None, :]).ravel()
+    weights = (half[:, None] * _PANEL_WEIGHTS[None, :]).ravel()
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------

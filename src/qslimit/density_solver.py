@@ -38,6 +38,7 @@ times above its round-off, so it is positive without a clamp.  At dx = 0.001
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -138,10 +139,14 @@ def uniform_density(a: float = -1.0, b: float = 1.0,
     return _normalized(x_min, dx, vals)
 
 
+@functools.lru_cache(maxsize=8)
 def _u_quadrature(u_nodes: int):
-    """Gauss-Legendre nodes on (0, 1/2] with symmetry-doubled weights."""
+    """Gauss-Legendre nodes on (0, 1/2] with symmetry-doubled weights, read-only
+    (every sweep shares them)."""
     x, w = leggauss(u_nodes)
-    return 0.25 * (x + 1.0), 0.5 * w  # sum of folded weights = 1
+    us, ws = 0.25 * (x + 1.0), 0.5 * w  # sum of folded weights = 1
+    us.flags.writeable = ws.flags.writeable = False
+    return us, ws
 
 
 def _cdf_antiderivative(vals: np.ndarray, dx: float):

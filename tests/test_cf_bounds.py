@@ -25,6 +25,7 @@ from qslimit.cf_bounds import (
     make_envelope,
     vdc_cf,
 )
+from qslimit.core_numerics import ENDPOINT_EPS, h_values, integrate
 
 CHAIN = build_chain(4.5)
 ENV = make_envelope(CHAIN)
@@ -239,6 +240,31 @@ def test_vdc_decays_like_the_bound():
     assert abs(vdc_cf(0.0, 0.0, 100.0)) <= 0.2 + 1e-3
     with pytest.raises(ValueError):
         vdc_cf(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("y, z, t", [
+    (0.0, 0.0, 1e4), (5.0, -5.0, 1e4), (-4.2, 3.1, 2500.0), (0.3, -1.2, 50.0),
+    (1.7, 1.7, 300.0), (-5.0, 5.0, 10.0),
+    (1.0, 0.0, 1e4),        # u* = 0.378 inside [1/4, 1/2], where h(1/4) - h(1/2) is small
+    (15.0, -15.0, 100.0),   # u* = 3e-7, among the dyadic edges
+    (800.0, -800.0, 1.0),   # e^{(y-z)/2} overflows a float; u* is below eps
+])
+def test_vdc_matches_the_adaptive_integrator(y, z, t):
+    # the Gauss-Kronrod bisection shares no panel or node with the fixed rule; its
+    # estimate |K15 - G7| overstates its error by orders of magnitude
+    oracle = integrate(lambda u: np.exp(1j * t * h_values(y, z, u)),
+                       ENDPOINT_EPS, 1.0 - ENDPOINT_EPS, abs_tol=1e-11)
+    assert abs(vdc_cf(y, z, t) - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("y, z, t", [
+    (math.nan, 0.0, 1.0), (0.0, math.inf, 1.0), (0.0, 0.0, math.inf),
+    (0.0, 0.0, math.nan), (0.0, 0.0, -1.0),
+    (0.0, 0.0, 1e8),        # a rule of about 1e9 nodes, over the cap
+])
+def test_vdc_rejects_bad_input_at_once(y, z, t):
+    with pytest.raises(ValueError):
+        vdc_cf(y, z, t)
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qslimit import cf_solver
 from qslimit.cf_bounds import vdc_cf
 from qslimit.cf_solver import (
     CfGrid,
@@ -67,6 +68,31 @@ def test_map_of_the_trivial_cf_is_the_oscillatory_integral():
     for i in (3, 17, 42, 100):
         t = float(mapped.xs[i])
         assert abs(mapped.values[i] - vdc_cf(0.0, 0.0, t)) < 1e-9
+
+
+def test_blocked_rules_match_one_rule_sized_for_t_max():
+    for phi in (init_gaussian_cf(t_max=50.0, n=1024), uniform_cf(t_max=50.0, n=1024)):
+        blocked = cf_map(phi)
+        spline = cf_solver._cf_spline(phi.xs, phi.values)
+        single = cf_solver._quad_values(spline, phi.xs, *cf_solver._u_rule(phi.x_max))
+        assert np.max(np.abs(blocked.values[1:] - single[1:])) <= 1e-10
+
+
+def test_self_check_covers_the_last_t_of_every_block(monkeypatch):
+    calls = []
+    real = cf_solver._quad_values
+
+    def spy(spline, t_sel, u, w):
+        calls.append((t_sel.copy(), u.size))
+        return real(spline, t_sel, u, w)
+
+    monkeypatch.setattr(cf_solver, "_quad_values", spy)
+    cf_map(init_gaussian_cf(t_max=50.0, n=1024))
+    # per block: its sweep, then its check points under the doubled rule
+    assert len(calls) == 2 * cf_solver._T_BLOCKS
+    for (t_block, nodes), (t_check, nodes_check) in zip(calls[0::2], calls[1::2]):
+        assert nodes_check == 2 * nodes
+        assert t_block[-1] in t_check
 
 
 def test_iterate_rejects_bad_tolerance():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 from qslimit.core_numerics import (
+    MAX_GRID_POINTS,
+    PANEL_ORDER,
     Grid,
     IterationError,
     QuadratureError,
@@ -13,6 +15,7 @@ from qslimit.core_numerics import (
     g_values,
     h_values,
     integrate,
+    panel_rule,
 )
 
 # int_0^1 g(u)^2 du has the closed form (7 - 2 pi^2 / 3) / 3
@@ -58,6 +61,30 @@ def test_integrate_linear_in_integrand(a, b):
     rhs = a * integrate(g_values, 0.0, 1.0, tol) \
         + b * integrate(lambda u: np.asarray(u), 0.0, 1.0, tol)
     assert abs(lhs - rhs) <= 3.0 * tol * (1.0 + abs(a) + abs(b))
+
+
+def test_panel_rule_splits_each_interval_by_its_phase():
+    edges = np.array([0.0, 0.25, 1.0, 3.0])
+    phase = np.array([0.5, 7.0, 20.0])
+    budget = 3.0
+    u, w = panel_rule(edges, phase, budget)
+    assert u.size == PANEL_ORDER * sum(math.ceil(p / budget) for p in phase)  # 16 * 11
+    assert np.all(np.diff(u) > 0.0) and edges[0] < u[0] and u[-1] < edges[-1]
+    # 16-point Gauss-Legendre is exact to degree 31 on each panel
+    assert w @ u**7 == pytest.approx(3.0**8 / 8.0, rel=1e-14)
+    u2, w2 = panel_rule(edges, phase, budget, refine=2)
+    assert u2.size == 2 * u.size
+    assert w2 @ np.exp(5j * u2) == pytest.approx((np.exp(15j) - 1.0) / 5j, abs=1e-14)
+
+
+def test_panel_rule_checks_its_cap_before_allocating():
+    edges = [0.0, 1.0]
+    top = MAX_GRID_POINTS // PANEL_ORDER  # panels of the largest rule allowed
+    assert panel_rule(edges, [top * 1.0], 1.0)[0].size == MAX_GRID_POINTS
+    # past the cap, and far past anything allocatable: a ValueError, not a MemoryError
+    for phase in (top + 1.0, 1e300, math.inf, math.nan):
+        with pytest.raises(ValueError, match="cap"):
+            panel_rule(edges, [phase], 1.0)
 
 
 def test_g_reference_values():

@@ -252,3 +252,12 @@ def test_convergence_report_keys(density_fixed):
                         "max_f", "min_f"}
     assert rep["iterations"] == iters
     assert rep["diff_history"] == list(history)
+
+
+def test_u_quadrature_is_built_once_and_shared_read_only():
+    us, ws = density_solver._u_quadrature(64)
+    assert density_solver._u_quadrature(64)[0] is us
+    x, w = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(us, 0.25 * (x + 1.0)) and np.array_equal(ws, 0.5 * w)
+    with pytest.raises(ValueError):
+        us[0] = 0.0
