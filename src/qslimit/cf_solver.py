@@ -53,11 +53,14 @@ from .core_numerics import (
     panel_counts,
     panel_rule,
 )
+from .density_solver import DENSITY_DX, DENSITY_X_MAX, DENSITY_X_MIN
 from .moments import VARIANCE
 
 __all__ = [
     "CF_MAX_ITER",
     "CF_TOL",
+    "CF_T_MAX",
+    "CF_GRID_SIZE",
     "CfGrid",
     "init_gaussian_cf",
     "cf_map",
@@ -68,6 +71,9 @@ __all__ = [
 # default sweep budget and sup-norm tolerance of iterate_cf
 CF_MAX_ITER = 200
 CF_TOL = 1e-8
+# default grid of init_gaussian_cf: 4096 points on [0, 200]
+CF_T_MAX = 200.0
+CF_GRID_SIZE = 4096
 
 # quadrature contract for one application of the map: the doubled-rule
 # cross-check must agree to this absolute tolerance
@@ -95,7 +101,7 @@ class CfGrid(Grid):
             raise ValueError("characteristic function modulus exceeds 1 + 1e-9")
 
 
-def init_gaussian_cf(t_max: float = 200.0, n: int = 4096) -> CfGrid:
+def init_gaussian_cf(t_max: float = CF_T_MAX, n: int = CF_GRID_SIZE) -> CfGrid:
     """Mean-zero Gaussian seed with the limit law's variance 7 - 2 pi^2/3."""
     if not 2 <= n <= MAX_GRID_POINTS:
         raise ValueError(f"a CF grid needs 2 to {MAX_GRID_POINTS} points, got {n}")
@@ -255,15 +261,16 @@ def invert_cf(phi: CfGrid, k: int = 0, xs: Grid = None) -> Grid:
     """Fourier-invert the grid to the k-th derivative of the density on xs.
 
     `xs` is any Grid, a DensityGrid included, whose nodes are wanted; the
-    default is [-4, 6] in steps of 0.005.  Returns a plain Grid on those
-    nodes.  Trapezoid rule in t.  Before inverting, the discarded tail t > T is
-    estimated from the computed decay of |phi|; if it could move the result
-    by 1e-6 or more the truncation is refused and a larger T is required.
+    default is the density window, [-4, 6] in steps of 0.005.  Returns a
+    plain Grid on those nodes.  Trapezoid rule in t.  Before inverting, the
+    discarded tail t > T is estimated from the computed decay of |phi|; if it
+    could move the result by 1e-6 or more the truncation is refused and a
+    larger T is required.
     """
     if k < 0 or int(k) != k:
         raise ValueError(f"derivative order must be a nonnegative integer, got {k}")
     if xs is None:
-        xs = Grid.domain(-4.0, 6.0, 0.005)
+        xs = Grid.domain(DENSITY_X_MIN, DENSITY_X_MAX, DENSITY_DX)
     tail = _tail_estimate(phi, k)
     if tail >= 1e-6:
         raise ValueError(

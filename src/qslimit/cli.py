@@ -18,11 +18,23 @@ from functools import partial
 import numpy as np
 
 from .cf_bounds import build_chain, make_envelope
-from .cf_solver import CF_MAX_ITER, CF_TOL, init_gaussian_cf, invert_cf, iterate_cf
+from .cf_solver import (
+    CF_GRID_SIZE,
+    CF_MAX_ITER,
+    CF_T_MAX,
+    CF_TOL,
+    init_gaussian_cf,
+    invert_cf,
+    iterate_cf,
+)
 from .core_numerics import Grid, IterationError, QuadratureError
 from .density_solver import (
     DENSITY_MAX_ITER,
     DENSITY_TOL,
+    DENSITY_DX,
+    DENSITY_U_NODES,
+    DENSITY_X_MAX,
+    DENSITY_X_MIN,
     cdf,
     convergence_report,
     gaussian_density,
@@ -32,7 +44,7 @@ from .density_solver import (
 from .envelope_integrals import SUP_F1_CAP, SUP_F_CAP, sup_fk_bound
 from .moments import abs_moment_bounds, pump_moments
 from .quicksort_sim import simulate
-from .report import run_acceptance
+from .report import REPORT_SAMPLES, REPORT_SEED, run_acceptance
 
 __all__ = ["main"]
 
@@ -56,23 +68,23 @@ def _emit(args, text: str) -> None:
 
 
 def _cf_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--t-max", type=float, default=200.0)
-    p.add_argument("--grid-size", type=int, default=4096)
+    p.add_argument("--t-max", type=float, default=CF_T_MAX)
+    p.add_argument("--grid-size", type=int, default=CF_GRID_SIZE)
     p.add_argument("--iters", type=int, default=CF_MAX_ITER)
     p.add_argument("--tol", type=float, default=CF_TOL)
 
 
 def _x_grid_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x-min", type=float, default=-4.0)
-    p.add_argument("--x-max", type=float, default=6.0)
-    p.add_argument("--dx", type=float, default=0.005)
+    p.add_argument("--x-min", type=float, default=DENSITY_X_MIN)
+    p.add_argument("--x-max", type=float, default=DENSITY_X_MAX)
+    p.add_argument("--dx", type=float, default=DENSITY_DX)
 
 
 def _density_args(p: argparse.ArgumentParser) -> None:
     _x_grid_args(p)
     p.add_argument("--iters", type=int, default=DENSITY_MAX_ITER)
     p.add_argument("--tol", type=float, default=DENSITY_TOL)
-    p.add_argument("--u-nodes", type=int, default=64)
+    p.add_argument("--u-nodes", type=int, default=DENSITY_U_NODES)
     p.add_argument("--init", choices=["gaussian", "uniform"], default="gaussian")
 
 
@@ -272,8 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("report", help="run the full acceptance table")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--samples", type=int, default=200_000)
+    p.add_argument("--seed", type=int, default=REPORT_SEED)
+    p.add_argument("--samples", type=int, default=REPORT_SAMPLES)
     p.set_defaults(func=_cmd_report)
 
     return top

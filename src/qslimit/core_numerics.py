@@ -39,9 +39,10 @@ __all__ = [
     "h_values",
 ]
 
-# Integrands built on g or on negative powers of u are integrated on
-# [eps, 1-eps]; the discarded slivers are bounded analytically by the
-# callers (for a bounded integrand the loss is <= 2e-12).
+# The phase-adapted u-rules (on DYADIC_EDGES: cf_map's and vdc_cf's) integrate
+# on [eps, 1-eps]; the discarded slivers are bounded analytically by the
+# callers (for a bounded integrand the loss is <= 2e-12).  `integrate` needs
+# no trim: its Kronrod nodes are interior to every panel.
 ENDPOINT_EPS = 1e-12
 
 # Cap on the points of a grid built from user sizes; the defaults need <= 10,001.

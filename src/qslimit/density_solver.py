@@ -53,6 +53,10 @@ __all__ = [
     "DensityGrid",
     "DENSITY_MAX_ITER",
     "DENSITY_TOL",
+    "DENSITY_U_NODES",
+    "DENSITY_X_MIN",
+    "DENSITY_X_MAX",
+    "DENSITY_DX",
     "F_U_CAP",
     "gaussian_density",
     "uniform_density",
@@ -66,6 +70,13 @@ __all__ = [
 # default sweep budget and sup-norm tolerance of iterate_density
 DENSITY_MAX_ITER = 60
 DENSITY_TOL = 1e-6
+# default number of Gauss-Legendre u-nodes of one apply_T sweep
+DENSITY_U_NODES = 64
+# default window, [-4, 6] in steps of 0.005: the starting densities' grid,
+# and the nodes invert_cf puts the CF route's density on
+DENSITY_X_MIN = -4.0
+DENSITY_X_MAX = 6.0
+DENSITY_DX = 0.005
 
 # pointwise cap for the conditional densities: f_u <= 16/max(u, 1-u) <= 32,
 # held with a small float allowance; exceedances are flagged, not silently kept
@@ -112,8 +123,8 @@ def _normalized(x0: float, dx: float, values: np.ndarray) -> DensityGrid:
     return DensityGrid(x0, dx, values / mass)
 
 
-def gaussian_density(var: float = VARIANCE, x_min: float = -4.0,
-                     x_max: float = 6.0, dx: float = 0.005) -> DensityGrid:
+def gaussian_density(var: float = VARIANCE, x_min: float = DENSITY_X_MIN,
+                     x_max: float = DENSITY_X_MAX, dx: float = DENSITY_DX) -> DensityGrid:
     """Mean-zero Gaussian seed; the default variance is the limit law's."""
     xs = Grid.domain(x_min, x_max, dx).xs
     vals = np.exp(-0.5 * xs**2 / var) / math.sqrt(2.0 * math.pi * var)
@@ -121,8 +132,8 @@ def gaussian_density(var: float = VARIANCE, x_min: float = -4.0,
 
 
 def uniform_density(a: float = -1.0, b: float = 1.0,
-                    x_min: float = -4.0, x_max: float = 6.0,
-                    dx: float = 0.005) -> DensityGrid:
+                    x_min: float = DENSITY_X_MIN, x_max: float = DENSITY_X_MAX,
+                    dx: float = DENSITY_DX) -> DensityGrid:
     """Uniform seed on [a, b]; an alternative start for route-independence runs.
 
     The support is the node index range ceil((a - x_min)/dx) to
@@ -231,7 +242,7 @@ def _convolve(wide: np.ndarray, masses: np.ndarray, start: int, nfft: int) -> np
     return out
 
 
-def apply_T(f: DensityGrid, u_nodes: int = 64) -> DensityGrid:
+def apply_T(f: DensityGrid, u_nodes: int = DENSITY_U_NODES) -> DensityGrid:
     """One sweep of the integral-equation map, renormalized to unit mass.
 
     Each u-node's convolution is an FFT bulk plus direct sums for the outputs
@@ -272,7 +283,7 @@ def apply_T(f: DensityGrid, u_nodes: int = 64) -> DensityGrid:
 
 
 def iterate_density(f0: DensityGrid, max_iter: int = DENSITY_MAX_ITER,
-                    tol: float = DENSITY_TOL, u_nodes: int = 64):
+                    tol: float = DENSITY_TOL, u_nodes: int = DENSITY_U_NODES):
     """Iterate the map to its fixed point in the sup norm.
 
     Returns (fixed_point, iterations, diff_history).  The differences should

@@ -48,7 +48,13 @@ __all__ = [
     "check_simulation",
     "check_excluded_claims",
     "run_acceptance",
+    "REPORT_SEED",
+    "REPORT_SAMPLES",
 ]
+
+# default seed and sample count of the simulation gate
+REPORT_SEED = 42
+REPORT_SAMPLES = 200_000
 
 # display ceilings for the assembled rungs; computed values must land just
 # below these (within half a percent)
@@ -74,7 +80,7 @@ def _index(grid, x: float) -> int:
     return max(0, int(round((x - grid.x0) / grid.dx)))
 
 
-def build_artifacts(seed: int = 42, samples: int = 200_000) -> dict:
+def build_artifacts(seed: int = REPORT_SEED, samples: int = REPORT_SAMPLES) -> dict:
     """Everything the acceptance checks share, computed once."""
     t0 = time.perf_counter()
     phi, cf_iters, cf_history = iterate_cf(init_gaussian_cf())
@@ -287,7 +293,7 @@ def check_excluded_claims(art: dict) -> CriterionResult:
     )
 
 
-def run_acceptance(seed: int = 42, samples: int = 200_000):
+def run_acceptance(seed: int = REPORT_SEED, samples: int = REPORT_SAMPLES):
     """All criteria in order.  Returns a list of CriterionResult."""
     art = build_artifacts(seed=seed, samples=samples)
     return [

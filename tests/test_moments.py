@@ -17,11 +17,9 @@ G_SQUARED = (7.0 - 2.0 * math.pi**2 / 3.0) / 3.0
 
 
 def test_g_moment_base_cases():
-    # the quadrature clips ENDPOINT_EPS off each end, so "exact" cases carry
-    # a deterministic ~2e-12 deficit
-    assert g_moment(0, 0, 0) == pytest.approx(1.0, abs=1e-11)
-    assert g_moment(0, 0, 1) == pytest.approx(0.0, abs=1e-10)
-    assert g_moment(0, 0, 2) == pytest.approx(G_SQUARED, abs=1e-6)
+    assert g_moment(0, 0, 0) == pytest.approx(1.0, abs=1e-14)
+    assert g_moment(0, 0, 1) == pytest.approx(0.0, abs=1e-14)
+    assert g_moment(0, 0, 2) == pytest.approx(G_SQUARED, abs=1e-14)
 
 
 def test_g_moment_beta_cross_check():
@@ -56,7 +54,7 @@ def test_pump_caps_k_before_any_quadrature(monkeypatch):
 def test_pumped_variance_hits_the_closed_form(moments8):
     assert moments8[0] == 1.0
     assert moments8[1] == 0.0
-    assert moments8[2] == pytest.approx(VARIANCE, abs=1e-8)
+    assert moments8[2] == pytest.approx(VARIANCE, abs=1e-14)
     assert moments8[2] == pytest.approx(0.4202628, abs=1e-6)
 
 
