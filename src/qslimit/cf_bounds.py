@@ -340,7 +340,7 @@ def vdc_cf(y: float, z: float, t: float, abs_tol: float = 1e-10) -> complex:
 
     Computes int_0^1 exp(i t h(y, z, u)) du on [eps, 1-eps]; the trimmed
     slivers add at most 2*eps in modulus.  The rule is fixed: `panel_rule`
-    on dyadic intervals toward both ends, cut at the stationary point
+    on intervals graded by 4 toward both ends, cut at the stationary point
     u* = 1/(1 + e^{(y-z)/2}) so that t |dh| is each interval's exact phase,
     at most 3 pi per panel.  The rule with every panel halved must agree to
     `abs_tol`, else QuadratureError; its value is returned.  The

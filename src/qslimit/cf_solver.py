@@ -18,12 +18,15 @@ formula
 
 The u-integral is evaluated with `core_numerics.panel_rule`, a composite
 Gauss-Legendre rule whose panels follow the oscillation budget of the phase
-t g(u) (dyadic toward the endpoint, phase-equidistributed in the middle).
-Each of 8 equal blocks of t gets the rule sized for its own largest t.  Every
-sweep is cross-validated against each block's doubled rule at a spread of
-grid points and at the last t of every block, where its rule is coarsest, so
-a too-coarse rule raises instead of silently converging to the wrong fixed
-point.
+t g(u) (graded by 4 toward the endpoint, phase-equidistributed in the middle).
+Each of 8 equal blocks of t gets the rule sized for its own largest t.  Along
+a block the phase exp(i t g(u)) is stepped from one grid point to the next by
+the factor exp(i dt g(u)), with np.exp called afresh at the start of each
+chunk of work.  Every sweep is cross-validated against each block's doubled
+rule at a spread of grid points and at the last t of every block, where its
+rule is coarsest, so a too-coarse rule raises instead of silently converging
+to the wrong fixed point; the check evaluates its t's one at a time, with the
+phase from np.exp, so it shares no step of the recurrence.
 
 The fixed point is solved by Anderson(5) mixing in the shared driver
 `core_numerics.fixed_point`: real coefficients summing to 1 combine the last
@@ -80,9 +83,12 @@ CF_GRID_SIZE = 4096
 CF_ABS_TOL = 1e-9
 
 # cap on the spline-pair evaluations of one sweep (u-nodes x t-points, summed
-# over the blocks), about 13x the default grid's 5.1M; past it a single sweep
+# over the blocks), about 16x the default grid's 4.1M; past it a single sweep
 # would run for minutes
 _MAX_SWEEP_PAIRS = 2**26
+# spline pairs per chunk of _quad_values: a 4 MiB complex array each for the
+# phase and the product
+_CHUNK_PAIRS = 2**18
 
 
 class CfGrid(Grid):
@@ -120,7 +126,7 @@ _REFLECT = 8
 _U_PHASE = np.abs(np.diff(g_values(DYADIC_EDGES))) + 2.0 * np.diff(DYADIC_EDGES)
 _U_BUDGET = 2.0 * math.pi
 # equal blocks of the t-grid, each with the rule for its largest t: the node
-# count grows linearly with t, so 8 blocks need 0.71 of the spline pairs of a
+# count grows linearly with t, so 8 blocks need 0.65 of the spline pairs of a
 # single rule sized for T at the default grid
 _T_BLOCKS = 8
 # no block's rule is sized below t = 25: there the spline pieces of phi's
@@ -144,16 +150,27 @@ def _u_rule(t_top: float, refine: int = 1):
 
 
 def _quad_values(spline, t_sel: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Apply the u-rule at the selected t values (vectorized, chunked)."""
+    """Apply the u-rule at evenly spaced t values (a run of grid points).
+
+    Works in chunks of at most _CHUNK_PAIRS spline pairs.  Along a chunk the
+    phase is stepped by the factor exp(i g(u) dt) from np.exp's value at the
+    chunk's first t, so a single t gets np.exp's phase alone.
+    """
     gu = g_values(u)
+    dt = (t_sel[-1] - t_sel[0]) / max(t_sel.size - 1, 1)
+    step = np.exp(1j * gu * dt)[:, None]
     out = np.empty(t_sel.size, dtype=np.complex128)
-    chunk = max(1, int(1_500_000 // max(u.size, 1)))
+    chunk = max(1, _CHUNK_PAIRS // u.size)
     for i in range(0, t_sel.size, chunk):
         t = t_sel[i:i + chunk]
-        a = spline(u[:, None] * t[None, :])
-        b = spline((1.0 - u)[:, None] * t[None, :])
-        phase = np.exp(1j * gu[:, None] * t[None, :])
-        out[i:i + chunk] = np.einsum("u,ut->t", w, a * b * phase)
+        phase = np.empty((u.size, t.size), dtype=np.complex128)
+        phase[:, 0] = np.exp(1j * gu * t[0])
+        phase[:, 1:] = step
+        np.multiply.accumulate(phase, axis=1, out=phase)
+        a = spline(u[:, None] * t)
+        a *= spline((1.0 - u)[:, None] * t)
+        a *= phase
+        out[i:i + chunk] = w @ a
     return out
 
 
@@ -200,8 +217,10 @@ def cf_map(phi: CfGrid) -> CfGrid:
     ref = np.empty(check.size, dtype=np.complex128)
     for lo, hi, top in zip(ends, ends[1:], tops):
         out[lo:hi] = _quad_values(spline, ts[lo:hi], *_u_rule(top))
-        mine = (check >= lo) & (check < hi)
-        ref[mine] = _quad_values(spline, ts[check[mine]], *_u_rule(top, refine=2))
+        fine = _u_rule(top, refine=2)
+        # one t per call, so the check's phase is np.exp's, not the recurrence's
+        for j in np.flatnonzero((check >= lo) & (check < hi)):
+            ref[j] = _quad_values(spline, ts[check[j]:check[j] + 1], *fine)[0]
     overshoot = float(np.abs(out).max()) - 1.0
     if overshoot > 1e-9:
         raise QuadratureError(

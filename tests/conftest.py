@@ -1,7 +1,7 @@
 """Shared fixtures.
 
 The characteristic-function fixed point is the one genuinely expensive
-artifact (13 map evaluations, 12-15 s on a 2-core Xeon), so everything
+artifact (13 map evaluations, 8-9 s on a busy 2-core Xeon), so everything
 downstream of it is computed once per session through `build_artifacts` and
 shared.  Acceptance tests append their CriterionResult records to a session
 list; the terminal summary reprints them as one PASS/FAIL line each at the

@@ -15,7 +15,13 @@ from qslimit.cf_solver import (
     iterate_cf,
 )
 from qslimit.cli import _csv, main
-from qslimit.core_numerics import IterationError, fixed_point
+from qslimit.core_numerics import (
+    ENDPOINT_EPS,
+    IterationError,
+    fixed_point,
+    g_values,
+    panel_rule,
+)
 from qslimit.moments import VARIANCE
 
 
@@ -88,11 +94,41 @@ def test_self_check_covers_the_last_t_of_every_block(monkeypatch):
 
     monkeypatch.setattr(cf_solver, "_quad_values", spy)
     cf_map(init_gaussian_cf(t_max=50.0, n=1024))
-    # per block: its sweep, then its check points under the doubled rule
-    assert len(calls) == 2 * cf_solver._T_BLOCKS
-    for (t_block, nodes), (t_check, nodes_check) in zip(calls[0::2], calls[1::2]):
-        assert nodes_check == 2 * nodes
-        assert t_block[-1] in t_check
+    # per block: its sweep, then each of its check points alone under the doubled rule
+    sweeps = [i for i, (t_sel, _) in enumerate(calls) if t_sel.size > 1]
+    assert len(sweeps) == cf_solver._T_BLOCKS
+    for start, stop in zip(sweeps, sweeps[1:] + [len(calls)]):
+        t_block, nodes = calls[start]
+        checks = calls[start + 1:stop]
+        assert checks and all(t.size == 1 and n == 2 * nodes for t, n in checks)
+        assert t_block[-1] in np.concatenate([t for t, _ in checks])
+
+
+def test_u_rule_on_the_graded_ladder():
+    # one panel on each interval up to 1/32, then 2, 2, 3 and 4 on the octaves to 1/2
+    assert cf_solver._u_rule(25.0)[0].size == 464
+
+
+def test_map_matches_a_refined_reference_at_every_t():
+    # the self-check samples about 16 t's; compare every t against a reference
+    # that shares neither the ladder, the panels nor the phase recurrence: the
+    # ladder graded by 2, each block's rule refined 4x, the phase by np.exp
+    phi = init_gaussian_cf(t_max=50.0, n=1024)
+    for _ in range(8):
+        phi = cf_map(phi)
+    mapped = cf_map(phi).values
+    edges = np.concatenate([ENDPOINT_EPS * 2.0 ** np.arange(35), 2.0 ** -np.arange(5, 0, -1)])
+    u_phase = np.abs(np.diff(g_values(edges))) + 2.0 * np.diff(edges)
+    spline = cf_solver._cf_spline(phi.xs, phi.values)
+    ends = np.unique(np.linspace(0, phi.n, cf_solver._T_BLOCKS + 1).astype(int))
+    ref = np.empty(phi.n, dtype=complex)
+    for lo, hi in zip(ends, ends[1:]):
+        top = max(phi.xs[hi - 1], cf_solver._T_RULE_FLOOR)
+        u, w = panel_rule(edges, top * u_phase, 2.0 * math.pi, refine=4)
+        t = phi.xs[lo:hi]
+        ref[lo:hi] = 2.0 * w @ (spline(np.outer(u, t)) * spline(np.outer(1.0 - u, t))
+                                * np.exp(1j * np.outer(g_values(u), t)))
+    assert np.max(np.abs(mapped[1:] - ref[1:])) <= 5e-11
 
 
 def test_iterate_rejects_bad_tolerance():
