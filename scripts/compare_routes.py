@@ -10,7 +10,7 @@ the pointwise A-vs-B comparison as CSV for plotting elsewhere.
 
 Usage:
   python scripts/compare_routes.py
-  python scripts/compare_routes.py --window -2 4 --csv routes.csv --quick
+  python scripts/compare_routes.py --window -2 4 --csv routes.csv
 """
 from __future__ import annotations
 
@@ -34,8 +34,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--window", type=float, nargs=2, default=[-2.0, 4.0],
                     metavar=("LO", "HI"))
-    ap.add_argument("--quick", action="store_true",
-                    help="small CF grid (t_max 50, 1024 points): ~4 s instead of ~17 s")
     ap.add_argument("--csv", default="")
     args = ap.parse_args(argv)
     x_lo, x_hi = args.window
@@ -46,9 +44,7 @@ def main(argv=None) -> int:
     print(f"route A (density map): {d_iters} sweeps, last diff {d_hist[-1]:.2e}, "
           f"{t1 - t0:.1f}s")
 
-    # the quick grid is good enough for eyeballing
-    start = init_gaussian_cf(t_max=50.0, n=1024) if args.quick else init_gaussian_cf()
-    phi, c_iters, c_hist = iterate_cf(start)
+    phi, c_iters, c_hist = iterate_cf(init_gaussian_cf())
     inverted = invert_cf(phi, xs=dens)
     t2 = time.perf_counter()
     print(f"route B (cf + inversion): {c_iters} sweeps, last diff {c_hist[-1]:.2e}, "

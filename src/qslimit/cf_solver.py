@@ -31,11 +31,17 @@ phase from np.exp, so it shares no step of the recurrence.
 The fixed point is solved by Anderson(5) mixing in the shared driver
 `core_numerics.fixed_point`: real coefficients summing to 1 combine the last
 map values, and the mix is put back on the unit disk with phi(0) = 1.  At
-the default grid (T = 200, 4096 points) this takes 13 map evaluations where
-plain iteration takes 25, and lands 5e-8 from the plain iterate.  Every
-grid has a discretization floor on the residual (about 5e-8 at dt ~ 0.1,
-T = 50 with 512 points); a tolerance below it stops with an IterationError
-that names the floor, after 5 sweeps without progress.
+the default grid (1025 points on [0, 50.01], dt = 200/4095) this takes 13
+map evaluations where plain iteration takes 25, and lands 5e-8 from the
+plain iterate.  Every grid has a discretization floor on the residual (about
+5e-8 at dt ~ 0.1, T = 50 with 512 points); a tolerance below it stops with
+an IterationError that names the floor, after 5 sweeps without progress.
+
+The default grid stops where phi reaches the float floor: the fixed point's
+|phi| is at most 2.7e-9 on [25, 50] and 1.2e-18 on [50, 75].  Since (M phi)(t)
+reads phi only on [0, t], the solve on [0, 200] at the same dt agrees with it
+to 2.3e-16 on the shared nodes.  A longer grid (`t_max`) buys inversion of
+higher derivative orders, whose truncation tail t^k |phi| decays more slowly.
 """
 
 from __future__ import annotations
@@ -74,17 +80,18 @@ __all__ = [
 # default sweep budget and sup-norm tolerance of iterate_cf
 CF_MAX_ITER = 200
 CF_TOL = 1e-8
-# default grid of init_gaussian_cf: 4096 points on [0, 200]
-CF_T_MAX = 200.0
-CF_GRID_SIZE = 4096
+# default grid of init_gaussian_cf: 1025 points at dt = 200/4095, so T = 50.01;
+# the dt of a 4096-point grid on [0, 200], exactly (1024 is a power of two)
+CF_GRID_SIZE = 1025
+CF_T_MAX = (CF_GRID_SIZE - 1) * (200.0 / 4095)
 
 # quadrature contract for one application of the map: the doubled-rule
 # cross-check must agree to this absolute tolerance
 CF_ABS_TOL = 1e-9
 
 # cap on the spline-pair evaluations of one sweep (u-nodes x t-points, summed
-# over the blocks), about 16x the default grid's 4.1M; past it a single sweep
-# would run for minutes
+# over the blocks): 129x the default grid's 0.52M, 16x the 4.1M of 4096 points
+# on [0, 200]; past it a single sweep would run for minutes
 _MAX_SWEEP_PAIRS = 2**26
 # spline pairs per chunk of _quad_values: a 4 MiB complex array each for the
 # phase and the product
@@ -126,13 +133,14 @@ _REFLECT = 8
 _U_PHASE = np.abs(np.diff(g_values(DYADIC_EDGES))) + 2.0 * np.diff(DYADIC_EDGES)
 _U_BUDGET = 2.0 * math.pi
 # equal blocks of the t-grid, each with the rule for its largest t: the node
-# count grows linearly with t, so 8 blocks need 0.65 of the spline pairs of a
-# single rule sized for T at the default grid
+# count grows linearly with t, so 8 blocks need 0.81 of the spline pairs of a
+# single rule sized for T at the default grid (0.65 at T = 200)
 _T_BLOCKS = 8
 # no block's rule is sized below t = 25: there the spline pieces of phi's
 # bulk, not the phase, set the error.  At T = 50 with 1024 points the rule
 # for t = 6.25 misses the fixed point's map by 9e-10, the one for t = 25 by
-# 2.3e-11 (the rule for T: 2.7e-12); T/8 is 25 at the default T = 200
+# 2.3e-11 (the rule for T: 2.7e-12); on the default grid the first four
+# blocks share the t = 25 rule
 _T_RULE_FLOOR = 25.0
 
 

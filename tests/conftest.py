@@ -1,11 +1,11 @@
 """Shared fixtures.
 
-The characteristic-function fixed point is the one genuinely expensive
-artifact (13 map evaluations, 8-9 s on a busy 2-core Xeon), so everything
-downstream of it is computed once per session through `build_artifacts` and
-shared.  Acceptance tests append their CriterionResult records to a session
-list; the terminal summary reprints them as one PASS/FAIL line each at the
-end of the run.
+The characteristic-function fixed point is the most expensive shared
+artifact (13 map evaluations, about 1.4 s on a busy 2-core Xeon), so
+everything downstream of it is computed once per session through
+`build_artifacts` and shared.  Acceptance tests append their CriterionResult
+records to a session list; the terminal summary reprints them as one
+PASS/FAIL line each at the end of the run.
 """
 
 import pytest

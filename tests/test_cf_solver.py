@@ -8,6 +8,8 @@ import pytest
 from qslimit import cf_solver
 from qslimit.cf_bounds import vdc_cf
 from qslimit.cf_solver import (
+    CF_GRID_SIZE,
+    CF_T_MAX,
     CfGrid,
     cf_map,
     init_gaussian_cf,
@@ -25,7 +27,7 @@ from qslimit.core_numerics import (
 from qslimit.moments import VARIANCE
 
 
-def uniform_cf(t_max=200.0, n=4096):
+def uniform_cf(t_max=CF_T_MAX, n=CF_GRID_SIZE):
     """Variance-matched uniform start sin(a t)/(a t), a = sqrt(3 Var Y); its 1/t decay
     shows the iteration forgets its start and the inversion refuses fat tails."""
     ts = np.linspace(0.0, t_max, n)
@@ -183,6 +185,17 @@ def test_both_starts_land_on_the_same_fixed_point(cf_fixed):
     assert iters_u <= 200
     assert history_u[-1] < 1e-8
     assert np.max(np.abs(phi_u.values - phi_g.values)) < 1e-6
+
+
+def test_the_default_grid_drops_only_the_float_floor(cf_fixed):
+    # the same dt on twice the span: (M phi)(t) reads phi on [0, t] alone, so the
+    # longer solve adds only values below 1e-17 and moves none of the shared ones
+    phi, _, _ = cf_fixed
+    longer, _, _ = iterate_cf(init_gaussian_cf(t_max=2 * CF_T_MAX, n=2 * CF_GRID_SIZE - 1))
+    assert longer.dx == phi.dx
+    assert np.max(np.abs(longer.values[:phi.n] - phi.values)) <= 1e-15
+    assert np.max(np.abs(longer.values[phi.n:])) <= 1e-17
+    assert np.max(np.abs(invert_cf(longer).values - invert_cf(phi).values)) <= 1e-15
 
 
 def test_inversion_is_a_density(cf_fixed):

@@ -117,6 +117,20 @@ def test_invert_csv(tmp_path):
     assert len(lines) == 2 + 2001
 
 
+def test_invert_derivative_order_limit_at_the_defaults(tmp_path, capsys):
+    # the default grid stops at T = 50: the tail of t^k |phi| beyond it is below
+    # 1e-6 up to k = 4, and k = 5 is refused with one line
+    out_path = tmp_path / "f4.csv"
+    assert main(["--output", str(out_path), "invert", "--k", "4"]) == 0
+    assert _read(out_path).startswith("# k=4\nx,fk\n")
+    capsys.readouterr()
+    assert main(["--output", str(tmp_path / "f5.csv"), "invert", "--k", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: truncation tail estimate") and "for k=5" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "f5.csv").exists()
+
+
 def test_density_json_and_convergence_file(tmp_path, capsys):
     conv_path = tmp_path / "conv.json"
     rc = main(["density", "--json", "--convergence", str(conv_path)])

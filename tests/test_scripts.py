@@ -81,9 +81,9 @@ def test_run_simulation_rejects_a_non_uniform_cdf(tmp_path):
                                  "--ref-cdf", str(cdf_path)])
 
 
-def test_compare_routes_quick(tmp_path, capsys):
+def test_compare_routes(tmp_path, capsys):
     csv_path = tmp_path / "routes.csv"
-    assert _main("compare_routes")(["--quick", "--csv", str(csv_path)]) == 0
+    assert _main("compare_routes")(["--csv", str(csv_path)]) == 0
     out = capsys.readouterr().out
     a = re.search(r"^route A \(density map\): (\d+) sweeps, last diff (\S+), ", out, re.M)
     b = re.search(r"^route B \(cf \+ inversion\): (\d+) sweeps, last diff (\S+), ", out, re.M)
