@@ -330,7 +330,7 @@ def make_envelope(chain: BoundChain, use_log: bool = False) -> PiecewiseEnvelope
     return PiecewiseEnvelope(tuple(out))
 
 
-# break points on [eps, 1-eps], to which each call adds its stationary point
+# break points on [0, 1], to which each call adds its stationary point
 _VDC_EDGES = np.concatenate([DYADIC_EDGES, 1.0 - DYADIC_EDGES[-2::-1]])
 _VDC_BUDGET = 3.0 * math.pi  # phase per panel
 
@@ -338,12 +338,12 @@ _VDC_BUDGET = 3.0 * math.pi  # phase per panel
 def vdc_cf(y: float, z: float, t: float, abs_tol: float = 1e-10) -> complex:
     """The oscillatory integral behind the van der Corput rung.
 
-    Computes int_0^1 exp(i t h(y, z, u)) du on [eps, 1-eps]; the trimmed
-    slivers add at most 2*eps in modulus.  The rule is fixed: `panel_rule`
-    on intervals graded by 4 toward both ends, cut at the stationary point
-    u* = 1/(1 + e^{(y-z)/2}) so that t |dh| is each interval's exact phase,
-    at most 3 pi per panel.  The rule with every panel halved must agree to
-    `abs_tol`, else QuadratureError; its value is returned.  The
+    Computes int_0^1 exp(i t h(y, z, u)) du on all of [0, 1], with no
+    trimmed sliver.  The rule is fixed: `panel_rule` on intervals graded by
+    4 toward both ends, cut at the stationary point u* = 1/(1 + e^{(y-z)/2})
+    so that t |dh| is each interval's exact phase, at most 3 pi per panel.
+    The rule with every panel halved must agree to `abs_tol`, else
+    QuadratureError; its value is returned.  The
     stationary-phase mechanism caps the modulus at 2 t^{-1/2} for every real
     y, z.  Raises ValueError for a non-finite y, z or t, for t <= 0, and,
     before allocating it, for a rule over MAX_GRID_POINTS nodes (from t of
@@ -357,9 +357,11 @@ def vdc_cf(y: float, z: float, t: float, abs_tol: float = 1e-10) -> complex:
     d = 0.5 * (y - z)
     e = math.exp(-abs(d))
     u_star = e / (1.0 + e) if d > 0.0 else 1.0 / (1.0 + e)
-    edges = np.unique(np.append(_VDC_EDGES, min(max(u_star, _VDC_EDGES[0]), _VDC_EDGES[-1])))
+    # a u* within 4^-9 of an end stays uncut (a cut a few ulps below 1 would put
+    # its panel's nodes on u = 1); h is read at the edges clipped into (0, 1)
+    edges = np.unique(np.append(_VDC_EDGES, min(max(u_star, _VDC_EDGES[1]), _VDC_EDGES[-2])))
     with np.errstate(over="ignore"):  # an infinite phase is refused by the node cap
-        phase = t * np.abs(np.diff(h_values(y, z, edges)))
+        phase = t * np.abs(np.diff(h_values(y, z, np.clip(edges, 1e-300, 1.0 - 2.0**-53))))
     # the doubled rule first: it is the larger, so the cap is met before any allocation
     rules = [panel_rule(edges, phase, _VDC_BUDGET, refine) for refine in (2, 1)]
     # each sum in reals, over cos and sin of the phase: cheaper than a complex np.exp

@@ -18,15 +18,16 @@ formula
 
 The u-integral is evaluated with `core_numerics.panel_rule`, a composite
 Gauss-Legendre rule whose panels follow the oscillation budget of the phase
-t g(u) (graded by 4 toward the endpoint, phase-equidistributed in the middle).
-Each of 8 equal blocks of t gets the rule sized for its own largest t.  Along
-a block the phase exp(i t g(u)) is stepped from one grid point to the next by
-the factor exp(i dt g(u)), with np.exp called afresh at the start of each
-chunk of work.  Every sweep is cross-validated against each block's doubled
-rule at a spread of grid points and at the last t of every block, where its
-rule is coarsest, so a too-coarse rule raises instead of silently converging
-to the wrong fixed point; the check evaluates its t's one at a time, with the
-phase from np.exp, so it shares no step of the recurrence.
+t g(u) (graded by 4 toward u = 0, phase-equidistributed in the middle).  The
+grid points with t in (25(k-1), 25k] share the rule sized for t = 25k (t = 0
+joins the first block), so the rule at t depends on t alone, not on the
+grid's T.  Along a block the phase exp(i t g(u)) is stepped from one grid
+point to the next by the factor exp(i dt g(u)), with np.exp called afresh at
+the start of each chunk of work.  Every sweep is cross-validated against each
+block's doubled rule at a spread of grid points and at the last t of every
+block, where its rule is coarsest, so a too-coarse rule raises instead of
+silently converging to the wrong fixed point; the check evaluates its t's one
+at a time, with the phase from np.exp, so it shares no step of the recurrence.
 
 The fixed point is solved by Anderson(5) mixing in the shared driver
 `core_numerics.fixed_point`: real coefficients summing to 1 combine the last
@@ -90,7 +91,7 @@ CF_T_MAX = (CF_GRID_SIZE - 1) * (200.0 / 4095)
 CF_ABS_TOL = 1e-9
 
 # cap on the spline-pair evaluations of one sweep (u-nodes x t-points, summed
-# over the blocks): 129x the default grid's 0.52M, 16x the 4.1M of 4096 points
+# over the blocks): 170x the default grid's 0.39M, 20x the 3.4M of 4096 points
 # on [0, 200]; past it a single sweep would run for minutes
 _MAX_SWEEP_PAIRS = 2**26
 # spline pairs per chunk of _quad_values: a 4 MiB complex array each for the
@@ -118,8 +119,11 @@ def init_gaussian_cf(t_max: float = CF_T_MAX, n: int = CF_GRID_SIZE) -> CfGrid:
     """Mean-zero Gaussian seed with the limit law's variance 7 - 2 pi^2/3."""
     if not 2 <= n <= MAX_GRID_POINTS:
         raise ValueError(f"a CF grid needs 2 to {MAX_GRID_POINTS} points, got {n}")
+    if not (t_max > 0.0 and math.isfinite(t_max)):
+        raise ValueError(f"a CF grid needs a finite t_max > 0, got {t_max}")
     ts = np.linspace(0.0, t_max, n)
-    return CfGrid(0.0, t_max / (n - 1), np.exp(-0.5 * VARIANCE * ts**2) + 0.0j)
+    with np.errstate(over="ignore"):  # t**2 is inf past 1.3e154, where exp gives 0 anyway
+        return CfGrid(0.0, t_max / (n - 1), np.exp(-0.5 * VARIANCE * ts**2) + 0.0j)
 
 
 # grid points reflected through t = 0 (conjugate symmetry) before splining;
@@ -127,21 +131,17 @@ def init_gaussian_cf(t_max: float = CF_T_MAX, n: int = CF_GRID_SIZE) -> CfGrid:
 # error that the map recycles at small t instead of contracting
 _REFLECT = 8
 
-# The u-rule of the folded map on (eps, 1/2]: per unit of t, interval i
+# The u-rule of the folded map on [0, 1/2]: per unit of t, interval i
 # carries the toll's phase |dg| plus a phase of du for each of the two
-# interpolated factors, and every panel at most 2 pi of their sum.
-_U_PHASE = np.abs(np.diff(g_values(DYADIC_EDGES))) + 2.0 * np.diff(DYADIC_EDGES)
+# interpolated factors, and every panel at most 2 pi of their sum.  The edge
+# u = 0 is read at 1e-300, where g rounds to its limit 1.
+_U_PHASE = (np.abs(np.diff(g_values(np.maximum(DYADIC_EDGES, 1e-300))))
+            + 2.0 * np.diff(DYADIC_EDGES))
 _U_BUDGET = 2.0 * math.pi
-# equal blocks of the t-grid, each with the rule for its largest t: the node
-# count grows linearly with t, so 8 blocks need 0.81 of the spline pairs of a
-# single rule sized for T at the default grid (0.65 at T = 200)
-_T_BLOCKS = 8
-# no block's rule is sized below t = 25: there the spline pieces of phi's
-# bulk, not the phase, set the error.  At T = 50 with 1024 points the rule
-# for t = 6.25 misses the fixed point's map by 9e-10, the one for t = 25 by
-# 2.3e-11 (the rule for T: 2.7e-12); on the default grid the first four
-# blocks share the t = 25 rule
-_T_RULE_FLOOR = 25.0
+# t-blocks of this width share the rule for their right end; below t = 25 the
+# spline pieces of phi's bulk, not the phase, set the error (at T = 50 with
+# 1024 points the rule for t = 6.25 misses the fixed point's map by 9e-10)
+_T_BLOCK = 25.0
 
 
 def _cf_spline(ts: np.ndarray, values: np.ndarray) -> CubicSpline:
@@ -195,23 +195,24 @@ def _onto_disk(values: np.ndarray) -> np.ndarray:
 def cf_map(phi: CfGrid) -> CfGrid:
     """One application of the fixed-point map M on the grid.
 
-    The grid is cut into 8 equal blocks of t, each integrated with the
-    u-rule sized for its largest t (or for t = 25, if that is larger).  The
-    value at t = 0 is pinned to 1 exactly.  Moduli may overshoot 1 by at most
-    the quadrature tolerance; anything above 1e-9 is an error, smaller
-    overshoots are clamped back to the unit disk.  Raises ValueError, before
-    any rule is built, if a rule would need more than MAX_GRID_POINTS nodes
-    or the sweep more than _MAX_SWEEP_PAIRS spline pairs.
+    The grid points with t in (25(k-1), 25k] share the u-rule sized for
+    t = 25k (t = 0 joins the first block).  The value at t = 0 is pinned to 1
+    exactly.  Moduli may overshoot 1 by at most the quadrature tolerance;
+    anything above 1e-9 is an error, smaller overshoots are clamped back to
+    the unit disk.  Raises ValueError, before any rule is built, if a rule
+    would need more than MAX_GRID_POINTS nodes or the sweep more than
+    _MAX_SWEEP_PAIRS spline pairs.
     """
     ts = phi.xs
-    ends = np.unique(np.linspace(0, ts.size, _T_BLOCKS + 1).astype(int))
-    tops = np.maximum(ts[ends[1:] - 1], _T_RULE_FLOOR)
+    blocks = np.maximum(np.ceil(ts / _T_BLOCK), 1.0)
+    ends = np.concatenate([[0], np.flatnonzero(np.diff(blocks)) + 1, [ts.size]])
+    tops = _T_BLOCK * blocks[ends[1:] - 1]
     # every rule is sized, and so checked against the caps, before any is built:
     # panel_counts refuses a doubled rule over MAX_GRID_POINTS nodes, and each
-    # block's rule has half the nodes of its doubled rule
+    # block's rule has half the nodes of its doubled rule; the last, largest first
     nodes = [PANEL_ORDER * int(panel_counts(top * _U_PHASE, _U_BUDGET, refine=2).sum()) // 2
-             for top in tops]
-    pairs = int(np.dot(nodes, np.diff(ends)))
+             for top in tops[::-1]]
+    pairs = int(np.dot(nodes, np.diff(ends)[::-1]))
     if pairs > _MAX_SWEEP_PAIRS:
         raise ValueError(f"the u-rules for t_max={phi.x_max} need {pairs} spline pairs "
                          f"per sweep, over the cap of {_MAX_SWEEP_PAIRS}")

@@ -28,7 +28,6 @@ __all__ = [
     "QuadratureError",
     "IterationError",
     "fixed_point",
-    "ENDPOINT_EPS",
     "MAX_GRID_POINTS",
     "integrate",
     "DYADIC_EDGES",
@@ -38,12 +37,6 @@ __all__ = [
     "g_values",
     "h_values",
 ]
-
-# The phase-adapted u-rules (on DYADIC_EDGES: cf_map's and vdc_cf's) integrate
-# on [eps, 1-eps]; the discarded slivers are bounded analytically by the
-# callers (for a bounded integrand the loss is <= 2e-12).  `integrate` needs
-# no trim: its Kronrod nodes are interior to every panel.
-ENDPOINT_EPS = 1e-12
 
 # Cap on the points of a grid built from user sizes; the defaults need <= 10,001.
 MAX_GRID_POINTS = 2**20
@@ -270,11 +263,12 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10):
 PANEL_ORDER = 16
 _PANEL_NODES, _PANEL_WEIGHTS = leggauss(PANEL_ORDER)
 
-# Break points on [ENDPOINT_EPS, 1/2]: graded by 4 toward 0, where g' is
-# log-singular, up to eps * 4**17 = 0.017, then octaves from 1/32 to 1/2.  On
-# [a, 4a] the u ln u singularity leaves 16-point Gauss-Legendre a Bernstein
-# ellipse of rho = 3, a relative error of about 3**-32 = 5e-16.
-DYADIC_EDGES = np.concatenate([ENDPOINT_EPS * 4.0 ** np.arange(18),
+# Break points on [0, 1/2]: graded by 4 toward 0, where g' is log-singular, from
+# 4**-9 to 4**-3, then octaves from 1/32 to 1/2.  On [a, 4a] the u ln u
+# singularity leaves 16-point Gauss-Legendre a Bernstein ellipse of rho = 3, a
+# relative error of about 3**-32 = 5e-16; the one panel on [0, 4**-9] costs
+# about 1e-16 t in exp(i t g(u)).  g_values is NaN at u = 0 and 1 (g = 1 there).
+DYADIC_EDGES = np.concatenate([[0.0], 4.0 ** np.arange(-9, -2),
                                [1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0, 1.0 / 2.0]])
 DYADIC_EDGES.flags.writeable = False
 

@@ -18,7 +18,6 @@ from qslimit.cf_solver import (
 )
 from qslimit.cli import _csv, main
 from qslimit.core_numerics import (
-    ENDPOINT_EPS,
     IterationError,
     fixed_point,
     g_values,
@@ -98,7 +97,7 @@ def test_self_check_covers_the_last_t_of_every_block(monkeypatch):
     cf_map(init_gaussian_cf(t_max=50.0, n=1024))
     # per block: its sweep, then each of its check points alone under the doubled rule
     sweeps = [i for i, (t_sel, _) in enumerate(calls) if t_sel.size > 1]
-    assert len(sweeps) == cf_solver._T_BLOCKS
+    assert len(sweeps) == math.ceil(50.0 / cf_solver._T_BLOCK)
     for start, stop in zip(sweeps, sweeps[1:] + [len(calls)]):
         t_block, nodes = calls[start]
         checks = calls[start + 1:stop]
@@ -107,29 +106,50 @@ def test_self_check_covers_the_last_t_of_every_block(monkeypatch):
 
 
 def test_u_rule_on_the_graded_ladder():
-    # one panel on each interval up to 1/32, then 2, 2, 3 and 4 on the octaves to 1/2
-    assert cf_solver._u_rule(25.0)[0].size == 464
+    # one panel on each of the 8 intervals from 0 to 1/32, then 2, 2, 3 and 4 on
+    # the octaves to 1/2
+    assert cf_solver._u_rule(25.0)[0].size == 304
+
+
+def test_no_sliver_is_trimmed():
+    # both u-rules run from u = 0: the CF rule's weights sum to the length of
+    # [0, 1], and the van der Corput integral of a constant phase is 1
+    for t in (25.0, 50.0, 200.0):
+        for refine in (1, 2):
+            assert abs(cf_solver._u_rule(t, refine)[1].sum() - 1.0) <= 1e-15
+    assert abs(vdc_cf(0.0, 0.0, 1e-9) - 1.0) <= 1e-15
+
+
+def test_the_rule_at_t_does_not_depend_on_the_grid_length():
+    # one sweep on [0, T] and on [0, 2T] at the same dt; (M phi)(t) reads phi on
+    # [0, t] only, and the rule at t is sized by t, so the values agree away from
+    # the end (at t = T the spline's end condition alone leaves 1.8e-12)
+    short = uniform_cf()
+    long = uniform_cf(t_max=2.0 * CF_T_MAX, n=2 * CF_GRID_SIZE - 1)
+    assert long.dx == short.dx
+    inner = short.xs <= short.x_max - 1.0
+    gap = cf_map(short).values[inner] - cf_map(long).values[:short.n][inner]
+    assert np.max(np.abs(gap)) <= 1e-15
 
 
 def test_map_matches_a_refined_reference_at_every_t():
     # the self-check samples about 16 t's; compare every t against a reference
     # that shares neither the ladder, the panels nor the phase recurrence: the
-    # ladder graded by 2, each block's rule refined 4x, the phase by np.exp
+    # ladder graded by 2 down to 0, the rule for T refined 4x, the phase by np.exp
     phi = init_gaussian_cf(t_max=50.0, n=1024)
     for _ in range(8):
         phi = cf_map(phi)
     mapped = cf_map(phi).values
-    edges = np.concatenate([ENDPOINT_EPS * 2.0 ** np.arange(35), 2.0 ** -np.arange(5, 0, -1)])
-    u_phase = np.abs(np.diff(g_values(edges))) + 2.0 * np.diff(edges)
+    edges = np.concatenate([[0.0], 2.0 ** -np.arange(30, 0, -1)])
+    u_phase = (np.abs(np.diff(g_values(np.maximum(edges, 1e-300))))
+               + 2.0 * np.diff(edges))
     spline = cf_solver._cf_spline(phi.xs, phi.values)
-    ends = np.unique(np.linspace(0, phi.n, cf_solver._T_BLOCKS + 1).astype(int))
+    u, w = panel_rule(edges, phi.x_max * u_phase, 2.0 * math.pi, refine=4)
     ref = np.empty(phi.n, dtype=complex)
-    for lo, hi in zip(ends, ends[1:]):
-        top = max(phi.xs[hi - 1], cf_solver._T_RULE_FLOOR)
-        u, w = panel_rule(edges, top * u_phase, 2.0 * math.pi, refine=4)
-        t = phi.xs[lo:hi]
-        ref[lo:hi] = 2.0 * w @ (spline(np.outer(u, t)) * spline(np.outer(1.0 - u, t))
-                                * np.exp(1j * np.outer(g_values(u), t)))
+    for lo in range(0, phi.n, 128):
+        t = phi.xs[lo:lo + 128]
+        ref[lo:lo + 128] = 2.0 * w @ (spline(np.outer(u, t)) * spline(np.outer(1.0 - u, t))
+                                      * np.exp(1j * np.outer(g_values(u), t)))
     assert np.max(np.abs(mapped[1:] - ref[1:])) <= 5e-11
 
 

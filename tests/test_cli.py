@@ -302,7 +302,12 @@ def test_sizing_flags_never_escape_as_tracebacks(argv):
     ["invert", "--t-max", "30", "--grid-size", "256", "--tol", "1e-6", "--k", "300"],
     ["invert", "--k", "-1"],
     ["moments", "--max-k", "100000"],
+    ["phi", "--t-max", "inf"],
+    ["invert", "--t-max", "inf"],
+    ["phi", "--t-max", "1e300"],
+    ["invert", "--t-max", "1e300"],
 ])
+@pytest.mark.filterwarnings("error")  # a warning before the error line fails too
 def test_bad_sizes_exit_one(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err

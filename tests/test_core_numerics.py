@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 from qslimit.core_numerics import (
     DYADIC_EDGES,
-    ENDPOINT_EPS,
     MAX_GRID_POINTS,
     PANEL_ORDER,
     Grid,
@@ -92,13 +91,17 @@ def test_panel_rule_checks_its_cap_before_allocating():
 def test_graded_ladder_resolves_the_log_singularity():
     # one panel per interval: the ladder alone carries 2u ln u to 1e-15
     u, w = panel_rule(DYADIC_EDGES, np.zeros(DYADIC_EDGES.size - 1), 1.0)
-    assert DYADIC_EDGES[0] == ENDPOINT_EPS and DYADIC_EDGES[-1] == 0.5
+    assert DYADIC_EDGES[0] == 0.0 and DYADIC_EDGES[-1] == 0.5
     f = 2.0 * u * np.log(u)
     assert abs(w @ f - (0.25 * math.log(0.5) - 0.125)) <= 1e-15
-    # and each interval to 2e-15 relative (graded by 8, not 4, it is 8e-15)
-    antiderivative = DYADIC_EDGES**2 * (np.log(DYADIC_EDGES) - 0.5)
+    # each interval from [4^-9, 4^-8] up to 2e-15 relative (graded by 8, not 4,
+    # it is 8e-15), and the end panel [0, 4^-9] to 2e-16 absolute
+    inner = DYADIC_EDGES[1:]
+    antiderivative = np.concatenate([[0.0], inner**2 * (np.log(inner) - 0.5)])
     per_interval = (w * f).reshape(-1, PANEL_ORDER).sum(axis=1)
-    assert np.max(np.abs(per_interval / np.diff(antiderivative) - 1.0)) <= 2e-15
+    exact = np.diff(antiderivative)
+    assert abs(per_interval[0] - exact[0]) <= 2e-16
+    assert np.max(np.abs(per_interval[1:] / exact[1:] - 1.0)) <= 2e-15
 
 
 def test_g_reference_values():
