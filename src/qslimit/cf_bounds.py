@@ -279,9 +279,10 @@ def _bisect_crossing(f, lo: float, hi: float) -> float:
     flo = f(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if f(mid) == 0.0 or (hi - lo) <= 1e-12 * mid:
+        fmid = f(mid)
+        if fmid == 0.0 or (hi - lo) <= 1e-12 * mid:
             return mid
-        if (f(mid) > 0.0) == (flo > 0.0):
+        if (fmid > 0.0) == (flo > 0.0):
             lo = mid
         else:
             hi = mid
@@ -307,8 +308,7 @@ def make_envelope(chain: BoundChain, use_log: bool = False) -> PiecewiseEnvelope
         return LOG_BOUND.evaluate(t) - plain.evaluate(t)
 
     # scan for the dominance window of the log bound on a log-spaced mesh
-    t_hi_scan = 100.0 * pieces[-1][0] if math.isfinite(pieces[-1][0]) else 1e6
-    ts = np.geomspace(LOG_BOUND_T_MIN, max(t_hi_scan, 1e4), 8192)
+    ts = np.geomspace(LOG_BOUND_T_MIN, max(100.0 * pieces[-1][0], 1e4), 8192)
     signs = diff(ts) < 0.0
     flips = np.nonzero(signs[1:] != signs[:-1])[0]
     if len(flips) == 0:
@@ -341,13 +341,14 @@ def vdc_cf(y: float, z: float, t: float, abs_tol: float = 1e-10) -> complex:
     Computes int_0^1 exp(i t h(y, z, u)) du on all of [0, 1], with no
     trimmed sliver.  The rule is fixed: `panel_rule` on intervals graded by
     4 toward both ends, cut at the stationary point u* = 1/(1 + e^{(y-z)/2})
-    so that t |dh| is each interval's exact phase, at most 3 pi per panel.
-    The rule with every panel halved must agree to `abs_tol`, else
-    QuadratureError; its value is returned.  The
-    stationary-phase mechanism caps the modulus at 2 t^{-1/2} for every real
-    y, z.  Raises ValueError for a non-finite y, z or t, for t <= 0, and,
-    before allocating it, for a rule over MAX_GRID_POINTS nodes (from t of
-    about 3e4 when |y - z| = 10, 1e5 when y = z).
+    wherever it falls, within ulps of an end included, so that t |dh|, read
+    at the edges themselves, is each interval's exact phase, at most 3 pi per
+    panel.  The rule with every panel halved must agree to `abs_tol`, else
+    QuadratureError; its value is returned.  The stationary-phase mechanism
+    caps the modulus at 2 t^{-1/2} for every real y, z.  Raises ValueError
+    for a non-finite y, z or t, for t <= 0, and, before allocating it, for a
+    rule over MAX_GRID_POINTS nodes (from t of about 3e4 when |y - z| = 10,
+    1e5 when y = z).
     """
     if not (math.isfinite(y) and math.isfinite(z) and math.isfinite(t) and t > 0.0):
         raise ValueError(f"vdc_cf needs finite y, z and t > 0, got y={y}, z={z}, t={t}")
@@ -357,11 +358,9 @@ def vdc_cf(y: float, z: float, t: float, abs_tol: float = 1e-10) -> complex:
     d = 0.5 * (y - z)
     e = math.exp(-abs(d))
     u_star = e / (1.0 + e) if d > 0.0 else 1.0 / (1.0 + e)
-    # a u* within 4^-9 of an end stays uncut (a cut a few ulps below 1 would put
-    # its panel's nodes on u = 1); h is read at the edges clipped into (0, 1)
-    edges = np.unique(np.append(_VDC_EDGES, min(max(u_star, _VDC_EDGES[1]), _VDC_EDGES[-2])))
+    edges = np.unique(np.append(_VDC_EDGES, u_star))
     with np.errstate(over="ignore"):  # an infinite phase is refused by the node cap
-        phase = t * np.abs(np.diff(h_values(y, z, np.clip(edges, 1e-300, 1.0 - 2.0**-53))))
+        phase = t * np.abs(np.diff(h_values(y, z, edges)))
     # the doubled rule first: it is the larger, so the cap is met before any allocation
     rules = [panel_rule(edges, phase, _VDC_BUDGET, refine) for refine in (2, 1)]
     # each sum in reals, over cos and sin of the phase: cheaper than a complex np.exp

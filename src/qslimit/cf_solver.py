@@ -133,10 +133,8 @@ _REFLECT = 8
 
 # The u-rule of the folded map on [0, 1/2]: per unit of t, interval i
 # carries the toll's phase |dg| plus a phase of du for each of the two
-# interpolated factors, and every panel at most 2 pi of their sum.  The edge
-# u = 0 is read at 1e-300, where g rounds to its limit 1.
-_U_PHASE = (np.abs(np.diff(g_values(np.maximum(DYADIC_EDGES, 1e-300))))
-            + 2.0 * np.diff(DYADIC_EDGES))
+# interpolated factors, and every panel at most 2 pi of their sum.
+_U_PHASE = np.abs(np.diff(g_values(DYADIC_EDGES))) + 2.0 * np.diff(DYADIC_EDGES)
 _U_BUDGET = 2.0 * math.pi
 # t-blocks of this width share the rule for their right end; below t = 25 the
 # spline pieces of phi's bulk, not the phase, set the error (at T = 50 with

@@ -267,7 +267,7 @@ _PANEL_NODES, _PANEL_WEIGHTS = leggauss(PANEL_ORDER)
 # 4**-9 to 4**-3, then octaves from 1/32 to 1/2.  On [a, 4a] the u ln u
 # singularity leaves 16-point Gauss-Legendre a Bernstein ellipse of rho = 3, a
 # relative error of about 3**-32 = 5e-16; the one panel on [0, 4**-9] costs
-# about 1e-16 t in exp(i t g(u)).  g_values is NaN at u = 0 and 1 (g = 1 there).
+# about 1e-16 t in exp(i t g(u)).
 DYADIC_EDGES = np.concatenate([[0.0], 4.0 ** np.arange(-9, -2),
                                [1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0, 1.0 / 2.0]])
 DYADIC_EDGES.flags.writeable = False
@@ -319,24 +319,27 @@ def panel_rule(edges, phase, budget: float, refine: int = 1):
 
 
 def g_values(u: np.ndarray) -> np.ndarray:
-    """Toll function 2u ln u + 2(1-u) ln(1-u) + 1, vectorized over u in (0, 1).
+    """Toll function 2u ln u + 2(1-u) ln(1-u) + 1, vectorized over u in [0, 1].
 
-    No endpoint or domain handling.  The two entropy terms are evaluated with
-    the smaller coordinate first, so g(u) and g(1-u) run the identical float
-    program and agree bitwise whenever u and 1-u are exact complements.
+    The smaller coordinate is clamped to at least 1e-300, so g(0) = g(1) = 1
+    exactly, and on (0, 1) the clamp changes no bit: below 1e-300 the term
+    2u ln u is far under half an ulp of 1.  The two entropy terms are
+    evaluated with the smaller coordinate first, so g(u) and g(1-u) run the
+    identical float program and agree bitwise whenever u and 1-u are exact
+    complements.
     """
     u = np.asarray(u, dtype=np.float64)
     v = 1.0 - u
-    a = np.minimum(u, v)
+    a = np.maximum(np.minimum(u, v), 1e-300)
     b = np.maximum(u, v)
     return 2.0 * a * np.log(a) + 2.0 * b * np.log(b) + 1.0
 
 
 def h_values(y: float, z: float, u: np.ndarray) -> np.ndarray:
-    """Tilted toll u*y + (1-u)*z + g(u), vectorized over u in (0, 1).
+    """Tilted toll u*y + (1-u)*z + g(u), vectorized over u in [0, 1].
 
-    Strictly convex in u (h'' = 2/(u(1-u)) >= 8), the curvature the van der
-    Corput rung rests on.
+    h(y, z, 0) = z + 1 and h(y, z, 1) = y + 1.  Strictly convex in u
+    (h'' = 2/(u(1-u)) >= 8), the curvature the van der Corput rung rests on.
     """
     u = np.asarray(u, dtype=np.float64)
     return u * y + (1.0 - u) * z + g_values(u)

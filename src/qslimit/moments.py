@@ -52,8 +52,6 @@ def g_moment(a: int, b: int, c: int) -> float:
     def integrand(u):
         return u**a * (1.0 - u) ** b * g_values(u) ** c
 
-    # g(0) = g(1) = 0 * log 0 is NaN in floats, but the Kronrod nodes are
-    # interior to every panel, so no endpoint is ever evaluated
     return integrate(integrand, 0.0, 1.0, _MOMENT_ABS_TOL)
 
 

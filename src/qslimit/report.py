@@ -26,7 +26,7 @@ from .density_solver import (
     iterate_density,
 )
 from .envelope_integrals import SUP_F1_CAP, SUP_F_CAP, maxf_theorem_check, sup_fk_bound
-from .moments import VARIANCE, pump_moments
+from .moments import pump_moments
 from .quicksort_sim import (
     chi_square_vs_exact,
     exact_mean,

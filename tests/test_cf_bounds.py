@@ -248,6 +248,8 @@ def test_vdc_decays_like_the_bound():
     (1.0, 0.0, 1e4),        # u* = 0.378 inside [1/4, 1/2], where h(1/4) - h(1/2) is small
     (15.0, -15.0, 100.0),   # u* = 3e-7, among the dyadic edges
     (800.0, -800.0, 1.0),   # e^{(y-z)/2} overflows a float; u* is below eps
+    (-73.2, 0.0, 50.0),     # u* = 1 - 2^-52: the last interval is two ulps wide
+    (-800.0, 800.0, 1.0),   # u* rounds to 1, an edge already
 ])
 def test_vdc_matches_the_adaptive_integrator(y, z, t):
     # the Gauss-Kronrod bisection shares no panel or node with the fixed rule; its

@@ -108,6 +108,10 @@ def test_g_reference_values():
     assert g_values(0.5) == pytest.approx(1.0 - 2.0 * math.log(2.0), rel=1e-15)
     quarter = 0.5 * math.log(0.25) + 1.5 * math.log(0.75) + 1.0
     assert g_values(0.25) == pytest.approx(quarter, abs=1e-12)
+    # g is continuous on the closed interval, with its limit 1 at both ends
+    with np.errstate(all="raise"):
+        assert g_values(0.0) == g_values(1.0) == 1.0
+        assert np.array_equal(h_values(0.7, -2.3, [0.0, 1.0]), [-2.3 + 1.0, 0.7 + 1.0])
 
 
 @given(st.floats(min_value=0.5, max_value=1.0 - 1e-9))
