@@ -150,6 +150,7 @@ def check_sup_bounds() -> CriterionResult:
 
 
 def check_vdc(seed: int = 2718) -> CriterionResult:
+    t0 = time.perf_counter()
     abs_tol = 1e-8
     rng = np.random.Generator(np.random.PCG64(seed))
     pairs = rng.uniform(-5.0, 5.0, size=(100, 2))
@@ -162,11 +163,12 @@ def check_vdc(seed: int = 2718) -> CriterionResult:
                 - (2.0 / math.sqrt(t) + 10.0 * abs_tol)
             worst = max(worst, margin)
             ok = ok and margin <= 0.0
+    elapsed = time.perf_counter() - t0
     return _result(
         "van-der-corput",
         [ok],
         f"|integral| <= 2 t^-1/2 for {len(pairs)} (y,z) x {ts.size} t; "
-        f"worst margin {worst:.3e}",
+        f"worst margin {worst:.3e}; {elapsed:.1f}s",
     )
 
 

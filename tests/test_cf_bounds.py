@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from qslimit.cf_bounds import (
+    _vdc_rules,
     LOG_BOUND,
     POWER_LOG,
     PURE_POWER,
@@ -231,6 +232,7 @@ def test_chain_json_shape():
 
 def test_vdc_limit_and_reference():
     assert abs(vdc_cf(0.3, -0.7, 1e-8) - 1.0) < 1e-6
+    assert abs(vdc_cf(800.0, -800.0, 1e-9) - 1.0) < 1e-6  # u* is below eps
     # frozen oracle: midpoint Riemann sum with 10^6 panels at (0, 0, 1)
     brute = 0.9321000840299419 - 0.007446934093068135j
     assert abs(vdc_cf(0.0, 0.0, 1.0) - brute) < 1e-6
@@ -262,11 +264,37 @@ def test_vdc_matches_the_adaptive_integrator(y, z, t):
 @pytest.mark.parametrize("y, z, t", [
     (math.nan, 0.0, 1.0), (0.0, math.inf, 1.0), (0.0, 0.0, math.inf),
     (0.0, 0.0, math.nan), (0.0, 0.0, -1.0),
-    (0.0, 0.0, 1e8),        # a rule of about 1e9 nodes, over the cap
+    (0.0, 0.0, 1e20),       # a rule of about 4e7 nodes, over the cap
 ])
 def test_vdc_rejects_bad_input_at_once(y, z, t):
     with pytest.raises(ValueError):
         vdc_cf(y, z, t)
+
+
+@pytest.mark.parametrize("t", [1e6, 1e8])
+@pytest.mark.parametrize("y, z", [(0.0, 0.0), (5.0, -5.0), (-5.0, 5.0)])
+def test_vdc_at_large_t_is_its_stationary_phase_term(y, z, t):
+    value = vdc_cf(y, z, t)
+    assert abs(value) <= 2.0 / math.sqrt(t)
+    # the stationary point's term e^{i(t h(u*) + pi/4)} sqrt(2 pi / (t h''(u*)));
+    # the ends add O(1/t)
+    u_star = 1.0 / (1.0 + math.exp((y - z) / 2.0))
+    curvature = 2.0 / (u_star * (1.0 - u_star))
+    phase = t * float(h_values(y, z, u_star)) + math.pi / 4.0
+    term = complex(math.cos(phase), math.sin(phase)) * math.sqrt(2.0 * math.pi / (t * curvature))
+    assert abs(value - term) <= 0.2 / t
+
+
+@pytest.mark.parametrize("y, z", [
+    (0.0, 0.0), (5.0, -5.0), (10.0, 0.0), (2.5, -2.5),
+    (40.0, -40.0),          # u* = 4e-18, below eps
+])
+def test_vdc_node_count_does_not_grow_with_t(y, z):
+    def nodes(t):
+        return _vdc_rules(y, z, t)[1][0].size
+    # a rule whose node count grew like t would need about 1e3 and 1e7 times more
+    assert nodes(1e4) <= 3 * nodes(10.0)
+    assert nodes(1e8) <= 3 * nodes(10.0)
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0),

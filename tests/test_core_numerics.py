@@ -14,6 +14,7 @@ from qslimit.core_numerics import (
     QuadratureError,
     fixed_point,
     g_values,
+    h_complex,
     h_values,
     integrate,
     panel_rule,
@@ -78,6 +79,16 @@ def test_panel_rule_splits_each_interval_by_its_phase():
     assert w2 @ np.exp(5j * u2) == pytest.approx((np.exp(15j) - 1.0) / 5j, abs=1e-14)
 
 
+def test_panel_rule_along_a_complex_path():
+    # 0 -> -i/2 -> 1 - i/2 -> 1: the weights carry du, so a polynomial
+    # integrates to its exact value whatever the path
+    edges = np.array([0.0, -0.5j, 1.0 - 0.5j, 1.0])
+    u, w = panel_rule(edges, [1.0, 4.0, 1.0], 1.0)
+    assert u.size == PANEL_ORDER * 6 and np.iscomplexobj(w)
+    assert w.sum() == pytest.approx(1.0, abs=1e-15)
+    assert w @ u**5 == pytest.approx(1.0 / 6.0, abs=1e-15)
+
+
 def test_panel_rule_checks_its_cap_before_allocating():
     edges = [0.0, 1.0]
     top = MAX_GRID_POINTS // PANEL_ORDER  # panels of the largest rule allowed
@@ -126,6 +137,24 @@ def test_g_symmetry_everywhere(u):
     # below 1/2 the complement itself rounds, so exact equality is only
     # guaranteed up to that one rounding
     assert g_values(u) == pytest.approx(g_values(1.0 - u), abs=1e-14)
+
+
+@pytest.mark.parametrize("y, z", [(0.0, 0.0), (3.0, -2.0), (-1.5, 4.0), (5.0, 5.0)])
+def test_complex_h_is_h_on_the_real_interval(y, z):
+    us = np.linspace(0.0, 1.0, 10_001)[1:-1]
+    real = h_values(y, z, us)
+    continued = h_complex(y, z, us)
+    assert np.all(continued.imag == 0.0)
+    assert np.max(np.abs(continued.real / real - 1.0)) <= 1e-15
+    # both entropy terms vanish exactly at their zero, with no warning
+    with np.errstate(all="raise"):
+        assert np.array_equal(h_complex(y, z, [0.0, 1.0]), [z + 1.0, y + 1.0])
+
+
+def test_complex_h_is_conjugate_symmetric():
+    rng = np.random.Generator(np.random.PCG64(5))
+    p = rng.uniform(-1.0, 2.0, 1000) + 1j * rng.uniform(-1.0, 1.0, 1000)
+    assert np.array_equal(h_complex(1.3, -0.4, np.conj(p)), np.conj(h_complex(1.3, -0.4, p)))
 
 
 def test_h_reduces_to_g_on_the_diagonal():
