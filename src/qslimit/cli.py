@@ -1,4 +1,9 @@
-"""Command-line front end: every pipeline as a subcommand emitting CSV/JSON.
+"""Command-line front end: one subcommand per artifact, emitting CSV/JSON.
+
+`bounds` prints the decay chain, its envelope and the sup f / sup f' bounds
+the envelope integrates to; `phi` and `invert` the CF fixed point and its
+inversion; `density` and `cdf` the density fixed point; `simulate`,
+`moments` and `report` a sample, the pumped moments and the acceptance gates.
 
 All output is deterministic given the flags and --seed: JSON is pretty-printed
 with sorted keys, CSV numbers use %.17g, and every random stream is a PCG64
@@ -13,14 +18,12 @@ import json
 import os
 import sys
 import warnings
-from functools import partial
 
 import numpy as np
 
 from .cf_bounds import build_chain, make_envelope
 from .cf_solver import (
     CF_GRID_SIZE,
-    CF_MAX_ITER,
     CF_T_MAX,
     CF_TOL,
     init_gaussian_cf,
@@ -29,10 +32,8 @@ from .cf_solver import (
 )
 from .core_numerics import Grid, IterationError, QuadratureError
 from .density_solver import (
-    DENSITY_MAX_ITER,
     DENSITY_TOL,
     DENSITY_DX,
-    DENSITY_U_NODES,
     DENSITY_X_MAX,
     DENSITY_X_MIN,
     cdf,
@@ -44,7 +45,7 @@ from .density_solver import (
 from .envelope_integrals import SUP_F1_CAP, SUP_F_CAP, sup_fk_bound
 from .moments import abs_moment_bounds, pump_moments
 from .quicksort_sim import simulate
-from .report import REPORT_SAMPLES, REPORT_SEED, run_acceptance
+from .report import REPORT_SEED, run_acceptance
 
 __all__ = ["main"]
 
@@ -70,7 +71,6 @@ def _emit(args, text: str) -> None:
 def _cf_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-max", type=float, default=CF_T_MAX)
     p.add_argument("--grid-size", type=int, default=CF_GRID_SIZE)
-    p.add_argument("--iters", type=int, default=CF_MAX_ITER)
     p.add_argument("--tol", type=float, default=CF_TOL)
 
 
@@ -82,30 +82,39 @@ def _x_grid_args(p: argparse.ArgumentParser) -> None:
 
 def _density_args(p: argparse.ArgumentParser) -> None:
     _x_grid_args(p)
-    p.add_argument("--iters", type=int, default=DENSITY_MAX_ITER)
     p.add_argument("--tol", type=float, default=DENSITY_TOL)
-    p.add_argument("--u-nodes", type=int, default=DENSITY_U_NODES)
     p.add_argument("--init", choices=["gaussian", "uniform"], default="gaussian")
 
 
 def _iterate_cf_from(args):
     init = init_gaussian_cf(t_max=args.t_max, n=args.grid_size)
-    return iterate_cf(init, max_iter=args.iters, tol=args.tol)
+    return iterate_cf(init, tol=args.tol)
 
 
 def _iterate_density_from(args):
     make = gaussian_density if args.init == "gaussian" else uniform_density
     f0 = make(x_min=args.x_min, x_max=args.x_max, dx=args.dx)
-    return iterate_density(f0, max_iter=args.iters, tol=args.tol,
-                           u_nodes=args.u_nodes)
+    return iterate_density(f0, tol=args.tol)
+
+
+def _sup_bounds(env) -> list:
+    """sup |f^(k)| for each k in {0, 1} whose envelope integral converges, with its cap."""
+    rows = []
+    for k, cap in ((0, SUP_F_CAP), (1, SUP_F1_CAP)):
+        if env.pieces[-1][2].p > k + 1.0:
+            bound = sup_fk_bound(env, k)
+            rows.append({"k": k, "bound": bound, "cap": cap,
+                         "verdict": "PASS" if bound < cap else "FAIL"})
+    return rows
 
 
 def _cmd_bounds(args) -> int:
     chain = build_chain(args.max_p)
     env = make_envelope(chain, use_log=args.log)
+    sup = _sup_bounds(env)
     if args.json:
         _emit(args, _dump_json({"chain": chain.to_json(),
-                                "envelope": env.to_json()}))
+                                "envelope": env.to_json(), "sup": sup}))
         return 0
     lines = ["p          c                    ceiling              provenance"]
     for row in chain.to_json():
@@ -116,22 +125,14 @@ def _cmd_bounds(args) -> int:
     for piece in env.to_json():
         lines.append(f"  [{piece['t_lo']:.10g}, {piece['t_hi']}] "
                      f"{piece['form']} p={piece['p']:g} c={piece['c']:.10g}")
+    if sup:
+        lines.append("")
+    for row in sup:
+        f = "f" + "'" * row["k"]
+        lines.append(f"sup {f} <= {row['bound']:.10g}  "
+                     f"(max {f} < {row['cap']:g}: {row['verdict']})")
     _emit(args, "\n".join(lines) + "\n")
     return 0
-
-
-def _cmd_sup(args, k: int, cap: float) -> int:
-    env = make_envelope(build_chain(4.5 if args.with_9_2 else 3.5), use_log=args.trick)
-    val = sup_fk_bound(env, k)
-    verdict = "PASS" if val < cap else "FAIL"
-    if args.json:
-        _emit(args, _dump_json({"k": k, "bound": val, "cap": cap,
-                                "trick": args.trick, "with_9_2": args.with_9_2,
-                                "verdict": verdict}))
-    else:
-        f = "f" + "'" * k
-        _emit(args, f"sup {f} <= {val:.10g}\nmax {f} < {cap:g}: {verdict}\n")
-    return 0 if verdict == "PASS" else 1
 
 
 def _cmd_phi(args) -> int:
@@ -158,10 +159,7 @@ def _cmd_density(args) -> int:
     if args.convergence is not None:
         with open(args.convergence, "w") as fh:
             fh.write(_dump_json(convergence_report(dens, hist)))
-    if args.json:
-        _emit(args, _dump_json(convergence_report(dens, hist)))
-    else:
-        _emit(args, _csv(["x,f"], dens.xs, dens.values))
+    _emit(args, _csv(["x,f"], dens.xs, dens.values))
     return 0
 
 
@@ -214,7 +212,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    results = run_acceptance(seed=args.seed, samples=args.samples)
+    results = run_acceptance(seed=args.seed)
     _emit(args, "\n".join(r.line() for r in results) + "\n")
     return 0 if all(r.passed for r in results) else 1
 
@@ -228,23 +226,13 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="write to this file instead of standard output")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bounds", help="decay-bound chain and envelope")
+    p = sub.add_parser("bounds", help="decay-bound chain, envelope and sup f / sup f' bounds")
     p.add_argument("--max-p", type=float, default=3.5,
                    help="largest decay exponent in the chain (default 3.5)")
     p.add_argument("--log", action="store_true",
                    help="splice the logarithmic refinement into the envelope")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bounds)
-
-    for name, k, cap, hlp in [("supf", 0, SUP_F_CAP, "integrated envelope bound on sup f"),
-                              ("supf1", 1, SUP_F1_CAP, "integrated envelope bound on sup f'")]:
-        p = sub.add_parser(name, help=hlp)
-        p.add_argument("--trick", action="store_true",
-                       help="use the logarithmic refinement")
-        p.add_argument("--with-9-2", action="store_true", dest="with_9_2",
-                       help="extend the chain to p = 9/2")
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=partial(_cmd_sup, k=k, cap=cap))
 
     p = sub.add_parser("phi", help="iterate the CF fixed point, dump t,re,im")
     _cf_args(p)
@@ -258,8 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="iterate the density map, dump x,f")
     _density_args(p)
-    p.add_argument("--json", action="store_true",
-                   help="print the convergence report instead of the CSV")
     p.add_argument("--convergence", default=None,
                    help="also write the convergence JSON to this path")
     p.set_defaults(func=_cmd_density)
@@ -285,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="run the full acceptance table")
     p.add_argument("--seed", type=int, default=REPORT_SEED)
-    p.add_argument("--samples", type=int, default=REPORT_SAMPLES)
     p.set_defaults(func=_cmd_report)
 
     return top

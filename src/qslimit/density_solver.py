@@ -224,7 +224,8 @@ def _convolve(wide: np.ndarray, masses: np.ndarray, start: int, nfft: int) -> np
     """
     n = wide.size
     nz_w, nz_m = np.flatnonzero(wide), np.flatnonzero(masses)
-    # trimming leading and trailing zeros shortens both the FFT and the sums
+    # trimming leading and trailing zeros shortens the direct tail sums; the
+    # transforms keep the sweep's fixed length nfft
     wide = wide[nz_w[0]:nz_w[-1] + 1]
     masses = masses[nz_m[0]:nz_m[-1] + 1]
     start -= int(nz_w[0] + nz_m[0])

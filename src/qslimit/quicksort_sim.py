@@ -22,6 +22,7 @@ second route to the same moments.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,6 +41,7 @@ __all__ = [
     "ks_distance",
     "chi_square_vs_exact",
     "SimulationSummary",
+    "check_seed",
     "simulate",
 ]
 
@@ -56,6 +58,13 @@ def _check_n(n: int) -> int:
     if n != int(n) or not 0 <= n <= _MAX_N:
         raise ValueError(f"n must be an integer in [0, {_MAX_N}], got {n}")
     return int(n)
+
+
+def check_seed(seed: int) -> int:
+    """seed as a PCG64 seed, a non-negative integer, or ValueError naming it."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return int(seed)
 
 
 def _harmonic(n: int, p: int):
@@ -265,6 +274,7 @@ def simulate(n: int, m: int, seed: int = 0, reference_cdf: Grid = None) -> tuple
     grid is supplied the summary also carries the KS distance against it.
     Returns (summary, standardized_sample).
     """
+    seed = check_seed(seed)
     if m < 2:
         raise ValueError(f"simulate needs at least 2 samples for the sample variance, got {m}")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -16,7 +18,10 @@ import pytest
 from hypothesis import given, settings
 from scipy import stats
 
-from qslimit.cli import main
+from qslimit import report
+from qslimit.cf_bounds import build_chain, make_envelope
+from qslimit.cli import _build_parser, main
+from qslimit.envelope_integrals import sup_fk_bound
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,7 +35,8 @@ def test_bounds_json(tmp_path, capsys):
     rc = main(["--output", str(out_path), "bounds", "--max-p", "4.5", "--json"])
     assert rc == 0
     payload = json.loads(_read(out_path))
-    assert set(payload) == {"chain", "envelope"}
+    assert set(payload) == {"chain", "envelope", "sup"}
+    assert [row["k"] for row in payload["sup"]] == [0, 1]
     ceilings = {row["p"]: row["ceiling"] for row in payload["chain"]}
     assert ceilings[1.5] == 187.0
     assert ceilings[2.5] == 103215.0
@@ -46,31 +52,52 @@ def test_bounds_text_and_determinism(tmp_path):
     assert "provenance" in _read(p1).splitlines()[0]
 
 
+def _sup_line(out, f):
+    """The bound of bounds' `sup f <= ...` line, and the line."""
+    line, = (ln for ln in out.splitlines() if ln.startswith(f"sup {f} <= "))
+    return float(line.split()[3]), line
+
+
 def test_supf_log_refinement(capsys):
-    rc = main(["supf", "--trick"])
+    rc = main(["bounds", "--log"])
     out = capsys.readouterr().out
     assert rc == 0
-    bound = float(out.splitlines()[0].split("<=")[1])
+    bound, line = _sup_line(out, "f")
     assert bound < 15.3
-    assert "max f < 16: PASS" in out
+    assert line.endswith("(max f < 16: PASS)")
 
 
 def test_supf_json(capsys):
-    rc = main(["supf", "--trick", "--json"])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["verdict"] == "PASS"
-    assert payload["bound"] < 15.3
-    assert payload["cap"] == 16.0
+    # the envelope's own integrals against their caps, and exit 0 even on FAIL
+    for use_log, want in [(False, [(18.131676658113552, "FAIL"), (3648.6862563808754, "FAIL")]),
+                          (True, [(15.278652912212381, "PASS"), (2492.0469826790786, "FAIL")])]:
+        rc = main(["bounds", "--json", "--log"] if use_log else ["bounds", "--json"])
+        assert rc == 0
+        sup = json.loads(capsys.readouterr().out)["sup"]
+        env = make_envelope(build_chain(3.5), use_log=use_log)
+        for k, (row, cap, (value, verdict)) in enumerate(zip(sup, (16.0, 2466.0), want)):
+            assert (row["k"], row["cap"], row["verdict"]) == (k, cap, verdict)
+            assert row["bound"] == sup_fk_bound(env, k)
+            assert row["bound"] == pytest.approx(value, rel=1e-12)
+        assert len(sup) == 2
+    # only the integrals that converge: sup f' needs a tail p > 2, sup f a tail p > 1
+    for max_p, ks in [("1.5", [0]), ("1", [])]:
+        assert main(["bounds", "--max-p", max_p, "--json"]) == 0
+        assert [row["k"] for row in json.loads(capsys.readouterr().out)["sup"]] == ks
+    assert main(["bounds", "--max-p", "1"]) == 0
+    assert "sup" not in capsys.readouterr().out
 
 
 def test_supf1_deep_chain(capsys):
-    rc = main(["supf1", "--trick", "--with-9-2"])
+    rc = main(["bounds", "--max-p", "4.5", "--log"])
     out = capsys.readouterr().out
     assert rc == 0
-    bound = float(out.splitlines()[0].split("<=")[1])
+    bound, line = _sup_line(out, "f'")
     assert bound < 2466.0
-    assert "max f' < 2466: PASS" in out
+    assert line.endswith("(max f' < 2466: PASS)")
+    assert main(["bounds", "--max-p", "4.5", "--log", "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)["sup"][1]
+    assert row["bound"] == pytest.approx(2465.8953905778517, rel=1e-12)
 
 
 def test_phi_csv(tmp_path, capsys):
@@ -131,15 +158,17 @@ def test_invert_derivative_order_limit_at_the_defaults(tmp_path, capsys):
     assert not (tmp_path / "f5.csv").exists()
 
 
-def test_density_json_and_convergence_file(tmp_path, capsys):
-    conv_path = tmp_path / "conv.json"
-    rc = main(["density", "--json", "--convergence", str(conv_path)])
+def test_density_convergence_file(tmp_path):
+    csv_path, conv_path = tmp_path / "f.csv", tmp_path / "conv.json"
+    rc = main(["--output", str(csv_path), "density", "--convergence", str(conv_path)])
     assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = json.loads(_read(conv_path))
     assert payload["iterations"] <= 60
     assert payload["diff_history"][-1] < 1e-6
     assert abs(payload["mean"]) < 5e-3
-    assert json.loads(_read(conv_path)) == payload
+    # one solve behind both files
+    data = np.loadtxt(str(csv_path), delimiter=",", skiprows=1)
+    assert float(data[:, 1].max()) == payload["max_f"]
 
 
 def test_density_csv(tmp_path):
@@ -227,22 +256,21 @@ def test_pipeline_errors_exit_one(capsys):
     assert captured.err.startswith("error:")
 
 
-# Every sizing flag gets a small valid value (so a valid run stays cheap),
-# except at most one, which gets a value the CLI must turn away.
+# Every sizing flag gets a small valid value, and --tol a loose one that ends
+# each solve in a few sweeps (so a valid run stays cheap), except at most
+# one flag, which gets a value the CLI must turn away.
 _INVALID = st.sampled_from(["0", "-1", "-0.5", "nan", "inf", "1e400", "x"])
 _SIZING_FLAGS = {
-    "--iters": st.integers(1, 3),
-    "--tol": st.floats(1e-8, 1e-1),
+    "--tol": st.floats(1e-2, 1e-1),
     "--t-max": st.floats(0.5, 10.0),
     "--grid-size": st.integers(2, 64),
     "--dx": st.floats(0.05, 1.0),
-    "--u-nodes": st.integers(2, 16),
 }
 _FLAGS_OF = {
-    "phi": ("--iters", "--tol", "--t-max", "--grid-size"),
-    "invert": ("--iters", "--tol", "--t-max", "--grid-size", "--dx"),
-    "density": ("--iters", "--tol", "--dx", "--u-nodes"),
-    "cdf": ("--iters", "--tol", "--dx", "--u-nodes"),
+    "phi": ("--tol", "--t-max", "--grid-size"),
+    "invert": ("--tol", "--t-max", "--grid-size", "--dx"),
+    "density": ("--tol", "--dx"),
+    "cdf": ("--tol", "--dx"),
 }
 
 
@@ -258,7 +286,7 @@ def _sizing_argv(draw):
 
 
 @given(_sizing_argv())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_sizing_flags_never_escape_as_tracebacks(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -277,8 +305,6 @@ def test_sizing_flags_never_escape_as_tracebacks(argv):
 
 @pytest.mark.parametrize("argv", [
     ["phi", "--grid-size", "1"],
-    ["phi", "--iters", "0"],
-    ["density", "--iters", "0"],
     ["density", "--dx", "0"],
     ["cdf", "--dx", "0"],
     ["invert", "--dx", "0"],
@@ -289,8 +315,6 @@ def test_sizing_flags_never_escape_as_tracebacks(argv):
     ["phi", "--grid-size", "1000000000"],
     ["phi", "--t-max", "1e9"],
     ["invert", "--t-max", "1e9"],
-    ["density", "--u-nodes", "100000"],
-    ["cdf", "--u-nodes", "100000"],
     ["phi", "--t-max", "50000"],
     ["invert", "--t-max", "50000"],
     ["phi", "--grid-size", "1000000"],
@@ -306,12 +330,50 @@ def test_sizing_flags_never_escape_as_tracebacks(argv):
     ["invert", "--t-max", "inf"],
     ["phi", "--t-max", "1e300"],
     ["invert", "--t-max", "1e300"],
+    ["report", "--seed", "-1"],
+    ["simulate", "--n", "10", "--seed", "-1"],
+    ["density", "--x-min", "0"],
+    ["invert", "--x-min", "5", "--x-max", "-3"],
 ])
 @pytest.mark.filterwarnings("error")  # a warning before the error line fails too
 def test_bad_sizes_exit_one(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_report_rejects_a_bad_seed_before_solving(monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("report solved a fixed point before checking its seed")
+
+    monkeypatch.setattr(report, "iterate_cf", no_solve)
+    assert main(["report", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == \
+        "error: seed must be a non-negative integer, got -1\n"
+
+
+def _doc_commands():
+    """Every qslimit command line of README's command block and of the CI workflow."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    args = [ln.split("#")[0][len("qslimit "):] for ln in block.splitlines()
+            if ln.startswith("qslimit ")]
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    args += re.findall(r"-m qslimit (.*)", workflow)
+    return [shlex.split(a.split(">")[0]) for a in args]
+
+
+def test_documented_commands_parse(capsys):
+    # parse only: a flag removed or renamed in the CLI fails here, not in a reader's shell
+    commands = _doc_commands()
+    assert len(commands) >= 10
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"documented command no longer parses: qslimit {shlex.join(argv)}\n"
+                        f"{capsys.readouterr().err}")
 
 
 def test_usage_errors_exit_two():

@@ -89,6 +89,18 @@ def test_sup_derivative_bound():
 
 
 def test_deeper_chains_only_improve():
+    # every ladder depth, plain and log (the splice needs a rung past p = 2):
+    # up to the one-ulp steps the values still take from depth 10.5 on, a
+    # deeper chain never loosens sup f or sup f'
+    depths = [1.5 + i for i in range(29)]
+    for use_log in (False, True):
+        envs = [make_envelope(build_chain(d), use_log=use_log)
+                for d in depths if d > 2.0 or not use_log]
+        for k in (0, 1):
+            bounds = [sup_fk_bound(env, k) for env in envs if env.pieces[-1][2].p > k + 1]
+            assert len(bounds) >= 28
+            for shallow, deep in zip(bounds, bounds[1:]):
+                assert deep <= shallow * (1.0 + 1e-15), (use_log, k, shallow, deep)
     for k in (0, 1, 2):
         shallow = sup_fk_bound(make_envelope(CHAIN_35, use_log=True), k)
         deep = sup_fk_bound(make_envelope(CHAIN_45, use_log=True), k)
