@@ -8,7 +8,8 @@ we ever use: the moments solve its recurrences, and small-n distributions and
 samples are generated straight from it, never by sorting.  The sampler
 splits subproblems down to size 64 and draws each smaller one whole, by
 inverse CDF, from a table of the laws of X_s for s <= 64 that the same
-decomposition builds in floats.
+decomposition builds in floats; a guide table on that CDF table (Chen &
+Asau 1974) makes each draw one lookup and one compare.
 
 The moments are the classical closed forms of those recurrences in the
 harmonic numbers H_n^(p) = sum_{k<=n} 1/k^p (Knuth, TAOCP Vol. 3, 5.2.2).
@@ -48,6 +49,8 @@ __all__ = [
 _EXACT_MOMENT_MAX = 64   # harmonic sums are exact Fractions up to here, fsum floats above
 _EXACT_LAW_MAX = 20      # 20! < 2**63: the int64 law table is exact up to here
 _LEAF_MAX = 64           # sample_many draws subproblems up to this size from _leaf_table
+_GUIDE_BITS = 12         # _leaf_guide cuts each row of _leaf_table into 2^12 buckets
+_BUCKET_SHIFT = 53 - _GUIDE_BITS  # a key's bucket is its top 12 of 53 bits
 _SAMPLE_CHUNK = 10_000   # runs split together by sample_many, at most
 _SAMPLE_KEYS = 10**8     # keys (runs x n) split together by sample_many, at most
 _MAX_N = 10**8           # exact moments cost O(n) fsum terms; a draw holds O(n) subproblems
@@ -122,6 +125,7 @@ def _leaf_table() -> tuple:
     int64 array (64 * 2^53 < 2^63) and every row keeps all 53 bits of the
     uniform, where a float offset u + s would round the CDF near s = 64 to
     ~1e-14.  Returns (cdf, starts), row s being cdf[starts[s]:starts[s + 1]].
+    _leaf_guide indexes this array by the keys' top bits.
     """
     laws = [np.ones(1)]
     for s in range(1, _LEAF_MAX + 1):
@@ -141,23 +145,59 @@ def _leaf_table() -> tuple:
     return cdf, starts
 
 
+@lru_cache(maxsize=None)
+def _leaf_guide() -> np.ndarray:
+    """Guide table on _leaf_table (Chen & Asau 1974): where each bucket of keys starts.
+
+    Every row's 2^53 keys are cut into 2^12 buckets by their top 12 bits, so
+    key k lies in bucket k >> 41 of one flat range over all rows, and
+    guide[b] = searchsorted(cdf, b << 41, side="right").  The answer for a key
+    in bucket b then lies in [guide[b], guide[b + 1]].  Row s's last bucket
+    ends where row s + 1's first begins, so no row needs a sentinel.
+    Read-only int32, (_LEAF_MAX + 1) * 2^12 + 1 entries.
+    """
+    cdf, _ = _leaf_table()
+    edges = np.arange(((_LEAF_MAX + 1) << _GUIDE_BITS) + 1, dtype=np.int64) << _BUCKET_SHIFT
+    guide = np.searchsorted(cdf, edges, side="right").astype(np.int32)
+    guide.flags.writeable = False
+    return guide
+
+
 def _leaf_draw(sizes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One draw of X_s for each size s <= 64 in sizes, by inverse CDF on _leaf_table."""
+    """One draw of X_s for each size s <= 64 in sizes, by inverse CDF on _leaf_table.
+
+    The index is searchsorted(cdf, key, side="right") for key = u + (s << 53),
+    u the 53-bit uniform, found through the guide table _leaf_guide: one
+    lookup and one compare where the key's bucket holds at most one CDF
+    entry, and searchsorted on the keys whose bucket holds more (0.2% of
+    the buckets).  The draws are those of searchsorted alone, bit for bit.
+    """
     cdf, starts = _leaf_table()
-    u = rng.integers(0, 1 << 53, size=sizes.size, dtype=np.int64)
-    return np.searchsorted(cdf, u + (sizes << 53), side="right") - starts[sizes]
+    guide = _leaf_guide()
+    key = rng.integers(0, 1 << 53, size=sizes.size, dtype=np.int64)
+    key += sizes << 53
+    bucket = key >> _BUCKET_SHIFT
+    idx = guide[bucket]
+    bucket += 1
+    crowded = np.flatnonzero(guide[bucket] - idx > 1)
+    del bucket  # before the compare's temporaries: a full chunk's peak memory is here
+    idx += cdf[idx] <= key
+    idx[crowded] = np.searchsorted(cdf, key[crowded], side="right")
+    idx -= starts[sizes]
+    return idx
 
 
 def sample_many(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """m independent draws of X_n, vectorized over runs.
 
     Runs are processed in chunks of at most 10^4 runs and 10^8 keys (runs x n),
-    which holds the peak memory near 25 MiB at any n above 10^4.  Within a
+    which holds the traced peak memory at 17-30 MiB for any n from 10^4 up,
+    the most at n = 10^4, where a chunk is the full 10^4 runs.  Within a
     chunk all pending subproblems of all runs above size 64 are split at once
     (one integers() call per level), and each split charges size-1
     comparisons to its run via bincount.  Every subproblem of size 2..64 is
     instead drawn whole, by inverse CDF, from the table of the laws of X_s
-    for s <= 64, so n <= 64 is one table lookup per chunk.
+    for s <= 64 (_leaf_draw), so n <= 64 is one table lookup per chunk.
     """
     n = _check_n(n)
     if not 0 < m <= _MAX_SAMPLES:

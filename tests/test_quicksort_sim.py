@@ -1,5 +1,6 @@
 """Comparison-count recurrences, exact small-n laws, and the seeded sampler."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -13,7 +14,10 @@ from qslimit.cli import main
 from qslimit.core_numerics import Grid
 from qslimit.moments import VARIANCE
 from qslimit.quicksort_sim import (
+    _BUCKET_SHIFT,
     SimulationSummary,
+    _leaf_draw,
+    _leaf_guide,
     _leaf_table,
     chi_square_vs_exact,
     exact_distribution,
@@ -168,6 +172,81 @@ def test_leaf_table_matches_the_integer_law():
                                                                    rel=1e-12, abs=1e-12)
 
 
+class _FixedUniforms:
+    """A stand-in generator whose integers() hands out the given 53-bit uniforms."""
+
+    def __init__(self, u: np.ndarray):
+        self.u = u
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, size, dtype) == (0, 1 << 53, self.u.size, np.int64)
+        return self.u.copy()
+
+
+def test_guided_leaf_draws_equal_searchsorted():
+    # on every row: both ends of u, every bucket edge and every CDF entry, each
+    # with its neighbours, then random keys of mixed sizes
+    cdf, starts = _leaf_table()
+    top = (1 << 53) - 1
+    edges = np.arange(0, 1 << 53, 1 << _BUCKET_SHIFT, dtype=np.int64)
+    sizes, us = [], []
+    for s in range(65):
+        row = _leaf_row(s)
+        u = np.concatenate([[0, top], edges - 1, edges, edges + 1, row - 1, row, row + 1])
+        u = np.unique(np.clip(u, 0, top))
+        sizes.append(np.full(u.size, s))
+        us.append(u)
+    rng = np.random.Generator(np.random.PCG64(2024))
+    sizes.append(rng.integers(0, 65, size=2_000_000))
+    us.append(rng.integers(0, 1 << 53, size=2_000_000))
+    sizes, u = np.concatenate(sizes), np.concatenate(us)
+    key = u + (sizes << 53)
+    # both the one-compare path and the searchsorted fallback are taken
+    crowded = np.diff(_leaf_guide())[key >> _BUCKET_SHIFT] > 1
+    assert crowded.any() and not crowded.all()
+    expected = np.searchsorted(cdf, key, side="right") - starts[sizes]
+    assert np.array_equal(_leaf_draw(sizes, _FixedUniforms(u)), expected)
+
+
+# sha256 of sample_many(n, m, PCG64(n)) as little-endian int64, as the leaf
+# draws by plain searchsorted gave it: a fixed seed gives the same bytes
+_PINNED_DRAWS = {
+    7: (1_000_000, "877ec7b9c8d344561b81f8f74a8f4d29a26a2a8fc11d8980b253c3b78b591740"),
+    64: (100_000, "dd6e95f7f0dc1de6039be18837eb223fc7b225c74dc0108b05b9c0a53d46545d"),
+    65: (50_000, "9afdc384167f65d062a9ca854fc9d0bc608aab3b1d71c6ed5470c2cf3bee1807"),
+    1000: (20_000, "0ceb61a388f86d75cac1ecd552028d5742720eaf5dd978f35bbace0b3d5014bd"),
+    10_000: (2_000, "bb7ba3fe9c1947e31bb14ff8ba2b0323778f741bc23d5976afe8735de9d506e3"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_PINNED_DRAWS))
+def test_sampler_output_is_pinned_at_fixed_seeds(n):
+    m, digest = _PINNED_DRAWS[n]
+    xs = sample_many(n, m, np.random.Generator(np.random.PCG64(n)))
+    assert hashlib.sha256(xs.astype("<i8").tobytes()).hexdigest() == digest
+
+
+def test_sampler_at_64_fits_the_leaf_law():
+    # n = 64 is one draw from row 64 per run, the row whose keys most often
+    # fall back to searchsorted; chi-square with cells under 5 expected pooled,
+    # and KS on the integer support (conservative for a discrete law)
+    m = 1_000_000
+    xs = sample_many(64, m, np.random.Generator(np.random.PCG64(6464)))
+    row = _leaf_row(64)
+    probs = np.diff(row, prepend=0) / 2.0**53
+    assert 0 <= xs.min() and xs.max() < row.size
+    observed = np.bincount(xs, minlength=row.size)
+    assert not observed[probs == 0].any()
+    expected = m * probs
+    small = expected < 5.0
+    pooled_obs = np.append(observed[~small], observed[small].sum())
+    pooled_exp = np.append(expected[~small], expected[small].sum())
+    stat = float(((pooled_obs - pooled_exp) ** 2 / pooled_exp).sum())
+    assert stats.chi2.sf(stat, pooled_exp.size - 1) > 0.001
+    d = float(np.max(np.abs(np.cumsum(observed) / m - row / 2.0**53)))
+    assert stats.kstwo.sf(d, m) > 0.001
+
+
 def _min_cost(n: int) -> int:
     low = [0, 0]
     for k in range(2, n + 1):
@@ -190,17 +269,18 @@ def test_sampler_seam_between_splitting_and_leaf_draws(n):
 
 
 def test_sampler_memory_is_bounded_in_n():
-    # a chunk holds at most 10^8 keys, here 500 runs instead of all 2000
-    n, m = 200_000, 2000
-    tracemalloc.start()
-    try:
-        xs = sample_many(n, m, np.random.Generator(np.random.PCG64(n)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * 2**20
-    se = math.sqrt(exact_variance(n) / m)
-    assert abs(float(xs.mean()) - exact_mean(n)) < 6.0 * se
+    # a chunk holds at most 10^8 keys: 500 runs of the 2000 at n = 2e5, and
+    # at n = 10^4 the full 10^4-run chunk, the largest
+    for n, m in ((200_000, 2000), (10_000, 10_000)):
+        tracemalloc.start()
+        try:
+            xs = sample_many(n, m, np.random.Generator(np.random.PCG64(n)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20, n
+        se = math.sqrt(exact_variance(n) / m)
+        assert abs(float(xs.mean()) - exact_mean(n)) < 6.0 * se, n
 
 
 def test_sampler_degenerate_cases():
