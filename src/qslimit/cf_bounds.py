@@ -391,14 +391,13 @@ def _vdc_contour(y: float, z: float, t: float) -> np.ndarray:
 
 
 def _vdc_rules(y: float, z: float, t: float):
-    """The doubled rule and the rule, each (nodes, weights), along `_vdc_contour`,
+    """The rule and its doubled rule, each (nodes, weights), along `_vdc_contour`,
     for y >= z.
 
     Each interval is cut into panels of at most 3 pi of variation of t h,
     except where |exp(i t h)| <= e^-40 at both ends: along each leg Im h is
     monotone, so the interval then adds at most e^-40 times its length, and
-    one panel is kept for it.  The doubled rule comes first: it is the
-    larger, so the node cap is met before any allocation.
+    one panel is kept for it.
     """
     # a t h that overflows is refused by the node cap
     with np.errstate(over="ignore", invalid="ignore"):
@@ -406,7 +405,7 @@ def _vdc_rules(y: float, z: float, t: float):
         th = t * h_complex(y, z, edges)
         phase = np.abs(np.diff(th))
         phase[np.minimum(th.imag[:-1], th.imag[1:]) >= _DECAY] = 0.0
-    return [panel_rule(edges, phase, _VDC_BUDGET, refine) for refine in (2, 1)]
+    return panel_rule(edges, phase, _VDC_BUDGET)
 
 
 def vdc_cf(y: float, z: float, t: float, abs_tol: float = 1e-10) -> complex:
@@ -432,7 +431,7 @@ def vdc_cf(y: float, z: float, t: float, abs_tol: float = 1e-10) -> complex:
         raise ValueError(f"abs_tol must be a positive finite float, got {abs_tol}")
     # h(y, z, u) = h(z, y, 1 - u): the same integral, with u* <= 1/2
     y1, z1 = max(y, z), min(y, z)
-    fine, coarse = (complex(w @ np.exp(1j * t * h_complex(y1, z1, u)))
+    coarse, fine = (complex(w @ np.exp(1j * t * h_complex(y1, z1, u)))
                     for u, w in _vdc_rules(y1, z1, t))
     err = abs(fine - coarse)
     if not err <= abs_tol:

@@ -55,12 +55,10 @@ from scipy.interpolate import CubicSpline
 from .core_numerics import (
     DYADIC_EDGES,
     MAX_GRID_POINTS,
-    PANEL_ORDER,
     Grid,
     QuadratureError,
     fixed_point,
     g_values,
-    panel_counts,
     panel_rule,
 )
 from .density_solver import DENSITY_DX, DENSITY_X_MAX, DENSITY_X_MIN
@@ -148,11 +146,11 @@ def _cf_spline(ts: np.ndarray, values: np.ndarray) -> CubicSpline:
     return CubicSpline(ext_t, ext_v)
 
 
-def _u_rule(t_top: float, refine: int = 1):
-    """The folded u-rule for every t <= t_top (weights doubled: the integrand
-    is u <-> 1-u symmetric)."""
-    u, w = panel_rule(DYADIC_EDGES, t_top * _U_PHASE, _U_BUDGET, refine)
-    return u, 2.0 * w
+def _u_rules(t_top: float):
+    """The folded u-rule for every t <= t_top and its doubled rule, each
+    (nodes, weights) with the weights doubled: the integrand is u <-> 1-u
+    symmetric."""
+    return [(u, 2.0 * w) for u, w in panel_rule(DYADIC_EDGES, t_top * _U_PHASE, _U_BUDGET)]
 
 
 def _quad_values(spline, t_sel: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -197,23 +195,29 @@ def cf_map(phi: CfGrid) -> CfGrid:
     t = 25k (t = 0 joins the first block).  The value at t = 0 is pinned to 1
     exactly.  Moduli may overshoot 1 by at most the quadrature tolerance;
     anything above 1e-9 is an error, smaller overshoots are clamped back to
-    the unit disk.  Raises ValueError, before any rule is built, if a rule
-    would need more than MAX_GRID_POINTS nodes or the sweep more than
-    _MAX_SWEEP_PAIRS spline pairs.
+    the unit disk.  Raises ValueError if the last block's doubled rule would
+    need more than MAX_GRID_POINTS nodes, before any other rule is built, or
+    the sweep more than _MAX_SWEEP_PAIRS spline pairs, before the spline.
     """
     ts = phi.xs
     blocks = np.maximum(np.ceil(ts / _T_BLOCK), 1.0)
     ends = np.concatenate([[0], np.flatnonzero(np.diff(blocks)) + 1, [ts.size]])
     tops = _T_BLOCK * blocks[ends[1:] - 1]
-    # every rule is sized, and so checked against the caps, before any is built:
-    # panel_counts refuses a doubled rule over MAX_GRID_POINTS nodes, and each
-    # block's rule has half the nodes of its doubled rule; the last, largest first
-    nodes = [PANEL_ORDER * int(panel_counts(top * _U_PHASE, _U_BUDGET, refine=2).sum()) // 2
-             for top in tops[::-1]]
-    pairs = int(np.dot(nodes, np.diff(ends)[::-1]))
+    # the largest block's rules first, so panel_rule's node cap trips first; past
+    # MAX_GRID_POINTS doubled nodes (the largest pair allowed) a pair is counted
+    # and built again below, and a sweep over the pair cap stops counting
+    rules, pairs, held = [], 0, 0
+    for lo, hi, top in zip(ends[-2::-1], ends[:0:-1], tops[::-1]):
+        rule, fine = _u_rules(top)
+        pairs += rule[0].size * (hi - lo)
+        held += fine[0].size
+        if held > MAX_GRID_POINTS and pairs > _MAX_SWEEP_PAIRS:
+            break
+        rules.append((rule, fine) if held <= MAX_GRID_POINTS else None)
     if pairs > _MAX_SWEEP_PAIRS:
-        raise ValueError(f"the u-rules for t_max={phi.x_max} need {pairs} spline pairs "
-                         f"per sweep, over the cap of {_MAX_SWEEP_PAIRS}")
+        least = "at least " if len(rules) < tops.size else ""
+        raise ValueError(f"the u-rules for t_max={phi.x_max} need {least}{pairs} spline "
+                         f"pairs per sweep, over the cap of {_MAX_SWEEP_PAIRS}")
     # a spread of grid points and the last t of every block, where its rule is
     # coarsest, re-evaluated with the block's doubled rule; disagreement means
     # the panel budget was too coarse for this iterate
@@ -222,9 +226,9 @@ def cf_map(phi: CfGrid) -> CfGrid:
     spline = _cf_spline(ts, phi.values)
     out = np.empty(ts.size, dtype=np.complex128)
     ref = np.empty(check.size, dtype=np.complex128)
-    for lo, hi, top in zip(ends, ends[1:], tops):
-        out[lo:hi] = _quad_values(spline, ts[lo:hi], *_u_rule(top))
-        fine = _u_rule(top, refine=2)
+    for lo, hi, top, pair in zip(ends, ends[1:], tops, rules[::-1]):
+        rule, fine = pair or _u_rules(top)
+        out[lo:hi] = _quad_values(spline, ts[lo:hi], *rule)
         # one t per call, so the check's phase is np.exp's, not the recurrence's
         for j in np.flatnonzero((check >= lo) & (check < hi)):
             ref[j] = _quad_values(spline, ts[check[j]:check[j] + 1], *fine)[0]
@@ -250,8 +254,9 @@ def iterate_cf(init: CfGrid, max_iter: int = CF_MAX_ITER, tol: float = CF_TOL):
     Mixed values are put back on the unit disk with phi(0) = 1 before the
     next sweep.  Returns (fixed_point, map_evaluations, residual_history);
     the fixed point is a map value whose residual is below `tol`.  Raises
-    IterationError with the history if the budget runs out or the residual
-    stalls at the grid's discretization floor.
+    IterationError with the history if the budget runs out, the residual
+    stalls at the grid's discretization floor, or it falls too slowly for
+    the budget.
     """
     return fixed_point(cf_map, init, max_iter, tol, "cf",
                        project=lambda v: CfGrid(0.0, init.dx, _onto_disk(v)))

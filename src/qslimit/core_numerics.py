@@ -5,14 +5,15 @@ values), the one fixed-point driver both solvers run on, a deterministic
 adaptive Gauss-Kronrod integrator, the composite Gauss-Legendre rule whose
 panels follow an integrand's phase (on real intervals for the CF map's
 u-integral, along a polygon in the complex plane for the van der Corput
-integral), and the entropy-like toll function
+integral), built together with its doubled rule, against which each caller
+checks it, and the entropy-like toll function
 
     g(u) = 2 u ln u + 2 (1-u) ln(1-u) + 1,      0 <= u <= 1,
 
-together with its tilted form h(y, z, u) = u y + (1-u) z + g(u), and h
-continued to complex u with principal-branch logarithms.  The toll function
-is the additive cost term of the divide-and-conquer fixed point; h is the
-phase that drives every oscillatory integral in the bound ladder.
+with its tilted form h(y, z, u) = u y + (1-u) z + g(u) continued to complex
+u with principal-branch logarithms (`h_complex`).  The toll function is the
+additive cost term of the divide-and-conquer fixed point; h is the phase
+that drives every oscillatory integral in the bound ladder.
 
 All arithmetic is 64-bit; nothing here draws random numbers.
 """
@@ -34,10 +35,8 @@ __all__ = [
     "integrate",
     "DYADIC_EDGES",
     "PANEL_ORDER",
-    "panel_counts",
     "panel_rule",
     "g_values",
-    "h_values",
     "h_complex",
 ]
 
@@ -138,10 +137,13 @@ def fixed_point(step, x0, max_iter: int, tol: float, name: str, project=None):
     map values share (a pinned value, a zero mean) holds for the mix.
 
     Raises IterationError, carrying the residual history, if `max_iter`
-    sweeps do not reach `tol`, or earlier, if the best residual has not
-    improved for 5 sweeps: the iteration has then reached the floor set by
-    the discretization of the map, below which neither mode makes progress
-    (and past which Anderson mixing amplifies the noise).
+    sweeps do not reach `tol`, or earlier in two cases.  If the best
+    residual has not improved for 5 sweeps, the iteration has reached the
+    floor set by the discretization of the map, below which neither mode
+    makes progress (and past which Anderson mixing amplifies the noise).  If
+    the residual r fell at each of the last 5 sweeps, but at a rate
+    rho = (r_k / r_(k-5))^(1/5) per sweep at which the sweeps left end at or
+    above `tol`, the budget cannot reach `tol`, and the error names rho.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a positive finite float, got {tol}")
@@ -166,6 +168,15 @@ def fixed_point(step, x0, max_iter: int, tol: float, name: str, project=None):
                 f"residual {history[best]:.3e} (sweep {best + 1}) did not improve "
                 f"in {_FLOOR_SWEEPS} sweeps, above tol={tol}; refine the grid "
                 f"or loosen tol", history)
+        tail, left = history[-_FLOOR_SWEEPS - 1:], max_iter - it
+        if left and len(tail) > _FLOOR_SWEEPS and all(np.diff(tail) < 0.0):
+            rate = (tail[-1] / tail[0]) ** (1.0 / _FLOOR_SWEEPS)
+            if tail[-1] * rate**left >= tol:
+                raise IterationError(
+                    f"{name} iteration contracts too slowly: the residual {tail[-1]:.3e} "
+                    f"(sweep {it}) fell by a factor of {rate:.4g} per sweep over the last "
+                    f"{_FLOOR_SWEEPS}, at which the {left} sweeps left cannot reach "
+                    f"tol={tol}; use a finer grid or loosen tol", history)
         if project is None:
             cur = nxt
             continue
@@ -276,48 +287,42 @@ DYADIC_EDGES = np.concatenate([[0.0], 4.0 ** np.arange(-9, -2),
 DYADIC_EDGES.flags.writeable = False
 
 
-def panel_counts(phase, budget: float, refine: int = 1) -> np.ndarray:
-    """Panels per interval of `panel_rule`: refine * max(1, ceil(phase / budget)).
+def panel_rule(edges, phase, budget: float):
+    """A composite 16-point Gauss-Legendre rule on the intervals between
+    `edges` and its doubled rule, the rule of its self-check: the pair
+    ((nodes, weights), (nodes, weights)), nodes in the order of the edges.
 
-    Raises ValueError, before any array of panels is made, if a phase is not
-    finite or the rule would need more than MAX_GRID_POINTS nodes.
+    `phase[i]` is the phase variation of the integrand over interval i (for
+    exp(i t h) with h monotone there, t |h(b) - h(a)|).  The rule cuts
+    interval i into max(1, ceil(phase[i] / budget)) equal panels, so none
+    carries more than `budget` radians; the doubled rule halves every panel.
+    Complex edges are the corners of a polygonal path; the weights are then
+    complex, so that the rule sums f(u) du along the path.  Raises
+    ValueError, before either rule is made, if a phase is not finite or the
+    doubled rule would need more than MAX_GRID_POINTS nodes.
     """
-    per = refine * np.maximum(1.0, np.ceil(np.asarray(phase, dtype=np.float64) / budget))
-    nodes = PANEL_ORDER * float(per.sum())
+    per = np.maximum(1.0, np.ceil(np.asarray(phase, dtype=np.float64) / budget))
+    nodes = 2 * PANEL_ORDER * float(per.sum())
     if not nodes <= MAX_GRID_POINTS:  # NaN and inf fail too
         raise ValueError(f"a phase-adapted rule would need {nodes:.3g} nodes, over the "
                          f"cap of {MAX_GRID_POINTS}")
-    return per.astype(np.int64)
-
-
-def panel_rule(edges, phase, budget: float, refine: int = 1):
-    """Composite 16-point Gauss-Legendre (nodes, weights) on the intervals
-    between `edges`, nodes in the order of the edges.
-
-    `phase[i]` is the phase variation of the integrand over interval i (for
-    exp(i t h) with h monotone there, t |h(b) - h(a)|).  Interval i is cut
-    into `panel_counts(phase, budget, refine)[i]` equal panels: at refine = 1
-    none carries more than `budget` radians, refine = 2 halves every panel
-    (the doubled rule of a self-check).  Complex edges are the corners of a
-    polygonal path; the weights are then complex, so that the rule sums
-    f(u) du along the path.
-    """
-    counts = panel_counts(phase, budget, refine)
     edges = np.asarray(edges)
     edges = edges.astype(np.result_type(edges, np.float64))  # complex edges stay complex
-    a = np.repeat(edges[:-1], counts)
-    b = np.repeat(edges[1:], counts)
-    n = np.repeat(counts, counts)
-    step = (b - a) / n
-    k = np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    # panel edges where np.linspace(a, b, n + 1) puts them, the last one exactly b
-    lo = a + k * step
-    hi = np.where(k + 1 == n, b, a + (k + 1) * step)
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = (center[:, None] + half[:, None] * _PANEL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _PANEL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
+    rules = []
+    for counts in (per.astype(np.int64), 2 * per.astype(np.int64)):
+        a = np.repeat(edges[:-1], counts)
+        b = np.repeat(edges[1:], counts)
+        n = np.repeat(counts, counts)
+        step = (b - a) / n
+        k = np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        # panel edges where np.linspace(a, b, n + 1) puts them, the last one exactly b
+        lo = a + k * step
+        hi = np.where(k + 1 == n, b, a + (k + 1) * step)
+        center = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        rules.append(((center[:, None] + half[:, None] * _PANEL_NODES[None, :]).ravel(),
+                      (half[:, None] * _PANEL_WEIGHTS[None, :]).ravel()))
+    return rules
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +346,6 @@ def g_values(u: np.ndarray) -> np.ndarray:
     return 2.0 * a * np.log(a) + 2.0 * b * np.log(b) + 1.0
 
 
-def h_values(y: float, z: float, u: np.ndarray) -> np.ndarray:
-    """Tilted toll u*y + (1-u)*z + g(u), vectorized over u in [0, 1].
-
-    h(y, z, 0) = z + 1 and h(y, z, 1) = y + 1.  Strictly convex in u
-    (h'' = 2/(u(1-u)) >= 8), the curvature the van der Corput rung rests on.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    return u * y + (1.0 - u) * z + g_values(u)
-
-
 def _xlogx(a: np.ndarray, b: np.ndarray):
     """Real and imaginary parts of p ln p at p = a + ib, principal branch,
     with 0 ln 0 = 0.  Real arithmetic: several times cheaper than numpy's
@@ -367,8 +362,8 @@ def h_complex(y: float, z: float, p) -> np.ndarray:
     The logarithms take their principal branch, so h is analytic off
     (-inf, 0] and [1, inf), and h(conj p) = conj h(p) bit for bit.  Both
     entropy terms vanish at their zero, so h(y, z, 0) = z + 1 and
-    h(y, z, 1) = y + 1 exactly, with no warning.  On (0, 1) it is h_values
-    up to rounding.
+    h(y, z, 1) = y + 1 exactly, with no warning.  On (0, 1) it is
+    u y + (1-u) z + g_values(u) up to rounding.
     """
     p = np.asarray(p, dtype=np.complex128)
     a, b = p.real, p.imag

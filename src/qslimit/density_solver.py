@@ -291,7 +291,9 @@ def iterate_density(f0: DensityGrid, max_iter: int = DENSITY_MAX_ITER,
     eventually contract geometrically; if `geometric_tail` finds otherwise, a
     warning is attached rather than an error, since the sweep may simply be
     approaching its discretization floor.  A run that stalls there for 5
-    sweeps raises IterationError, as any fixed_point run does.
+    sweeps, or whose residual falls too slowly for the sweeps left to reach
+    `tol` (at a coarse dx, such as 0.5, with tol = 1e-8), raises
+    IterationError, as any fixed_point run does.
 
     This route stays on plain iteration.  Anderson mixing (the CF route's
     mode) pushes density values below zero, to -6e-4 at dx = 0.005, and

@@ -26,7 +26,7 @@ from qslimit.cf_bounds import (
     make_envelope,
     vdc_cf,
 )
-from qslimit.core_numerics import h_values, integrate
+from qslimit.core_numerics import g_values, integrate
 
 CHAIN = build_chain(4.5)
 ENV = make_envelope(CHAIN)
@@ -232,7 +232,7 @@ def test_chain_json_shape():
 
 def test_vdc_limit_and_reference():
     assert abs(vdc_cf(0.3, -0.7, 1e-8) - 1.0) < 1e-6
-    assert abs(vdc_cf(800.0, -800.0, 1e-9) - 1.0) < 1e-6  # u* is below eps
+    assert abs(vdc_cf(800.0, -800.0, 1e-9) - 1.0) < 1e-6  # u* underflows to 0
     # frozen oracle: midpoint Riemann sum with 10^6 panels at (0, 0, 1)
     brute = 0.9321000840299419 - 0.007446934093068135j
     assert abs(vdc_cf(0.0, 0.0, 1.0) - brute) < 1e-6
@@ -249,15 +249,15 @@ def test_vdc_decays_like_the_bound():
     (1.7, 1.7, 300.0), (-5.0, 5.0, 10.0),
     (1.0, 0.0, 1e4),        # u* = 0.378 inside [1/4, 1/2], where h(1/4) - h(1/2) is small
     (15.0, -15.0, 100.0),   # u* = 3e-7, among the dyadic edges
-    (800.0, -800.0, 1.0),   # e^{(y-z)/2} overflows a float; u* is below eps
+    (800.0, -800.0, 1.0),   # e^{-(y-z)/2} underflows, so u* = 0 exactly
     (-73.2, 0.0, 50.0),     # u* = 1 - 2^-52: the last interval is two ulps wide
     (-800.0, 800.0, 1.0),   # u* rounds to 1, an edge already
 ])
 def test_vdc_matches_the_adaptive_integrator(y, z, t):
     # the Gauss-Kronrod bisection shares no panel or node with the fixed rule; its
     # estimate |K15 - G7| overstates its error by orders of magnitude
-    oracle = integrate(lambda u: np.exp(1j * t * h_values(y, z, u)), 0.0, 1.0,
-                       abs_tol=1e-11)
+    oracle = integrate(lambda u: np.exp(1j * t * (u * y + (1.0 - u) * z + g_values(u))),
+                       0.0, 1.0, abs_tol=1e-11)
     assert abs(vdc_cf(y, z, t) - oracle) <= 1e-12
 
 
@@ -280,18 +280,18 @@ def test_vdc_at_large_t_is_its_stationary_phase_term(y, z, t):
     # the ends add O(1/t)
     u_star = 1.0 / (1.0 + math.exp((y - z) / 2.0))
     curvature = 2.0 / (u_star * (1.0 - u_star))
-    phase = t * float(h_values(y, z, u_star)) + math.pi / 4.0
+    phase = t * (u_star * y + (1.0 - u_star) * z + float(g_values(u_star))) + math.pi / 4.0
     term = complex(math.cos(phase), math.sin(phase)) * math.sqrt(2.0 * math.pi / (t * curvature))
     assert abs(value - term) <= 0.2 / t
 
 
 @pytest.mark.parametrize("y, z", [
     (0.0, 0.0), (5.0, -5.0), (10.0, 0.0), (2.5, -2.5),
-    (40.0, -40.0),          # u* = 4e-18, below eps
+    (40.0, -40.0),          # u* = 4e-18, within 1/t of 0 for every t here
 ])
 def test_vdc_node_count_does_not_grow_with_t(y, z):
     def nodes(t):
-        return _vdc_rules(y, z, t)[1][0].size
+        return _vdc_rules(y, z, t)[0][0].size
     # a rule whose node count grew like t would need about 1e3 and 1e7 times more
     assert nodes(1e4) <= 3 * nodes(10.0)
     assert nodes(1e8) <= 3 * nodes(10.0)

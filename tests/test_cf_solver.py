@@ -21,7 +21,6 @@ from qslimit.core_numerics import (
     IterationError,
     fixed_point,
     g_values,
-    panel_rule,
 )
 from qslimit.moments import VARIANCE
 
@@ -81,7 +80,7 @@ def test_blocked_rules_match_one_rule_sized_for_t_max():
     for phi in (init_gaussian_cf(t_max=50.0, n=1024), uniform_cf(t_max=50.0, n=1024)):
         blocked = cf_map(phi)
         spline = cf_solver._cf_spline(phi.xs, phi.values)
-        single = cf_solver._quad_values(spline, phi.xs, *cf_solver._u_rule(phi.x_max))
+        single = cf_solver._quad_values(spline, phi.xs, *cf_solver._u_rules(phi.x_max)[0])
         assert np.max(np.abs(blocked.values[1:] - single[1:])) <= 1e-10
 
 
@@ -107,16 +106,17 @@ def test_self_check_covers_the_last_t_of_every_block(monkeypatch):
 
 def test_u_rule_on_the_graded_ladder():
     # one panel on each of the 8 intervals from 0 to 1/32, then 2, 2, 3 and 4 on
-    # the octaves to 1/2
-    assert cf_solver._u_rule(25.0)[0].size == 304
+    # the octaves to 1/2; the doubled rule has twice as many
+    rule, fine = cf_solver._u_rules(25.0)
+    assert rule[0].size == 304 and fine[0].size == 608
 
 
 def test_no_sliver_is_trimmed():
     # both u-rules run from u = 0: the CF rule's weights sum to the length of
     # [0, 1], and the van der Corput integral of a constant phase is 1
     for t in (25.0, 50.0, 200.0):
-        for refine in (1, 2):
-            assert abs(cf_solver._u_rule(t, refine)[1].sum() - 1.0) <= 1e-15
+        for _, w in cf_solver._u_rules(t):
+            assert abs(w.sum() - 1.0) <= 1e-15
     assert abs(vdc_cf(0.0, 0.0, 1e-9) - 1.0) <= 1e-15
 
 
@@ -135,7 +135,8 @@ def test_the_rule_at_t_does_not_depend_on_the_grid_length():
 def test_map_matches_a_refined_reference_at_every_t():
     # the self-check samples about 16 t's; compare every t against a reference
     # that shares neither the ladder, the panels nor the phase recurrence: the
-    # ladder graded by 2 down to 0, the rule for T refined 4x, the phase by np.exp
+    # ladder graded by 2 down to 0, 4x the panels of the rule for T (16-point
+    # Gauss-Legendre, built here), the phase by np.exp
     phi = init_gaussian_cf(t_max=50.0, n=1024)
     for _ in range(8):
         phi = cf_map(phi)
@@ -144,13 +145,55 @@ def test_map_matches_a_refined_reference_at_every_t():
     u_phase = (np.abs(np.diff(g_values(np.maximum(edges, 1e-300))))
                + 2.0 * np.diff(edges))
     spline = cf_solver._cf_spline(phi.xs, phi.values)
-    u, w = panel_rule(edges, phi.x_max * u_phase, 2.0 * math.pi, refine=4)
+    panels = 4 * np.maximum(1.0, np.ceil(phi.x_max * u_phase / (2.0 * math.pi))).astype(int)
+    cuts = np.concatenate([np.linspace(a, b, n + 1)[:-1]
+                           for a, b, n in zip(edges, edges[1:], panels)] + [edges[-1:]])
+    x, wx = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * np.diff(cuts)
+    u = (0.5 * (cuts[:-1] + cuts[1:])[:, None] + half[:, None] * x).ravel()
+    w = (half[:, None] * wx).ravel()
     ref = np.empty(phi.n, dtype=complex)
     for lo in range(0, phi.n, 128):
         t = phi.xs[lo:lo + 128]
         ref[lo:lo + 128] = 2.0 * w @ (spline(np.outer(u, t)) * spline(np.outer(1.0 - u, t))
                                       * np.exp(1j * np.outer(g_values(u), t)))
     assert np.max(np.abs(mapped[1:] - ref[1:])) <= 5e-11
+
+
+def test_sweep_caps_refuse_before_the_spline_is_built(monkeypatch):
+    def no_spline(ts, values):
+        raise AssertionError("the spline was built")
+
+    monkeypatch.setattr(cf_solver, "_cf_spline", no_spline)
+    with pytest.raises(ValueError, match="need 402653184 spline pairs per sweep, "
+                                         "over the cap of 67108864"):
+        cf_map(init_gaussian_cf(50.0, 2**20))
+    with pytest.raises(ValueError, match=r"would need 3\.65e\+06 nodes, over the cap"):
+        cf_map(init_gaussian_cf(3e5, 4096))
+
+
+def test_rules_past_the_held_budget_are_rebuilt(monkeypatch):
+    # with room for one block's doubled rule only, the other seven blocks' rules
+    # are counted, dropped and built again, and the map does not move a bit
+    phi = uniform_cf(t_max=200.0, n=1024)
+    mapped = cf_map(phi).values
+    built = []
+    real = cf_solver._u_rules
+
+    def counting(top):
+        built.append(top)
+        return real(top)
+
+    monkeypatch.setattr(cf_solver, "_u_rules", counting)
+    monkeypatch.setattr(cf_solver, "MAX_GRID_POINTS", real(200.0)[1][0].size)
+    assert np.array_equal(cf_map(phi).values, mapped)
+    assert built == [25.0 * k for k in range(8, 0, -1)] + [25.0 * k for k in range(1, 8)]
+    # past both budgets the count stops, and the refusal says it is a lower bound
+    monkeypatch.setattr(cf_solver, "_MAX_SWEEP_PAIRS", 1000)
+    built.clear()
+    with pytest.raises(ValueError, match="need at least"):
+        cf_map(phi)
+    assert built == [200.0, 175.0]
 
 
 def test_iterate_rejects_bad_tolerance():

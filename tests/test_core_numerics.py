@@ -15,13 +15,20 @@ from qslimit.core_numerics import (
     fixed_point,
     g_values,
     h_complex,
-    h_values,
     integrate,
     panel_rule,
 )
 
 # int_0^1 g(u)^2 du has the closed form (7 - 2 pi^2 / 3) / 3
 G_SQUARED = (7.0 - 2.0 * math.pi**2 / 3.0) / 3.0
+
+
+def h_values(y, z, u):
+    """The tilted toll u y + (1-u) z + g(u) on [0, 1] in real arithmetic, the
+    oracle for h_complex.  h(y, z, 0) = z + 1, h(y, z, 1) = y + 1, and
+    h'' = 2/(u(1-u)) >= 8, the curvature the van der Corput rung rests on."""
+    u = np.asarray(u, dtype=np.float64)
+    return u * y + (1.0 - u) * z + g_values(u)
 
 
 def test_integrate_reference_values():
@@ -69,13 +76,16 @@ def test_panel_rule_splits_each_interval_by_its_phase():
     edges = np.array([0.0, 0.25, 1.0, 3.0])
     phase = np.array([0.5, 7.0, 20.0])
     budget = 3.0
-    u, w = panel_rule(edges, phase, budget)
+    (u, w), (u2, w2) = panel_rule(edges, phase, budget)
     assert u.size == PANEL_ORDER * sum(math.ceil(p / budget) for p in phase)  # 16 * 11
     assert np.all(np.diff(u) > 0.0) and edges[0] < u[0] and u[-1] < edges[-1]
     # 16-point Gauss-Legendre is exact to degree 31 on each panel
     assert w @ u**7 == pytest.approx(3.0**8 / 8.0, rel=1e-14)
-    u2, w2 = panel_rule(edges, phase, budget, refine=2)
-    assert u2.size == 2 * u.size
+    # the doubled rule has exactly twice the rule's panels in every interval
+    per_interval = [np.bincount(np.searchsorted(edges, x), minlength=edges.size)
+                    for x in (u, u2)]
+    assert np.array_equal(per_interval[1], 2 * per_interval[0])
+    assert np.array_equal(per_interval[0][1:] // PANEL_ORDER, [1, 3, 7])
     assert w2 @ np.exp(5j * u2) == pytest.approx((np.exp(15j) - 1.0) / 5j, abs=1e-14)
 
 
@@ -83,16 +93,19 @@ def test_panel_rule_along_a_complex_path():
     # 0 -> -i/2 -> 1 - i/2 -> 1: the weights carry du, so a polynomial
     # integrates to its exact value whatever the path
     edges = np.array([0.0, -0.5j, 1.0 - 0.5j, 1.0])
-    u, w = panel_rule(edges, [1.0, 4.0, 1.0], 1.0)
-    assert u.size == PANEL_ORDER * 6 and np.iscomplexobj(w)
-    assert w.sum() == pytest.approx(1.0, abs=1e-15)
-    assert w @ u**5 == pytest.approx(1.0 / 6.0, abs=1e-15)
+    for (u, w), panels in zip(panel_rule(edges, [1.0, 4.0, 1.0], 1.0), (6, 12)):
+        assert u.size == PANEL_ORDER * panels and np.iscomplexobj(w)
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
+        assert w @ u**5 == pytest.approx(1.0 / 6.0, abs=1e-15)
 
 
 def test_panel_rule_checks_its_cap_before_allocating():
     edges = [0.0, 1.0]
-    top = MAX_GRID_POINTS // PANEL_ORDER  # panels of the largest rule allowed
-    assert panel_rule(edges, [top * 1.0], 1.0)[0].size == MAX_GRID_POINTS
+    # the cap is on the doubled rule: the largest pair allowed has MAX_GRID_POINTS
+    # doubled nodes, its rule half as many
+    top = MAX_GRID_POINTS // (2 * PANEL_ORDER)  # panels of the largest rule allowed
+    (u, _), (u2, _) = panel_rule(edges, [top * 1.0], 1.0)
+    assert u2.size == MAX_GRID_POINTS and u.size == MAX_GRID_POINTS // 2
     # past the cap, and far past anything allocatable: a ValueError, not a MemoryError
     for phase in (top + 1.0, 1e300, math.inf, math.nan):
         with pytest.raises(ValueError, match="cap"):
@@ -101,7 +114,7 @@ def test_panel_rule_checks_its_cap_before_allocating():
 
 def test_graded_ladder_resolves_the_log_singularity():
     # one panel per interval: the ladder alone carries 2u ln u to 1e-15
-    u, w = panel_rule(DYADIC_EDGES, np.zeros(DYADIC_EDGES.size - 1), 1.0)
+    (u, w), _ = panel_rule(DYADIC_EDGES, np.zeros(DYADIC_EDGES.size - 1), 1.0)
     assert DYADIC_EDGES[0] == 0.0 and DYADIC_EDGES[-1] == 0.5
     f = 2.0 * u * np.log(u)
     assert abs(w @ f - (0.25 * math.log(0.5) - 0.125)) <= 1e-15
