@@ -203,9 +203,10 @@ def cf_map(phi: CfGrid) -> CfGrid:
     blocks = np.maximum(np.ceil(ts / _T_BLOCK), 1.0)
     ends = np.concatenate([[0], np.flatnonzero(np.diff(blocks)) + 1, [ts.size]])
     tops = _T_BLOCK * blocks[ends[1:] - 1]
-    # the largest block's rules first, so panel_rule's node cap trips first; past
-    # MAX_GRID_POINTS doubled nodes (the largest pair allowed) a pair is counted
-    # and built again below, and a sweep over the pair cap stops counting
+    # the largest block's rules first, so panel_rule's node cap trips first; to
+    # hold no more memory than the largest pair allowed, past MAX_GRID_POINTS
+    # doubled nodes a pair is only counted (and built again below), and a sweep
+    # over the pair cap stops counting
     rules, pairs, held = [], 0, 0
     for lo, hi, top in zip(ends[-2::-1], ends[:0:-1], tops[::-1]):
         rule, fine = _u_rules(top)
