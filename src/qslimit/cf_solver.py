@@ -59,6 +59,7 @@ from .core_numerics import (
     QuadratureError,
     fixed_point,
     g_values,
+    panel_nodes,
     panel_rule,
 )
 from .density_solver import DENSITY_DX, DENSITY_X_MAX, DENSITY_X_MIN
@@ -147,9 +148,8 @@ def _cf_spline(ts: np.ndarray, values: np.ndarray) -> CubicSpline:
 
 
 def _u_rules(t_top: float):
-    """The folded u-rule for every t <= t_top and its doubled rule, each
-    (nodes, weights) with the weights doubled: the integrand is u <-> 1-u
-    symmetric."""
+    """The folded u-rule for every t <= t_top and its doubled rule, weights
+    doubled: the integrand is u <-> 1-u symmetric."""
     return [(u, 2.0 * w) for u, w in panel_rule(DYADIC_EDGES, t_top * _U_PHASE, _U_BUDGET)]
 
 
@@ -195,30 +195,20 @@ def cf_map(phi: CfGrid) -> CfGrid:
     t = 25k (t = 0 joins the first block).  The value at t = 0 is pinned to 1
     exactly.  Moduli may overshoot 1 by at most the quadrature tolerance;
     anything above 1e-9 is an error, smaller overshoots are clamped back to
-    the unit disk.  Raises ValueError if the last block's doubled rule would
-    need more than MAX_GRID_POINTS nodes, before any other rule is built, or
-    the sweep more than _MAX_SWEEP_PAIRS spline pairs, before the spline.
+    the unit disk.  Raises ValueError, before any rule is built, if a
+    block's doubled rule would need more than MAX_GRID_POINTS nodes or the
+    sweep more than _MAX_SWEEP_PAIRS spline pairs.
     """
     ts = phi.xs
     blocks = np.maximum(np.ceil(ts / _T_BLOCK), 1.0)
     ends = np.concatenate([[0], np.flatnonzero(np.diff(blocks)) + 1, [ts.size]])
     tops = _T_BLOCK * blocks[ends[1:] - 1]
-    # the largest block's rules first, so panel_rule's node cap trips first; to
-    # hold no more memory than the largest pair allowed, past MAX_GRID_POINTS
-    # doubled nodes a pair is only counted (and built again below), and a sweep
-    # over the pair cap stops counting
-    rules, pairs, held = [], 0, 0
-    for lo, hi, top in zip(ends[-2::-1], ends[:0:-1], tops[::-1]):
-        rule, fine = _u_rules(top)
-        pairs += rule[0].size * (hi - lo)
-        held += fine[0].size
-        if held > MAX_GRID_POINTS and pairs > _MAX_SWEEP_PAIRS:
-            break
-        rules.append((rule, fine) if held <= MAX_GRID_POINTS else None)
+    # every block is sized, so checked against both caps, before a rule is built; largest first
+    nodes = [int(panel_nodes(top * _U_PHASE, _U_BUDGET).sum()) for top in tops[::-1]]
+    pairs = int(np.dot(nodes, np.diff(ends)[::-1]))
     if pairs > _MAX_SWEEP_PAIRS:
-        least = "at least " if len(rules) < tops.size else ""
-        raise ValueError(f"the u-rules for t_max={phi.x_max} need {least}{pairs} spline "
-                         f"pairs per sweep, over the cap of {_MAX_SWEEP_PAIRS}")
+        raise ValueError(f"the u-rules for t_max={phi.x_max} need {pairs} spline pairs "
+                         f"per sweep, over the cap of {_MAX_SWEEP_PAIRS}")
     # a spread of grid points and the last t of every block, where its rule is
     # coarsest, re-evaluated with the block's doubled rule; disagreement means
     # the panel budget was too coarse for this iterate
@@ -227,8 +217,8 @@ def cf_map(phi: CfGrid) -> CfGrid:
     spline = _cf_spline(ts, phi.values)
     out = np.empty(ts.size, dtype=np.complex128)
     ref = np.empty(check.size, dtype=np.complex128)
-    for lo, hi, top, pair in zip(ends, ends[1:], tops, rules[::-1]):
-        rule, fine = pair or _u_rules(top)
+    for lo, hi, top in zip(ends, ends[1:], tops):
+        rule, fine = _u_rules(top)
         out[lo:hi] = _quad_values(spline, ts[lo:hi], *rule)
         # one t per call, so the check's phase is np.exp's, not the recurrence's
         for j in np.flatnonzero((check >= lo) & (check < hi)):

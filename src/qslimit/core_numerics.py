@@ -34,7 +34,7 @@ __all__ = [
     "MAX_GRID_POINTS",
     "integrate",
     "DYADIC_EDGES",
-    "PANEL_ORDER",
+    "panel_nodes",
     "panel_rule",
     "g_values",
     "h_complex",
@@ -274,8 +274,8 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10):
 # Fixed composite rules for oscillatory integrands: one rule serves many
 # integrands (every t of a block), where bisection would re-split each anew.
 
-PANEL_ORDER = 16
-_PANEL_NODES, _PANEL_WEIGHTS = leggauss(PANEL_ORDER)
+_PANEL_ORDER = 16
+_PANEL_NODES, _PANEL_WEIGHTS = leggauss(_PANEL_ORDER)
 
 # Break points on [0, 1/2]: graded by 4 toward 0, where g' is log-singular, from
 # 4**-9 to 4**-3, then octaves from 1/32 to 1/2.  On [a, 4a] the u ln u
@@ -285,6 +285,19 @@ _PANEL_NODES, _PANEL_WEIGHTS = leggauss(PANEL_ORDER)
 DYADIC_EDGES = np.concatenate([[0.0], 4.0 ** np.arange(-9, -2),
                                [1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0, 1.0 / 2.0]])
 DYADIC_EDGES.flags.writeable = False
+
+
+def panel_nodes(phase, budget: float) -> np.ndarray:
+    """Nodes per interval of `panel_rule`'s rule, 16 on each of its
+    max(1, ceil(phase[i] / budget)) panels; the doubled rule has twice as many.
+    Raises ValueError, before any panel is made, if a phase is not finite or
+    the doubled rule would need more than MAX_GRID_POINTS nodes."""
+    per = np.maximum(1.0, np.ceil(np.asarray(phase, dtype=np.float64) / budget))
+    nodes = 2 * _PANEL_ORDER * float(per.sum())
+    if not nodes <= MAX_GRID_POINTS:  # NaN and inf fail too
+        raise ValueError(f"a phase-adapted rule would need {nodes:.3g} nodes, over the "
+                         f"cap of {MAX_GRID_POINTS}")
+    return _PANEL_ORDER * per.astype(np.int64)
 
 
 def panel_rule(edges, phase, budget: float):
@@ -297,19 +310,14 @@ def panel_rule(edges, phase, budget: float):
     interval i into max(1, ceil(phase[i] / budget)) equal panels, so none
     carries more than `budget` radians; the doubled rule halves every panel.
     Complex edges are the corners of a polygonal path; the weights are then
-    complex, so that the rule sums f(u) du along the path.  Raises
-    ValueError, before either rule is made, if a phase is not finite or the
-    doubled rule would need more than MAX_GRID_POINTS nodes.
+    complex, so that the rule sums f(u) du along the path.  Both are sized by
+    `panel_nodes`, which raises its ValueError before either rule is made.
     """
-    per = np.maximum(1.0, np.ceil(np.asarray(phase, dtype=np.float64) / budget))
-    nodes = 2 * PANEL_ORDER * float(per.sum())
-    if not nodes <= MAX_GRID_POINTS:  # NaN and inf fail too
-        raise ValueError(f"a phase-adapted rule would need {nodes:.3g} nodes, over the "
-                         f"cap of {MAX_GRID_POINTS}")
+    per = panel_nodes(phase, budget) // _PANEL_ORDER
     edges = np.asarray(edges)
     edges = edges.astype(np.result_type(edges, np.float64))  # complex edges stay complex
     rules = []
-    for counts in (per.astype(np.int64), 2 * per.astype(np.int64)):
+    for counts in (per, 2 * per):
         a = np.repeat(edges[:-1], counts)
         b = np.repeat(edges[1:], counts)
         n = np.repeat(counts, counts)

@@ -160,40 +160,17 @@ def test_map_matches_a_refined_reference_at_every_t():
     assert np.max(np.abs(mapped[1:] - ref[1:])) <= 5e-11
 
 
-def test_sweep_caps_refuse_before_the_spline_is_built(monkeypatch):
-    def no_spline(ts, values):
-        raise AssertionError("the spline was built")
+def test_sweep_caps_refuse_before_any_rule_is_built(monkeypatch):
+    def not_built(*args):
+        raise AssertionError("a rule or the spline was built")
 
-    monkeypatch.setattr(cf_solver, "_cf_spline", no_spline)
+    monkeypatch.setattr(cf_solver, "_u_rules", not_built)
+    monkeypatch.setattr(cf_solver, "_cf_spline", not_built)
     with pytest.raises(ValueError, match="need 402653184 spline pairs per sweep, "
                                          "over the cap of 67108864"):
         cf_map(init_gaussian_cf(50.0, 2**20))
     with pytest.raises(ValueError, match=r"would need 3\.65e\+06 nodes, over the cap"):
         cf_map(init_gaussian_cf(3e5, 4096))
-
-
-def test_rules_past_the_held_budget_are_rebuilt(monkeypatch):
-    # with room for one block's doubled rule only, the other seven blocks' rules
-    # are counted, dropped and built again, and the map does not move a bit
-    phi = uniform_cf(t_max=200.0, n=1024)
-    mapped = cf_map(phi).values
-    built = []
-    real = cf_solver._u_rules
-
-    def counting(top):
-        built.append(top)
-        return real(top)
-
-    monkeypatch.setattr(cf_solver, "_u_rules", counting)
-    monkeypatch.setattr(cf_solver, "MAX_GRID_POINTS", real(200.0)[1][0].size)
-    assert np.array_equal(cf_map(phi).values, mapped)
-    assert built == [25.0 * k for k in range(8, 0, -1)] + [25.0 * k for k in range(1, 8)]
-    # past both budgets the count stops, and the refusal says it is a lower bound
-    monkeypatch.setattr(cf_solver, "_MAX_SWEEP_PAIRS", 1000)
-    built.clear()
-    with pytest.raises(ValueError, match="need at least"):
-        cf_map(phi)
-    assert built == [200.0, 175.0]
 
 
 def test_iterate_rejects_bad_tolerance():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from qslimit.core_numerics import (
     DYADIC_EDGES,
     MAX_GRID_POINTS,
-    PANEL_ORDER,
     Grid,
     IterationError,
     QuadratureError,
@@ -16,8 +15,12 @@ from qslimit.core_numerics import (
     g_values,
     h_complex,
     integrate,
+    panel_nodes,
     panel_rule,
 )
+
+# Gauss-Legendre points on each panel of panel_rule
+PANEL_ORDER = 16
 
 # int_0^1 g(u)^2 du has the closed form (7 - 2 pi^2 / 3) / 3
 G_SQUARED = (7.0 - 2.0 * math.pi**2 / 3.0) / 3.0
@@ -86,6 +89,7 @@ def test_panel_rule_splits_each_interval_by_its_phase():
                     for x in (u, u2)]
     assert np.array_equal(per_interval[1], 2 * per_interval[0])
     assert np.array_equal(per_interval[0][1:] // PANEL_ORDER, [1, 3, 7])
+    assert np.array_equal(panel_nodes(phase, budget), per_interval[0][1:])
     assert w2 @ np.exp(5j * u2) == pytest.approx((np.exp(15j) - 1.0) / 5j, abs=1e-14)
 
 
@@ -110,6 +114,8 @@ def test_panel_rule_checks_its_cap_before_allocating():
     for phase in (top + 1.0, 1e300, math.inf, math.nan):
         with pytest.raises(ValueError, match="cap"):
             panel_rule(edges, [phase], 1.0)
+        with pytest.raises(ValueError, match="cap"):
+            panel_nodes([phase], 1.0)
 
 
 def test_graded_ladder_resolves_the_log_singularity():
