@@ -155,10 +155,10 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    dens, _, hist = _iterate_density_from(args)
+    dens, iters, hist = _iterate_density_from(args)
     if args.convergence is not None:
         with open(args.convergence, "w") as fh:
-            fh.write(_dump_json(convergence_report(dens, hist)))
+            fh.write(_dump_json(convergence_report(dens, iters, hist)))
     _emit(args, _csv(["x,f"], dens.xs, dens.values))
     return 0
 

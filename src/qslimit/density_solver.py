@@ -14,15 +14,21 @@ f.  The narrow copy (scale u) can be far thinner than the grid spacing, so it
 enters as lattice masses deposited with the first-moment-preserving hat
 scheme (each mass element split linearly between its two neighboring grid
 points), computed in closed form from the antiderivative of the CDF of the
-piecewise-linear interpolant.  Plain nearest-cell binning places the thinnest
-kernels up to half a cell off; translation is a neutral direction of the map
-(it preserves the mean), so that placement error does not contract -- it
-accumulates as a linear drift of the iterate and the iteration never reaches
-its tolerance.  The wide copy (scale 1-u) stays smooth on the grid and is
-sampled by linear interpolation with value 0 outside; lattice sums of smooth
-decaying samples carry no comparable mean bias.  Each sweep renormalizes the
-mass to 1; a pre-normalization mass outside [0.9, 1.1] aborts, since it means
-the grid is truncating real probability.
+piecewise-linear interpolant; plain nearest-cell binning would place the
+thinnest kernels up to half a cell off.  The wide copy (scale 1-u) stays
+smooth on the grid and is sampled by linear interpolation with value 0
+outside; lattice sums of smooth decaying samples carry no comparable mean
+bias.
+
+The map preserves the mean, so the limit law is its unique fixed point only
+among mean-zero laws: translation is a neutral direction, along which neither
+a start's mean nor a placement error would contract.  Each sweep therefore
+deposits the narrow copy shifted by the input's mean m, which makes f_u the
+density of u Y + (1-u) Z + g(u) - m: the image has mean 0 up to the grid's
+own bias, whatever the input's mean, and every start converges on the
+mean-zero fixed point.  Each sweep renormalizes the mass to 1; a
+pre-normalization mass outside [0.9, 1.1] aborts, since it means the grid is
+truncating real probability.
 
 The convolution itself runs by real FFT, one transform length per sweep, with
 the outputs below the FFT's round-off scale summed directly.  A plain FFT
@@ -46,7 +52,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .core_numerics import MAX_GRID_POINTS, Grid, fixed_point, g_values
+from .core_numerics import MAX_GRID_POINTS, Grid, IterationError, fixed_point, g_values
 from .moments import VARIANCE
 
 __all__ = [
@@ -244,11 +250,13 @@ def _convolve(wide: np.ndarray, masses: np.ndarray, start: int, nfft: int) -> np
 
 
 def apply_T(f: DensityGrid, u_nodes: int = DENSITY_U_NODES) -> DensityGrid:
-    """One sweep of the integral-equation map, renormalized to unit mass.
+    """One sweep of the integral-equation map, re-centred and renormalized.
 
-    Each u-node's convolution is an FFT bulk plus direct sums for the outputs
-    below the round-off threshold (the two tails of these unimodal iterates),
-    so the sweep's tails keep full relative precision; see `_convolve`.
+    The narrow copy is deposited shifted by f's mean, so the output has unit
+    mass and mean 0 up to the grid's bias.  Each u-node's convolution is an
+    FFT bulk plus direct sums for the outputs below the round-off threshold
+    (the two tails of these unimodal iterates), so the sweep's tails keep full
+    relative precision; see `_convolve`.
     """
     # leggauss builds a dense u_nodes x u_nodes matrix: cap it like a grid
     if not 2 <= u_nodes <= math.isqrt(MAX_GRID_POINTS):
@@ -256,6 +264,7 @@ def apply_T(f: DensityGrid, u_nodes: int = DENSITY_U_NODES) -> DensityGrid:
                          f"got {u_nodes}")
     xs, vals, dx = f.xs, f.values, f.dx
     n = vals.size
+    mu = f.mean()
     F, Phi = _cdf_antiderivative(vals, dx)
     us, ws = _u_quadrature(u_nodes)
     # u < 1/2 keeps each node's deposit to at most (n - 1)/2 + 5 masses
@@ -265,7 +274,7 @@ def apply_T(f: DensityGrid, u_nodes: int = DENSITY_U_NODES) -> DensityGrid:
     for u, wu, gu in zip(us, ws, g_values(us)):
         one_m = 1.0 - u
         wide = np.interp(xs / one_m, xs, vals, left=0.0, right=0.0) / one_m
-        k_lo, masses = _hat_deposit(float(u), gu, f.x0, dx, n, vals, F, Phi)
+        k_lo, masses = _hat_deposit(float(u), gu - mu, f.x0, dx, n, vals, F, Phi)
         contrib = _convolve(wide, masses, -k_lo, nfft)
         if float(contrib.max()) > F_U_CAP:
             clipped = True
@@ -287,30 +296,59 @@ def iterate_density(f0: DensityGrid, max_iter: int = DENSITY_MAX_ITER,
                     tol: float = DENSITY_TOL, u_nodes: int = DENSITY_U_NODES):
     """Iterate the map to its fixed point in the sup norm.
 
-    Returns (fixed_point, iterations, diff_history).  The differences should
-    eventually contract geometrically; if `geometric_tail` finds otherwise, a
-    warning is attached rather than an error, since the sweep may simply be
-    approaching its discretization floor.  A run that stalls there for 5
-    sweeps, or whose residual falls too slowly for the sweeps left to reach
-    `tol` (at a coarse dx, such as 0.5, with tol = 1e-8), raises
-    IterationError, as any fixed_point run does.
+    Returns (fixed_point, iterations, diff_history).  A grid at least twice
+    as fine as DENSITY_DX starts from the solve on the same window at twice
+    its spacing (itself started the same way, while the rule holds), from f0
+    interpolated onto that grid; at dx = 0.001 the levels are 0.004, 0.002
+    and 0.001.  `iterations` counts the sweeps of every level, which share
+    the `max_iter` budget; `diff_history` is the finest level's.
+
+    The differences should eventually contract geometrically; if
+    `geometric_tail` finds otherwise, a warning is attached rather than an
+    error, since the sweep may simply be approaching its discretization
+    floor.  A run that stalls there for 5 sweeps, or whose residual falls
+    too slowly for the sweeps left to reach `tol`, raises IterationError, as
+    any fixed_point run does.
 
     This route stays on plain iteration.  Anderson mixing (the CF route's
-    mode) pushes density values below zero, to -6e-4 at dx = 0.005, and
-    clamping them back breaks the translation-neutral direction of the map:
-    the mixed run converged on a translated fixed point with mean -5.7e-4
-    (against -5.3e-6), 5.8e-4 in the sup norm from the plain result.
-    Mixing here needs a re-centering step first.
+    mode) pushes density values below zero, to -6e-4 at dx = 0.005.  Before
+    the map pinned the mean, clamping them back let the run settle on a
+    translate (mean -5.7e-4, 5.8e-4 in the sup norm from the plain result);
+    the pin removes that drift, but a clamp at 0 still left zero cells up to
+    x = -3.863, above the -3.9 below which the gate allows them.  Mixing
+    stays open.
     """
-    cur, it, history = fixed_point(lambda f: apply_T(f, u_nodes=u_nodes), f0,
-                                   max_iter, tol, "density")
+    grids = [f0]
+    while 2.0 * grids[-1].dx <= DENSITY_DX:
+        # every other node of the finer grid, and one past its end if its
+        # node count is even, so the coarser grid covers the whole window
+        finer = grids[-1]
+        grids.append(Grid(finer.x0, 2.0 * finer.dx, np.zeros(finer.n // 2 + 1)))
+    cur, sweeps = f0, 0
+    for grid in reversed(grids):
+        if grid is not cur:  # f0 or the coarser result, onto this level's grid
+            cur = _resampled(cur, grid)
+        fine = grid is f0
+        name = "density" if fine else f"density (dx = {grid.dx:g} start)"
+        cur, it, history = fixed_point(lambda f: apply_T(f, u_nodes=u_nodes), cur,
+                                       max_iter - sweeps, tol, name)
+        sweeps += it
+        if sweeps == max_iter and not fine:
+            raise IterationError(
+                f"density iteration spent its {max_iter} sweeps on the grids "
+                f"coarser than dx = {f0.dx:g}", history)
     ratios, geometric = geometric_tail(history)
     if len(ratios) == 4 and not geometric:
         warnings.warn(
             f"density iteration converged but the last diff ratios "
             f"{[round(r, 3) for r in ratios]} are not uniformly geometric",
             RuntimeWarning)
-    return cur, it, history
+    return cur, sweeps, history
+
+
+def _resampled(f: DensityGrid, onto: Grid) -> DensityGrid:
+    """f interpolated onto the nodes of `onto` (0 past f's right end), mass 1."""
+    return _normalized(onto.x0, onto.dx, np.interp(onto.xs, f.xs, f.values, right=0.0))
 
 
 def geometric_tail(history) -> tuple:
@@ -326,9 +364,10 @@ def cdf(f: DensityGrid) -> Grid:
     return Grid(f.x0, f.dx, np.clip(F, 0.0, 1.0))
 
 
-def convergence_report(f: DensityGrid, history) -> dict:
+def convergence_report(f: DensityGrid, iterations: int, history) -> dict:
+    """The solve's sweeps (every level's), the finest level's diffs, and moments."""
     return {
-        "iterations": len(history),
+        "iterations": iterations,
         "diff_history": list(history),
         "mean": f.mean(),
         "variance": f.variance(),

@@ -279,6 +279,22 @@ def test_fixed_point_runs_out_of_budget():
     assert err.value.history == [1.0, 0.5, 0.25]
 
 
+def test_fixed_point_stops_when_it_contracts_too_slowly():
+    # the residual falls by exactly 0.97 per sweep: from 0.06, tol 1e-8 takes
+    # about 513 sweeps, so a budget of 100 is refused as soon as five falls
+    # give the rate, while a budget of 600 runs to tol
+    def step(p):
+        return _Point(0.97 * p.values[0] + 0.06)
+
+    with pytest.raises(IterationError, match="slow iteration contracts too slowly") as err:
+        fixed_point(step, _Point(0.0), max_iter=100, tol=1e-8, name="slow")
+    assert "a factor of 0.97 per sweep" in str(err.value)
+    assert len(err.value.history) == 6
+    x, iters, history = fixed_point(step, _Point(0.0), max_iter=600, tol=1e-8, name="slow")
+    assert 500 < iters < 600 and history[-1] < 1e-8
+    assert x.values[0] == pytest.approx(2.0, abs=1e-6)
+
+
 @pytest.mark.parametrize("max_iter, tol", [
     (10, 0.0), (10, -1e-3), (10, np.nan), (10, np.inf), (0, 1e-3), (-1, 1e-3),
 ])

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from qslimit import density_solver
-from qslimit.core_numerics import Grid, IterationError
+from qslimit.core_numerics import Grid, IterationError, fixed_point
 from qslimit.density_solver import (
+    DENSITY_MAX_ITER,
+    DENSITY_TOL,
     DensityGrid,
     apply_T,
     cdf,
@@ -58,6 +60,16 @@ def test_map_preserves_the_mean():
     assert abs(out.mean()) < 2e-3
 
 
+def test_map_pins_the_mean_of_an_off_centre_law():
+    # the narrow deposit is shifted by the input's mean, so a law parked
+    # against the right edge comes back centred, with no mass off the grid
+    f = uniform_density(5.0, 6.0)
+    assert f.mean() == pytest.approx(5.5, abs=1e-2)
+    out = apply_T(f)
+    assert abs(out.mean()) < 1e-3
+    assert out.variance() == pytest.approx((2.0 / 3.0) / 12.0 + G_SQUARED, abs=2e-3)
+
+
 def test_map_variance_action_on_a_narrow_gaussian():
     # var(Tf) = (2/3) var(f) + int g^2
     out = apply_T(gaussian_density(var=0.05**2))
@@ -78,9 +90,12 @@ def test_map_warns_when_clipping_spikes():
 
 
 def test_map_rejects_mass_escape():
-    # a law parked against the right edge pushes mass off the grid
+    # a law split between the two window edges: its mean-zero image spreads
+    # past both of them
+    lo, hi = uniform_density(-4.0, -3.0), uniform_density(5.0, 6.0)
+    split = DensityGrid(lo.x0, lo.dx, 0.5 * (lo.values + hi.values))
     with pytest.raises(ValueError, match="losing probability"):
-        apply_T(uniform_density(a=5.0, b=6.0))
+        apply_T(split)
 
 
 def _on(f, lo, hi):
@@ -136,20 +151,88 @@ def test_fft_convolution_matches_the_direct_sum(monkeypatch, density_fixed):
     assert least[0] < 1e-300
 
 
-def test_fine_grid_fixed_point_passes_the_gate():
-    # positive on [-3.9, 6) with zeros only below -3.9, on a grid finer than the report's
-    f, iters, history = iterate_density(gaussian_density(dx=0.0025))
+FINE_DX = 0.0025
+
+
+@pytest.fixture(scope="module")
+def fine_fixed():
+    """The Gaussian start's solve at FINE_DX, with the grid spacing of each
+    apply_T sweep and every warning recorded."""
+    calls = []
+    real = density_solver.apply_T
+
+    def counting(f, u_nodes):
+        calls.append(f.dx)
+        return real(f, u_nodes=u_nodes)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mp.setattr(density_solver, "apply_T", counting)
+        solved = iterate_density(gaussian_density(dx=FINE_DX))
+    return solved, calls, caught
+
+
+def _gate(f, iters, history):
     art = {"density": f, "density_iters": iters, "density_history": history,
            "density_seconds": 0.0}
-    result = check_density_fixed_point(art)
+    return check_density_fixed_point(art)
+
+
+def test_fine_grid_fixed_point_passes_the_gate(fine_fixed):
+    # positive on [-3.9, 6) with zeros only below -3.9, on a grid finer than the report's
+    result = _gate(*fine_fixed[0])
     assert result.passed, result.detail
+
+
+def test_fine_grid_starts_from_the_coarser_solve(fine_fixed):
+    (f, iters, history), calls, caught = fine_fixed
+    # every sweep of both levels is counted, coarse first; the history is the
+    # fine level's alone, and its tail is geometric with no level boundary in it
+    n_fine = len(history)
+    assert iters == len(calls) and iters > n_fine
+    assert calls == [0.005] * (iters - n_fine) + [FINE_DX] * n_fine
+    assert n_fine <= 8 and history[-1] < 1e-6
+    assert geometric_tail(history)[1] and not caught
+    rep = convergence_report(f, iters, history)
+    assert rep["iterations"] == iters and rep["diff_history"] == history
+    # the levels share one budget: the coarse level's sweeps leave none for the fine grid
+    with pytest.raises(IterationError, match="spent its .* coarser than dx = 0.0025"):
+        iterate_density(gaussian_density(dx=FINE_DX), max_iter=iters - n_fine)
+
+
+def test_coarse_grids_cover_a_window_of_even_node_count():
+    # 6002 nodes from -2.001: every other node would stop at 3.999, short of
+    # the [-2, 4] a DensityGrid must cover, so each coarse grid ends past x_max
+    f0 = gaussian_density(x_min=-2.001, x_max=4.0, dx=0.001)
+    f, _, _ = iterate_density(f0, tol=1e-3)
+    assert (f.x0, f.dx, f.n) == (f0.x0, f0.dx, 6002)
+
+
+def test_coarse_start_lands_on_the_direct_fine_solve(fine_fixed):
+    f = fine_fixed[0][0]
+    direct, _, _ = fixed_point(apply_T, gaussian_density(dx=FINE_DX), DENSITY_MAX_ITER,
+                               DENSITY_TOL, "direct")
+    assert float(np.abs(f.values - direct.values).max()) < 1e-5
+
+
+def test_every_start_reaches_the_same_fine_fixed_point(fine_fixed):
+    # the map pins the mean, so an asymmetric or off-centre start no longer
+    # converges on a translate
+    ref = fine_fixed[0][0]
+    for a, b in ((-1.0, 1.0), (-0.5, 0.9), (0.0, 1.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, iters, history = iterate_density(uniform_density(a, b, dx=FINE_DX))
+        result = _gate(f, iters, history)
+        assert result.passed, (a, b, result.detail)
+        assert float(np.abs(f.values - ref.values).max()) < 1e-5, (a, b)
 
 
 def test_mean_stays_pinned_along_the_iteration():
     f = gaussian_density()
     for _ in range(5):
         f = apply_T(f)
-        assert abs(f.mean()) < 5e-3
+        assert abs(f.mean()) < 1e-5
 
 
 def test_iterate_rejects_bad_tolerance():
@@ -226,7 +309,7 @@ def test_uniform_start_reaches_the_same_fixed_point(density_fixed):
     alt, iters, history = iterate_density(uniform_density())
     assert iters <= 60
     assert history[-1] < 1e-6
-    assert float(np.abs(alt.values - dens.values).max()) < 1e-4
+    assert float(np.abs(alt.values - dens.values).max()) < 1e-5
 
 
 def test_fixed_point_is_smooth(density_fixed):
@@ -247,7 +330,7 @@ def test_cdf_shape(density_fixed):
 
 def test_convergence_report_keys(density_fixed):
     dens, iters, history = density_fixed
-    rep = convergence_report(dens, history)
+    rep = convergence_report(dens, iters, history)
     assert set(rep) == {"iterations", "diff_history", "mean", "variance",
                         "max_f", "min_f"}
     assert rep["iterations"] == iters
