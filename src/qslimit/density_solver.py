@@ -30,16 +30,23 @@ mean-zero fixed point.  Each sweep renormalizes the mass to 1; a
 pre-normalization mass outside [0.9, 1.1] aborts, since it means the grid is
 truncating real probability.
 
-The convolution itself runs by real FFT, one transform length per sweep, with
-the outputs below the FFT's round-off scale summed directly.  A plain FFT
-would not do: its round-off, about 5e-16 of the largest possible output,
-would replace every value below f(-2.3) ~ 1e-16 with noise of either sign,
-while the fixed point stays positive and representable down to f(-3.9) ~
+A deposit of at most a few hundred masses, as at the u-nodes near 0, is
+convolved directly.  A wider one runs by real FFT, one transform length per
+sweep, with the outputs below the FFT's round-off scale summed directly.  A
+plain FFT would not do: its round-off, about 5e-16 of the largest possible
+output, would replace every value below f(-2.3) ~ 1e-16 with noise of either
+sign, while the fixed point stays positive and representable down to f(-3.9) ~
 1e-288, which the acceptance gate asserts.  Summing those tail outputs as
 direct sums of nonnegative products keeps them to full relative precision and
 keeps exact zeros exact; every output taken from the FFT lies at least 2000
 times above its round-off, so it is positive without a clamp.  At dx = 0.001
 (10,001 points) a sweep costs about a third of the direct convolution's.
+
+A grid at least twice as fine as the default starts from the solve at twice
+its spacing.  Those coarse levels run Anderson-mixed, each mix clamped at 0
+and renormalized; the finest level runs plain sweeps.  The clamp cuts the far
+left tail, which the finest level's plain sweeps rebuild, and its history is
+then the map's own contraction, which `geometric_tail` reads.
 """
 
 from __future__ import annotations
@@ -92,6 +99,9 @@ F_U_CAP = 32.0 * (1.0 + 1e-6)
 # (measured on converged and compact-support iterates); outputs below this
 # fraction of that scale, 2000 times the round-off, are summed directly
 _FFT_TAIL = 1e-12
+# deposits of at most this many masses (zeros trimmed) convolve directly: at
+# dx = 0.001-0.005 np.convolve beats the FFT path up to 500-1000 masses
+_DIRECT_MASSES = 600
 
 
 class DensityGrid(Grid):
@@ -220,7 +230,9 @@ def _padded(v: np.ndarray, a: int, b: int) -> np.ndarray:
 def _convolve(wide: np.ndarray, masses: np.ndarray, start: int, nfft: int) -> np.ndarray:
     """Outputs start .. start + wide.size - 1 of wide * masses, zero off its support.
 
-    Both factors are nonnegative.  The bulk comes from a real FFT of length
+    Both factors are nonnegative.  A deposit of at most _DIRECT_MASSES masses
+    is convolved directly, every output a sum of nonnegative products.  For a
+    longer one the bulk comes from a real FFT of length
     nfft >= wide.size + masses.size - 1.  Every output below _FFT_TAIL times
     the round-off scale is then recomputed as a direct sum of nonnegative
     products: it keeps full relative precision down to the subnormals and an
@@ -230,11 +242,13 @@ def _convolve(wide: np.ndarray, masses: np.ndarray, start: int, nfft: int) -> np
     """
     n = wide.size
     nz_w, nz_m = np.flatnonzero(wide), np.flatnonzero(masses)
-    # trimming leading and trailing zeros shortens the direct tail sums; the
+    # trimming leading and trailing zeros shortens the direct sums; the
     # transforms keep the sweep's fixed length nfft
     wide = wide[nz_w[0]:nz_w[-1] + 1]
     masses = masses[nz_m[0]:nz_m[-1] + 1]
     start -= int(nz_w[0] + nz_m[0])
+    if masses.size <= _DIRECT_MASSES:
+        return _padded(np.convolve(wide, masses), start, start + n)
     full = irfft(rfft(wide, nfft) * rfft(masses, nfft), nfft)
     out = _padded(full[:wide.size + masses.size - 1], start, start + n)
     small = out < _FFT_TAIL * float(wide.sum()) * float(masses.max())
@@ -253,10 +267,11 @@ def apply_T(f: DensityGrid, u_nodes: int = DENSITY_U_NODES) -> DensityGrid:
     """One sweep of the integral-equation map, re-centred and renormalized.
 
     The narrow copy is deposited shifted by f's mean, so the output has unit
-    mass and mean 0 up to the grid's bias.  Each u-node's convolution is an
-    FFT bulk plus direct sums for the outputs below the round-off threshold
-    (the two tails of these unimodal iterates), so the sweep's tails keep full
-    relative precision; see `_convolve`.
+    mass and mean 0 up to the grid's bias.  Each u-node's convolution is a
+    direct one for a narrow deposit, else an FFT bulk plus direct sums for the
+    outputs below the round-off threshold (the two tails of these unimodal
+    iterates), so the sweep's tails keep full relative precision; see
+    `_convolve`.
     """
     # leggauss builds a dense u_nodes x u_nodes matrix: cap it like a grid
     if not 2 <= u_nodes <= math.isqrt(MAX_GRID_POINTS):
@@ -308,15 +323,18 @@ def iterate_density(f0: DensityGrid, max_iter: int = DENSITY_MAX_ITER,
     error, since the sweep may simply be approaching its discretization
     floor.  A run that stalls there for 5 sweeps, or whose residual falls
     too slowly for the sweeps left to reach `tol`, raises IterationError, as
-    any fixed_point run does.
+    any fixed_point run does.  A start that keeps less than 99% of its mass
+    on the coarsest grid's nodes raises ValueError.
 
-    This route stays on plain iteration.  Anderson mixing (the CF route's
-    mode) pushes density values below zero, to -6e-4 at dx = 0.005.  Before
-    the map pinned the mean, clamping them back let the run settle on a
-    translate (mean -5.7e-4, 5.8e-4 in the sup norm from the plain result);
-    the pin removes that drift, but a clamp at 0 still left zero cells up to
-    x = -3.863, above the -3.9 below which the gate allows them.  Mixing
-    stays open.
+    The coarse levels run Anderson(5)-mixed (the CF route's mode), which
+    cuts a solve at dx = 0.001 from 33-36 sweeps to 15-17.  A mix can dip
+    below zero, to -6e-4 at dx = 0.005, so each is clamped at 0 and
+    renormalized; with the mean pinned, the clamped mix no longer drifts to
+    a translate.  The finest level, the default grid's only one, runs plain
+    sweeps.  A clamp at 0 leaves zero cells up to x = -3.863, above the -3.9
+    below which the gate allows them, and the plain sweeps rebuild that
+    tail.  They also make the returned grid and history the map's own, so
+    the warning and `geometric_tail` read the map's contraction.
     """
     grids = [f0]
     while 2.0 * grids[-1].dx <= DENSITY_DX:
@@ -330,8 +348,9 @@ def iterate_density(f0: DensityGrid, max_iter: int = DENSITY_MAX_ITER,
             cur = _resampled(cur, grid)
         fine = grid is f0
         name = "density" if fine else f"density (dx = {grid.dx:g} start)"
+        project = None if fine else functools.partial(_clamped, grid)
         cur, it, history = fixed_point(lambda f: apply_T(f, u_nodes=u_nodes), cur,
-                                       max_iter - sweeps, tol, name)
+                                       max_iter - sweeps, tol, name, project=project)
         sweeps += it
         if sweeps == max_iter and not fine:
             raise IterationError(
@@ -346,9 +365,23 @@ def iterate_density(f0: DensityGrid, max_iter: int = DENSITY_MAX_ITER,
     return cur, sweeps, history
 
 
+def _clamped(grid: Grid, mixed: np.ndarray) -> DensityGrid:
+    """An Anderson mix on `grid` made a density: clamped at 0, mass 1."""
+    return _normalized(grid.x0, grid.dx, np.maximum(mixed, 0.0))
+
+
 def _resampled(f: DensityGrid, onto: Grid) -> DensityGrid:
-    """f interpolated onto the nodes of `onto` (0 past f's right end), mass 1."""
-    return _normalized(onto.x0, onto.dx, np.interp(onto.xs, f.xs, f.values, right=0.0))
+    """f interpolated onto the nodes of `onto` (0 past f's right end), mass 1.
+
+    Raises ValueError if the nodes keep less than 99% of f's mass, as for a
+    start narrower than the spacing of `onto`.
+    """
+    vals = np.interp(onto.xs, f.xs, f.values, right=0.0)
+    mass, kept = f.mass(), float(np.trapezoid(vals, dx=onto.dx))
+    if kept < 0.99 * mass:
+        raise ValueError(f"the start keeps {kept:.3g} of its mass {mass:.3g} on the "
+                         f"dx = {onto.dx:g} grid it is first solved on; widen its support")
+    return DensityGrid(onto.x0, onto.dx, vals / kept)
 
 
 def geometric_tail(history) -> tuple:

@@ -132,14 +132,16 @@ def _check_against_direct(calls):
         tail = got < density_solver._FFT_TAIL * scale
         ulps = masses.size * np.finfo(float).smallest_subnormal
         assert np.all(np.abs(got - ref)[tail] <= 1e-12 * ref[tail] + ulps)
-        calls.append(float(ref[ref > 0.0].min()))
+        nz = np.flatnonzero(masses)
+        calls.append((float(ref[ref > 0.0].min()), int(nz[-1] - nz[0] + 1)))
         return got
     return checked
 
 
 def test_fft_convolution_matches_the_direct_sum(monkeypatch, density_fixed):
     # a converged iterate, tails down to the subnormals, and a start whose
-    # compact support leaves exact zero runs in both factors
+    # compact support leaves exact zero runs in both factors; the narrow
+    # deposits take the direct path, the wide ones the FFT
     dens, _, _ = density_fixed
     least = []
     for f in (dens, uniform_density()):
@@ -147,7 +149,9 @@ def test_fft_convolution_matches_the_direct_sum(monkeypatch, density_fixed):
         monkeypatch.setattr(density_solver, "_convolve", _check_against_direct(calls))
         apply_T(f)
         assert len(calls) == 64
-        least.append(min(calls))
+        spans = [span for _, span in calls]
+        assert min(spans) <= density_solver._DIRECT_MASSES < max(spans)
+        least.append(min(smallest for smallest, _ in calls))
     assert least[0] < 1e-300
 
 
@@ -215,17 +219,65 @@ def test_coarse_start_lands_on_the_direct_fine_solve(fine_fixed):
     assert float(np.abs(f.values - direct.values).max()) < 1e-5
 
 
-def test_every_start_reaches_the_same_fine_fixed_point(fine_fixed):
+UNIFORM_STARTS = ((-1.0, 1.0), (-0.5, 0.9), (0.0, 1.0))
+
+
+@pytest.fixture(scope="module")
+def uniform_fixed():
+    """Each uniform start's solve at FINE_DX under warnings-as-errors, with
+    the grid spacing of each apply_T sweep."""
+    real = density_solver.apply_T
+    solves = {}
+    for a, b in UNIFORM_STARTS:
+        calls = []
+
+        def counting(f, u_nodes, calls=calls):
+            calls.append(f.dx)
+            return real(f, u_nodes=u_nodes)
+
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mp.setattr(density_solver, "apply_T", counting)
+            solves[a, b] = iterate_density(uniform_density(a, b, dx=FINE_DX)), calls
+    return solves
+
+
+def test_every_start_reaches_the_same_fine_fixed_point(fine_fixed, uniform_fixed):
     # the map pins the mean, so an asymmetric or off-centre start no longer
     # converges on a translate
     ref = fine_fixed[0][0]
-    for a, b in ((-1.0, 1.0), (-0.5, 0.9), (0.0, 1.0)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            f, iters, history = iterate_density(uniform_density(a, b, dx=FINE_DX))
+    for (a, b), ((f, iters, history), _) in uniform_fixed.items():
         result = _gate(f, iters, history)
         assert result.passed, (a, b, result.detail)
         assert float(np.abs(f.values - ref.values).max()) < 1e-5, (a, b)
+
+
+def test_coarse_levels_mix_and_the_finest_stays_plain(uniform_fixed):
+    # plain sweeps take 31-34 from these starts, 26-29 of them on the
+    # dx = 0.005 level, which takes 9-11 when it mixes
+    for (a, b), ((_, iters, history), calls) in uniform_fixed.items():
+        assert iters == len(calls) <= 20, (a, b)
+        # the history is the finest level's plain sweeps, one per apply_T call
+        assert calls.count(FINE_DX) == len(history), (a, b)
+        assert geometric_tail(history)[1], (a, b)
+
+
+def test_default_grid_solve_is_the_plain_iteration(density_fixed):
+    # the default grid has no coarser level, so nothing on it mixes
+    dens, iters, history = density_fixed
+    plain, plain_iters, plain_history = fixed_point(
+        apply_T, gaussian_density(), DENSITY_MAX_ITER, DENSITY_TOL, "plain")
+    assert np.array_equal(dens.values, plain.values)
+    assert (iters, history) == (plain_iters, plain_history) and iters == 17
+
+
+def test_start_narrower_than_the_coarse_spacing_is_rejected():
+    # one nonzero node at x = 0.001, between two nodes of the dx = 0.004 grid
+    f0 = uniform_density(0.0005, 0.0015, dx=0.001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^the start keeps 0 .* dx = 0\.004 grid"):
+            iterate_density(f0)
 
 
 def test_mean_stays_pinned_along_the_iteration():
@@ -277,7 +329,7 @@ def test_warning_and_report_read_one_ratio_window(monkeypatch):
     f0 = gaussian_density(dx=0.01)
     for history, geometric in ((fast, True), (slow, False)):
         monkeypatch.setattr(density_solver, "fixed_point",
-                            lambda *args, h=history: (f0, len(h), h))
+                            lambda *args, project=None, h=history: (f0, len(h), h))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             iterate_density(f0)
