@@ -202,10 +202,25 @@ def test_guided_leaf_draws_equal_searchsorted():
     sizes, u = np.concatenate(sizes), np.concatenate(us)
     key = u + (sizes << 53)
     # both the one-compare path and the searchsorted fallback are taken
-    crowded = np.diff(_leaf_guide())[key >> _BUCKET_SHIFT] > 1
+    crowded = _leaf_guide()[key >> _BUCKET_SHIFT] < 0
     assert crowded.any() and not crowded.all()
     expected = np.searchsorted(cdf, key, side="right") - starts[sizes]
     assert np.array_equal(_leaf_draw(sizes, _FixedUniforms(u)), expected)
+
+
+def test_guide_flags_exactly_the_crowded_buckets():
+    # bucket b holds the CDF entries in (b << 41, (b + 1) << 41]; it is flagged
+    # (sign bit set) exactly when there is more than one, and either way it
+    # keeps the index searchsorted gives at its lower edge
+    cdf, _ = _leaf_table()
+    guide = _leaf_guide()
+    assert guide.dtype == np.int32 and not guide.flags.writeable
+    edges = np.arange(guide.size + 1, dtype=np.int64) << _BUCKET_SHIFT
+    first = np.searchsorted(cdf, edges, side="right")
+    crowded = np.diff(first) > 1
+    assert np.array_equal(guide < 0, crowded)
+    assert np.array_equal(np.where(crowded, ~guide, guide), first[:-1])
+    assert 0 < crowded.mean() < 0.01
 
 
 # sha256 of sample_many(n, m, PCG64(n)) as little-endian int64, as the leaf
@@ -217,13 +232,40 @@ _PINNED_DRAWS = {
     1000: (20_000, "0ceb61a388f86d75cac1ecd552028d5742720eaf5dd978f35bbace0b3d5014bd"),
     10_000: (2_000, "bb7ba3fe9c1947e31bb14ff8ba2b0323778f741bc23d5976afe8735de9d506e3"),
 }
+# the generator's next integers(0, 2**63) after each of those calls: the
+# sampler consumes the same random stream, not only gives the same draws
+_PINNED_NEXT = {
+    7: 4228604352388240598,
+    64: 1376097910231505503,
+    65: 3331807500034967043,
+    1000: 4649682150703466896,
+    10_000: 6759885218055711829,
+}
 
 
 @pytest.mark.parametrize("n", sorted(_PINNED_DRAWS))
 def test_sampler_output_is_pinned_at_fixed_seeds(n):
     m, digest = _PINNED_DRAWS[n]
-    xs = sample_many(n, m, np.random.Generator(np.random.PCG64(n)))
+    rng = np.random.Generator(np.random.PCG64(n))
+    xs = sample_many(n, m, rng)
     assert hashlib.sha256(xs.astype("<i8").tobytes()).hexdigest() == digest
+    assert int(rng.integers(0, 2**63)) == _PINNED_NEXT[n]
+
+
+def test_report_sampler_setting_is_pinned():
+    # the draws of the report's simulation gate: n = 1000, 200_000 runs, seed 42
+    rng = np.random.Generator(np.random.PCG64(42))
+    xs = sample_many(1000, 200_000, rng)
+    digest = hashlib.sha256(xs.astype("<i8").tobytes()).hexdigest()
+    assert digest == "5ffc44348589cfbab2bcad50c825f91f870f220e78eb4a39f18362953d2bedeb"
+    assert int(rng.integers(0, 2**63)) == 3751117759604400783
+
+
+def test_leaf_only_draws_do_not_depend_on_chunking():
+    # 25_000 runs at n = 7 span three chunks of sample_many, one _leaf_draw here
+    xs = sample_many(7, 25_000, np.random.Generator(np.random.PCG64(77)))
+    whole = _leaf_draw(np.full(25_000, 7), np.random.Generator(np.random.PCG64(77)))
+    assert np.array_equal(xs, whole)
 
 
 def test_sampler_at_64_fits_the_leaf_law():
@@ -286,12 +328,22 @@ def test_sampler_memory_is_bounded_in_n():
 def test_sampler_degenerate_cases():
     rng = np.random.Generator(np.random.PCG64(0))
     for n, count in ((0, 0), (1, 0), (2, 1)):
+        state = rng.bit_generator.state
         assert np.array_equal(sample_many(n, 5, rng), np.full(5, count))
+        # n <= 1 needs no randomness and takes none from the stream
+        assert (rng.bit_generator.state == state) == (n <= 1)
+
+
+@pytest.mark.parametrize("m", [1e3, 2.5, True, 0, 2**26 + 1, "5"])
+def test_sampler_rejects_a_bad_run_count(m):
+    rng = np.random.Generator(np.random.PCG64(0))
+    with pytest.raises(ValueError, match=r"^m must be an integer in \[1, 67108864\], got "):
+        sample_many(7, m, rng)
 
 
 def test_sampler_is_seed_deterministic():
     a = sample_many(50, 1000, np.random.Generator(np.random.PCG64(7)))
-    b = sample_many(50, 1000, np.random.Generator(np.random.PCG64(7)))
+    b = sample_many(50, np.int64(1000), np.random.Generator(np.random.PCG64(7)))
     assert np.array_equal(a, b)
 
 
