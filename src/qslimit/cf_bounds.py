@@ -20,8 +20,9 @@ hard-coded.
 Constants are propagated unrounded: rounding up mid-chain would blow the
 later rungs past their integer display ceilings (187, 103215, 197102280).
 
-`vdc_cf` computes the integral the van der Corput rung bounds,
-int_0^1 exp(i t h(y, z, u)) du, by numerical steepest descent (Huybrechs &
+`vdc_cf` computes the integral the van der Corput rung bounds, exp(i t z)
+times int_0^1 exp(i t h(s, u)) du, h(s, u) = u s + g(u) and s = y - z >= 0
+(swap y and z otherwise), by numerical steepest descent (Huybrechs &
 Vandewalle, SIAM J. Numer. Anal. 44, 2006): the path from 0 to 1 is bent
 into the complex plane, below the axis left of the stationary point and
 above it right of it, where exp(i t h) decays.  Its node count stays
@@ -54,6 +55,7 @@ __all__ = [
     "crossing",
     "make_envelope",
     "vdc_cf",
+    "VDC_ABS_TOL",
 ]
 
 PURE_POWER = "pure_power"
@@ -318,8 +320,6 @@ def make_envelope(chain: BoundChain, use_log: bool = False) -> PiecewiseEnvelope
     ts = np.geomspace(LOG_BOUND_T_MIN, max(100.0 * pieces[-1][0], 1e4), 8192)
     signs = diff(ts) < 0.0
     flips = np.nonzero(signs[1:] != signs[:-1])[0]
-    if len(flips) == 0:
-        return plain
     if len(flips) != 2 or signs[0] or signs[-1]:
         raise ValueError("unexpected log-bound dominance structure; "
                          "expected a single interior window")
@@ -343,6 +343,7 @@ _LADDER = np.concatenate([[0.0], 4.0 ** np.arange(-9, 1)])
 # break points of a leg from a corner at depth d: 0, d/4, d, 4d, 16d, ..., then its end
 _RUNGS = 4.0 ** np.arange(-1.0, 31.0)
 _VDC_BUDGET = 3.0 * math.pi  # variation of t h per panel
+VDC_ABS_TOL = 1e-8  # how far vdc_cf's doubled rule may move its value
 # the contour's corners lie where |exp(i t h)| = e^-40; on an interval where
 # it is below that at both ends it is below it throughout, and one panel serves
 _DECAY = 40.0
@@ -354,10 +355,10 @@ def _graded(length: float, depth: float) -> np.ndarray:
     return np.concatenate([[0.0], steps[steps < length], [length]])
 
 
-def _vdc_contour(y: float, z: float, t: float) -> np.ndarray:
-    """Corners and break points of the steepest-descent path from 0 to 1, for y >= z.
+def _vdc_contour(s: float, t: float) -> np.ndarray:
+    """Corners and break points of the steepest-descent path from 0 to 1, for s >= 0.
 
-    h'(u) = y - z + 2 ln(u/(1-u)) is negative left of u* = 1/(1 + e^{(y-z)/2})
+    h'(u) = s + 2 ln(u/(1-u)) is negative left of u* = 1/(1 + e^{s/2})
     <= 1/2 and positive right of it, so Im h grows below the real axis on
     [0, u*] and above it on [u*, 1].  The path runs 0 -> -iY -> u* - Y - iY
     -> u* -> u* + Y' + iY' -> 1 + iY' -> 1, where t h''(u*) Y^2 = 40 puts the
@@ -368,9 +369,9 @@ def _vdc_contour(y: float, z: float, t: float) -> np.ndarray:
     the end: the path then rises from 0 straight to iY', runs across to
     1 + iY' and falls to 1, Y' the least depth of the form 2^-k / 2 at which
     |exp(i t h(iY'))| <= e^-40, or 1/2.  On the way up from 0 the modulus
-    grows, at most to e^3.5 (at y = z and t = 2).
+    grows, at most to e^3.5 (at s = 0 and t = 2).
     """
-    e = math.exp(-0.5 * (y - z))
+    e = math.exp(-0.5 * s)
     u_star = e / (1.0 + e)
     if t * u_star > 1.0:
         depth = math.sqrt(0.5 * _DECAY * u_star * (1.0 - u_star) / t)
@@ -381,7 +382,7 @@ def _vdc_contour(y: float, z: float, t: float) -> np.ndarray:
         head = [-1.0j * lo * _LADDER, below - _graded(below.real, lo)[-2::-1],
                 [u_star, corner]]
     else:
-        decayed = _FOLD_DEPTHS[t * h_complex(y, z, 1.0j * _FOLD_DEPTHS).imag >= _DECAY]
+        decayed = _FOLD_DEPTHS[t * h_complex(s, 1.0j * _FOLD_DEPTHS).imag >= _DECAY]
         hi = decayed[-1] if decayed.size else _FOLD_DEPTHS[0]
         corner = 1.0j * hi
         head = [corner * _LADDER]
@@ -390,9 +391,9 @@ def _vdc_contour(y: float, z: float, t: float) -> np.ndarray:
     return np.concatenate(head + [across, fall])
 
 
-def _vdc_rules(y: float, z: float, t: float):
+def _vdc_rules(s: float, t: float):
     """The rule and its doubled rule, each (nodes, weights), along `_vdc_contour`,
-    for y >= z.
+    for s >= 0.
 
     Each interval is cut into panels of at most 3 pi of variation of t h,
     except where |exp(i t h)| <= e^-40 at both ends: along each leg Im h is
@@ -401,25 +402,26 @@ def _vdc_rules(y: float, z: float, t: float):
     """
     # a t h that overflows is refused by the node cap
     with np.errstate(over="ignore", invalid="ignore"):
-        edges = _vdc_contour(y, z, t)
-        th = t * h_complex(y, z, edges)
+        edges = _vdc_contour(s, t)
+        th = t * h_complex(s, edges)
         phase = np.abs(np.diff(th))
         phase[np.minimum(th.imag[:-1], th.imag[1:]) >= _DECAY] = 0.0
     return panel_rule(edges, phase, _VDC_BUDGET)
 
 
-def vdc_cf(y: float, z: float, t: float, abs_tol: float = 1e-10) -> complex:
+def vdc_cf(y: float, z: float, t: float) -> complex:
     """The oscillatory integral behind the van der Corput rung.
 
-    Computes int_0^1 exp(i t h(y, z, u)) du on all of [0, 1], with no
-    trimmed sliver, by numerical steepest descent (Huybrechs & Vandewalle,
-    SIAM J. Numer. Anal. 44, 2006): h is analytic off (-inf, 0] and
-    [1, inf), so the integral is the same along `_vdc_contour`, a polygon
-    through the stationary point u* on which exp(i t h) decays away from 0,
-    u* and 1.  The rule is fixed: 16-point panels sized by the variation of
-    t h, graded by 4 into both ends, 368 to about 2000 nodes for any t up to
+    Computes int_0^1 exp(i t (u y + (1-u) z + g(u))) du on all of [0, 1],
+    with no trimmed sliver, as exp(i t min(y, z)) times the integral of
+    exp(i t h(s, u)) at s = |y - z| (u -> 1 - u when y < z), by numerical
+    steepest descent: h is analytic off (-inf, 0] and [1, inf), so the
+    integral is the same along `_vdc_contour`, a polygon through the
+    stationary point u* on which exp(i t h) decays away from 0, u* and 1.
+    The rule is fixed: 16-point panels sized by the variation of t h,
+    graded by 4 into both ends, 368 to about 2000 nodes for any t up to
     about 1e10 (beyond, the panels at 0 and 1 multiply like t^{1/2}).  The
-    rule with every panel halved must agree to `abs_tol`, else
+    rule with every panel halved must agree to VDC_ABS_TOL, else
     QuadratureError; its value is returned.  The stationary-phase mechanism
     caps the modulus at 2 t^{-1/2} for every real y, z.  Raises ValueError
     for a non-finite y, z or t, for t <= 0, and, before allocating it, for a
@@ -427,14 +429,11 @@ def vdc_cf(y: float, z: float, t: float, abs_tol: float = 1e-10) -> complex:
     """
     if not (math.isfinite(y) and math.isfinite(z) and math.isfinite(t) and t > 0.0):
         raise ValueError(f"vdc_cf needs finite y, z and t > 0, got y={y}, z={z}, t={t}")
-    if not (abs_tol > 0.0 and math.isfinite(abs_tol)):
-        raise ValueError(f"abs_tol must be a positive finite float, got {abs_tol}")
-    # h(y, z, u) = h(z, y, 1 - u): the same integral, with u* <= 1/2
-    y1, z1 = max(y, z), min(y, z)
-    coarse, fine = (complex(w @ np.exp(1j * t * h_complex(y1, z1, u)))
-                    for u, w in _vdc_rules(y1, z1, t))
+    s = abs(y - z)
+    coarse, fine = (complex(w @ np.exp(1j * t * h_complex(s, u))) for u, w in _vdc_rules(s, t))
     err = abs(fine - coarse)
-    if not err <= abs_tol:
+    if not err <= VDC_ABS_TOL:
         raise QuadratureError(f"vdc_cf({y}, {z}, {t}): the doubled rule moved the value "
-                              f"by {err:.3e} > abs_tol={abs_tol}")
-    return fine
+                              f"by {err:.3e} > abs_tol={VDC_ABS_TOL}")
+    phase = t * min(y, z)
+    return complex(math.cos(phase), math.sin(phase)) * fine

@@ -77,7 +77,7 @@ __all__ = [
     "invert_cf",
 ]
 
-# default sweep budget and sup-norm tolerance of iterate_cf
+# sweep budget and default sup-norm tolerance of iterate_cf
 CF_MAX_ITER = 200
 CF_TOL = 1e-8
 # default grid of init_gaussian_cf: 1025 points at dt = 200/4095, so T = 50.01;
@@ -93,8 +93,8 @@ CF_ABS_TOL = 1e-9
 # over the blocks): 170x the default grid's 0.39M, 20x the 3.4M of 4096 points
 # on [0, 200]; past it a single sweep would run for minutes
 _MAX_SWEEP_PAIRS = 2**26
-# spline pairs per chunk of _quad_values: a 4 MiB complex array each for the
-# phase and the product
+# complex entries per chunk of _quad_values (spline pairs) and of invert_cf
+# (kernel entries): a 4 MiB complex array each
 _CHUNK_PAIRS = 2**18
 
 
@@ -239,17 +239,17 @@ def cf_map(phi: CfGrid) -> CfGrid:
     return CfGrid(0.0, phi.dx, out)
 
 
-def iterate_cf(init: CfGrid, max_iter: int = CF_MAX_ITER, tol: float = CF_TOL):
+def iterate_cf(init: CfGrid, tol: float = CF_TOL):
     """Solve phi = M phi in the sup norm by Anderson-mixed iteration.
 
     Mixed values are put back on the unit disk with phi(0) = 1 before the
     next sweep.  Returns (fixed_point, map_evaluations, residual_history);
     the fixed point is a map value whose residual is below `tol`.  Raises
-    IterationError with the history if the budget runs out, the residual
-    stalls at the grid's discretization floor, or it falls too slowly for
-    the budget.
+    IterationError with the history if the CF_MAX_ITER sweeps run out, the
+    residual stalls at the grid's discretization floor, or it falls too
+    slowly for the budget.
     """
-    return fixed_point(cf_map, init, max_iter, tol, "cf",
+    return fixed_point(cf_map, init, CF_MAX_ITER, tol, "cf",
                        project=lambda v: CfGrid(0.0, init.dx, _onto_disk(v)))
 
 
@@ -305,7 +305,7 @@ def invert_cf(phi: CfGrid, k: int = 0, xs: Grid = None) -> Grid:
     coef = wt * (-1j * ts) ** k * phi.values
     x = xs.xs
     out = np.empty(x.size)
-    chunk = max(1, int(2_000_000 // ts.size))
+    chunk = max(1, _CHUNK_PAIRS // ts.size)
     for i in range(0, x.size, chunk):
         kernel = np.exp(-1j * np.outer(x[i:i + chunk], ts))
         out[i:i + chunk] = (kernel @ coef).real / math.pi

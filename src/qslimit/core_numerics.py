@@ -10,10 +10,10 @@ checks it, and the entropy-like toll function
 
     g(u) = 2 u ln u + 2 (1-u) ln(1-u) + 1,      0 <= u <= 1,
 
-with its tilted form h(y, z, u) = u y + (1-u) z + g(u) continued to complex
-u with principal-branch logarithms (`h_complex`).  The toll function is the
-additive cost term of the divide-and-conquer fixed point; h is the phase
-that drives every oscillatory integral in the bound ladder.
+with its tilted form h(s, u) = u s + g(u) continued to complex u with
+principal-branch logarithms (`h_complex`).  The toll function is the
+additive cost term of the divide-and-conquer fixed point; z + h(y - z, u)
+is the phase that drives every oscillatory integral in the bound ladder.
 
 All arithmetic is 64-bit; nothing here draws random numbers.
 """
@@ -364,18 +364,18 @@ def _xlogx(a: np.ndarray, b: np.ndarray):
     return a * log_r - b * arg, a * arg + b * log_r
 
 
-def h_complex(y: float, z: float, p) -> np.ndarray:
-    """h(y, z, p) = p y + (1-p) z + 2 p ln p + 2 (1-p) ln(1-p) + 1 at complex p.
+def h_complex(s: float, p) -> np.ndarray:
+    """h(s, p) = p s + 2 p ln p + 2 (1-p) ln(1-p) + 1 at complex p.
 
     The logarithms take their principal branch, so h is analytic off
-    (-inf, 0] and [1, inf), and h(conj p) = conj h(p) bit for bit.  Both
-    entropy terms vanish at their zero, so h(y, z, 0) = z + 1 and
-    h(y, z, 1) = y + 1 exactly, with no warning.  On (0, 1) it is
-    u y + (1-u) z + g_values(u) up to rounding.
+    (-inf, 0] and [1, inf), and h(s, conj p) = conj h(s, p) bit for bit.
+    Both entropy terms vanish at their zero, so h(s, 0) = 1 and
+    h(s, 1) = s + 1 exactly, with no warning.  On (0, 1) it is
+    u s + g_values(u) up to rounding.
     """
     p = np.asarray(p, dtype=np.complex128)
     a, b = p.real, p.imag
     re_p, im_p = _xlogx(a, b)
     re_q, im_q = _xlogx(1.0 - a, -b)
-    real = a * y + (1.0 - a) * z + 2.0 * (re_p + re_q) + 1.0
-    return real + 1j * (b * (y - z) + 2.0 * (im_p + im_q))
+    real = a * s + 2.0 * (re_p + re_q) + 1.0
+    return real + 1j * (b * s + 2.0 * (im_p + im_q))

@@ -139,11 +139,11 @@ def _normalized(x0: float, dx: float, values: np.ndarray) -> DensityGrid:
     return DensityGrid(x0, dx, values / mass)
 
 
-def gaussian_density(var: float = VARIANCE, x_min: float = DENSITY_X_MIN,
-                     x_max: float = DENSITY_X_MAX, dx: float = DENSITY_DX) -> DensityGrid:
-    """Mean-zero Gaussian seed; the default variance is the limit law's."""
+def gaussian_density(x_min: float = DENSITY_X_MIN, x_max: float = DENSITY_X_MAX,
+                     dx: float = DENSITY_DX) -> DensityGrid:
+    """Mean-zero Gaussian seed with the limit law's variance 7 - 2 pi^2/3."""
     xs = Grid.domain(x_min, x_max, dx).xs
-    vals = np.exp(-0.5 * xs**2 / var) / math.sqrt(2.0 * math.pi * var)
+    vals = np.exp(-0.5 * xs**2 / VARIANCE) / math.sqrt(2.0 * math.pi * VARIANCE)
     return _normalized(x_min, dx, vals)
 
 

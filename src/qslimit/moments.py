@@ -38,8 +38,8 @@ __all__ = [
 VARIANCE = 7.0 - 2.0 * math.pi**2 / 3.0
 
 _MOMENT_ABS_TOL = 1e-12
-# the pump costs O(K^3) g_moment quadratures: K = 40 takes about 2.4 s on a
-# 2-core Xeon, K = 60 about 5.5 s, and K in the thousands runs for hours
+# the pump costs O(K^3) g_moment quadratures: K = 40 takes 1.4-2.9 s on a
+# 2-core Xeon, K = 60 about 5.2 s, and K in the thousands runs for hours
 _MAX_K = 40
 
 

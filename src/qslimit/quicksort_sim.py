@@ -66,8 +66,8 @@ def _check_n(n: int) -> int:
 
 
 def check_seed(seed: int) -> int:
-    """seed as a PCG64 seed, a non-negative integer, or ValueError naming it."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    """seed as a PCG64 seed, a non-negative int (not a bool), or ValueError naming it."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return int(seed)
 

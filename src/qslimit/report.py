@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cf_bounds import build_chain, make_envelope, vdc_cf
+from .cf_bounds import VDC_ABS_TOL, build_chain, make_envelope, vdc_cf
 from .cf_solver import CF_MAX_ITER, CF_TOL, init_gaussian_cf, invert_cf, iterate_cf
 from .density_solver import (
     DENSITY_MAX_ITER,
@@ -153,7 +153,6 @@ def check_sup_bounds() -> CriterionResult:
 
 def check_vdc(seed: int = 2718) -> CriterionResult:
     t0 = time.perf_counter()
-    abs_tol = 1e-8
     rng = np.random.Generator(np.random.PCG64(seed))
     pairs = rng.uniform(-5.0, 5.0, size=(100, 2))
     ts = np.geomspace(1.0, 1e4, 20)
@@ -161,8 +160,8 @@ def check_vdc(seed: int = 2718) -> CriterionResult:
     ok = True
     for y, z in pairs:
         for t in ts:
-            margin = abs(vdc_cf(float(y), float(z), float(t), abs_tol)) \
-                - (2.0 / math.sqrt(t) + 10.0 * abs_tol)
+            margin = abs(vdc_cf(float(y), float(z), float(t))) \
+                - (2.0 / math.sqrt(t) + 10.0 * VDC_ABS_TOL)
             worst = max(worst, margin)
             ok = ok and margin <= 0.0
     elapsed = time.perf_counter() - t0

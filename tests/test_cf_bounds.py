@@ -1,5 +1,6 @@
 """Decay-bound ladder, envelopes, and the oscillatory-integral bound."""
 
+import cmath
 import json
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from qslimit import cf_bounds
 from qslimit.cf_bounds import (
     _vdc_rules,
     LOG_BOUND,
@@ -15,6 +17,7 @@ from qslimit.cf_bounds import (
     PURE_POWER,
     BoundChain,
     DecayBound,
+    VDC_ABS_TOL,
     PiecewiseEnvelope,
     build_chain,
     c_double,
@@ -26,7 +29,7 @@ from qslimit.cf_bounds import (
     make_envelope,
     vdc_cf,
 )
-from qslimit.core_numerics import g_values, integrate
+from qslimit.core_numerics import QuadratureError, g_values, integrate
 
 CHAIN = build_chain(4.5)
 ENV = make_envelope(CHAIN)
@@ -202,6 +205,13 @@ def test_log_splice_never_worse():
     assert forms.count(POWER_LOG) == 1
 
 
+def test_every_deep_chain_splices_one_log_piece():
+    # make_envelope raises if a chain it can build ever leaves no log window
+    for p in np.arange(2.5, 30.0):
+        pieces = make_envelope(build_chain(p), use_log=True).pieces
+        assert [b.form for _, _, b in pieces].count(POWER_LOG) == 1, p
+
+
 def test_log_splice_needs_a_deep_chain():
     with pytest.raises(ValueError):
         make_envelope(build_chain(1.5), use_log=True)
@@ -291,7 +301,7 @@ def test_vdc_at_large_t_is_its_stationary_phase_term(y, z, t):
 ])
 def test_vdc_node_count_does_not_grow_with_t(y, z):
     def nodes(t):
-        return _vdc_rules(y, z, t)[0][0].size
+        return _vdc_rules(y - z, t)[0][0].size
     # a rule whose node count grew like t would need about 1e3 and 1e7 times more
     assert nodes(1e4) <= 3 * nodes(10.0)
     assert nodes(1e8) <= 3 * nodes(10.0)
@@ -302,4 +312,24 @@ def test_vdc_node_count_does_not_grow_with_t(y, z):
        st.floats(min_value=1.0, max_value=1e4))
 @settings(max_examples=25, deadline=None)
 def test_vdc_within_envelope(y, z, t):
-    assert abs(vdc_cf(y, z, t, abs_tol=1e-8)) <= 2.0 / math.sqrt(t) + 10.0 * 1e-8
+    assert abs(vdc_cf(y, z, t)) <= 2.0 / math.sqrt(t) + 10.0 * VDC_ABS_TOL
+
+
+# y, z and c on a 1/64 lattice and t on a 1/16 one, so y + c, z + c and every
+# t (y + c) are exact and only the rounding of the integral itself can differ
+@given(st.integers(-320, 320), st.integers(-320, 320), st.integers(-320, 320),
+       st.integers(1, 160_000))
+@settings(max_examples=25, deadline=None)
+def test_vdc_moves_by_a_phase_under_a_common_shift(i, j, k, m):
+    y, z, c, t = i / 64.0, j / 64.0, k / 64.0, m / 16.0
+    shifted = vdc_cf(y + c, z + c, t)
+    assert abs(shifted - cmath.exp(1j * (t * c)) * vdc_cf(y, z, t)) <= 1e-14
+
+
+def test_vdc_raises_when_the_doubled_rule_disagrees(monkeypatch):
+    # corners at |exp(i t h)| = e^-2 leave legs on which exp(i t h) has not
+    # decayed with one panel each, too coarse for the doubled rule
+    monkeypatch.setattr(cf_bounds, "_DECAY", 2.0)
+    with pytest.raises(QuadratureError, match=r"vdc_cf\(40\.0, 0\.0, 10\.0\): the doubled "
+                                              r"rule moved the value by .* > abs_tol=1e-08"):
+        vdc_cf(40.0, 0.0, 10.0)

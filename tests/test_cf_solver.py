@@ -1,6 +1,7 @@
 """Characteristic-function fixed point: iteration, envelope, inversion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qslimit.cf_solver import (
 from qslimit.cli import _csv, main
 from qslimit.core_numerics import (
     IterationError,
+    QuadratureError,
     fixed_point,
     g_values,
 )
@@ -104,6 +106,26 @@ def test_self_check_covers_the_last_t_of_every_block(monkeypatch):
         assert t_block[-1] in np.concatenate([t for t, _ in checks])
 
 
+def test_self_check_raises_when_the_doubled_rule_disagrees(monkeypatch):
+    # phi = 1, a point mass, keeps |M phi| near 1 out to t = 200, where one
+    # panel per interval cannot follow exp(i t g(u))
+    flat = CfGrid(0.0, 200.0 / 511, np.ones(512, dtype=np.complex128))
+    cf_map(flat)
+    monkeypatch.setattr(cf_solver, "_U_BUDGET", math.inf)
+    with pytest.raises(QuadratureError, match=r"u-quadrature self-check failed: doubled "
+                                              r"rule moved values by .* > abs_tol=1e-09"):
+        cf_map(flat)
+
+
+def test_map_raises_when_it_overshoots_the_unit_disk():
+    # the u-rule's weights are positive and sum to 1, so no rule, however
+    # coarse, takes |M phi| past the largest |spline|^2; a spline through
+    # 1, 1, -1, -1, ... bulges above 1 next to t = 0, where the phase is flat
+    square = CfGrid(0.0, 1e-3, np.resize([1.0, 1.0, -1.0, -1.0], 16) + 0.0j)
+    with pytest.raises(QuadratureError, match=r"cf_map overshot the unit disk by 1\.9..e-01"):
+        cf_map(square)
+
+
 def test_u_rule_on_the_graded_ladder():
     # one panel on each of the 8 intervals from 0 to 1/32, then 2, 2, 3 and 4 on
     # the octaves to 1/2; the doubled rule has twice as many
@@ -178,9 +200,10 @@ def test_iterate_rejects_bad_tolerance():
         iterate_cf(init_gaussian_cf(t_max=10.0, n=64), tol=0.0)
 
 
-def test_iteration_error_carries_history():
+def test_iteration_error_carries_history(monkeypatch):
+    monkeypatch.setattr(cf_solver, "CF_MAX_ITER", 1)
     with pytest.raises(IterationError) as err:
-        iterate_cf(uniform_cf(t_max=50.0, n=512), max_iter=1)
+        iterate_cf(uniform_cf(t_max=50.0, n=512))
     assert len(err.value.history) == 1
 
 
@@ -255,6 +278,18 @@ def test_inversion_derivative_route(cf_fixed):
     num = np.gradient(f0.values, f0.dx)
     mask = (f0.xs >= -3.0) & (f0.xs <= 5.0)
     assert float(np.abs(f1.values[mask] - num[mask]).max()) < 1e-3
+
+
+def test_inversion_works_in_chunks_of_the_map_budget(cf_fixed):
+    # x rows go _CHUNK_PAIRS kernel entries at a time: 255 rows of 1025 t, 4 MiB
+    phi, _, _ = cf_fixed
+    tracemalloc.start()
+    try:
+        invert_cf(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_inversion_rejects_fat_tails():

@@ -27,9 +27,10 @@ G_SQUARED = (7.0 - 2.0 * math.pi**2 / 3.0) / 3.0
 
 
 def h_values(y, z, u):
-    """The tilted toll u y + (1-u) z + g(u) on [0, 1] in real arithmetic, the
-    oracle for h_complex.  h(y, z, 0) = z + 1, h(y, z, 1) = y + 1, and
-    h'' = 2/(u(1-u)) >= 8, the curvature the van der Corput rung rests on."""
+    """The tilted toll u y + (1-u) z + g(u) on [0, 1] in real arithmetic; at
+    z = 0 it is the oracle for h_complex(y, u).  h(y, z, 0) = z + 1,
+    h(y, z, 1) = y + 1, and h'' = 2/(u(1-u)) >= 8, the curvature the van der
+    Corput rung rests on."""
     u = np.asarray(u, dtype=np.float64)
     return u * y + (1.0 - u) * z + g_values(u)
 
@@ -160,20 +161,26 @@ def test_g_symmetry_everywhere(u):
 
 @pytest.mark.parametrize("y, z", [(0.0, 0.0), (3.0, -2.0), (-1.5, 4.0), (5.0, 5.0)])
 def test_complex_h_is_h_on_the_real_interval(y, z):
+    s = abs(y - z)  # the s at which vdc_cf(y, z, t) evaluates h
     us = np.linspace(0.0, 1.0, 10_001)[1:-1]
-    real = h_values(y, z, us)
-    continued = h_complex(y, z, us)
+    real = h_values(s, 0.0, us)
+    continued = h_complex(s, us)
     assert np.all(continued.imag == 0.0)
     assert np.max(np.abs(continued.real / real - 1.0)) <= 1e-15
+
+
+@given(st.floats(min_value=-1e6, max_value=1e6))
+def test_complex_h_is_exact_at_the_ends(s):
     # both entropy terms vanish exactly at their zero, with no warning
     with np.errstate(all="raise"):
-        assert np.array_equal(h_complex(y, z, [0.0, 1.0]), [z + 1.0, y + 1.0])
+        assert np.array_equal(h_complex(s, [0.0, 1.0]), [1.0, s + 1.0])
 
 
 def test_complex_h_is_conjugate_symmetric():
     rng = np.random.Generator(np.random.PCG64(5))
     p = rng.uniform(-1.0, 2.0, 1000) + 1j * rng.uniform(-1.0, 1.0, 1000)
-    assert np.array_equal(h_complex(1.3, -0.4, np.conj(p)), np.conj(h_complex(1.3, -0.4, p)))
+    for s in (1.7, -2.3):
+        assert np.array_equal(h_complex(s, np.conj(p)), np.conj(h_complex(s, p)))
 
 
 def test_h_reduces_to_g_on_the_diagonal():

@@ -9,8 +9,11 @@ import pytest
 from qslimit import density_solver
 from qslimit.core_numerics import Grid, IterationError, fixed_point
 from qslimit.density_solver import (
+    DENSITY_DX,
     DENSITY_MAX_ITER,
     DENSITY_TOL,
+    DENSITY_X_MAX,
+    DENSITY_X_MIN,
     DensityGrid,
     apply_T,
     cdf,
@@ -24,6 +27,13 @@ from qslimit.moments import VARIANCE
 from qslimit.report import check_density_fixed_point, check_excluded_claims
 
 G_SQUARED = (7.0 - 2.0 * math.pi**2 / 3.0) / 3.0
+
+
+def narrow_gaussian(var):
+    """A mean-zero Gaussian start of variance var on the default window."""
+    grid = Grid.domain(DENSITY_X_MIN, DENSITY_X_MAX, DENSITY_DX)
+    vals = np.exp(-0.5 * grid.xs**2 / var)
+    return DensityGrid(grid.x0, grid.dx, vals / np.trapezoid(vals, dx=grid.dx))
 
 
 def test_initial_densities_are_normalized():
@@ -72,7 +82,7 @@ def test_map_pins_the_mean_of_an_off_centre_law():
 
 def test_map_variance_action_on_a_narrow_gaussian():
     # var(Tf) = (2/3) var(f) + int g^2
-    out = apply_T(gaussian_density(var=0.05**2))
+    out = apply_T(narrow_gaussian(0.05**2))
     assert out.variance() == pytest.approx((2.0 / 3.0) * 0.0025 + G_SQUARED,
                                            abs=2e-3)
 
@@ -86,7 +96,7 @@ def test_map_requires_enough_u_nodes():
 
 def test_map_warns_when_clipping_spikes():
     with pytest.warns(RuntimeWarning, match="clipped"):
-        apply_T(gaussian_density(var=0.015**2))
+        apply_T(narrow_gaussian(0.015**2))
 
 
 def test_map_rejects_mass_escape():

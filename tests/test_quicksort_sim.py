@@ -13,12 +13,14 @@ from scipy import stats
 from qslimit.cli import main
 from qslimit.core_numerics import Grid
 from qslimit.moments import VARIANCE
+from qslimit.report import build_artifacts
 from qslimit.quicksort_sim import (
     _BUCKET_SHIFT,
     SimulationSummary,
     _leaf_draw,
     _leaf_guide,
     _leaf_table,
+    check_seed,
     chi_square_vs_exact,
     exact_distribution,
     exact_mean,
@@ -339,6 +341,21 @@ def test_sampler_rejects_a_bad_run_count(m):
     rng = np.random.Generator(np.random.PCG64(0))
     with pytest.raises(ValueError, match=r"^m must be an integer in \[1, 67108864\], got "):
         sample_many(7, m, rng)
+
+
+@pytest.mark.parametrize("bad", [
+    lambda: check_seed(True),
+    lambda: simulate(7, 3, seed=True),
+    lambda: build_artifacts(seed=False),  # refused before either fixed point is solved
+], ids=["check_seed", "simulate", "build_artifacts"])
+def test_a_bool_seed_is_refused(bad):
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got "):
+        bad()
+
+
+def test_a_numpy_integer_seed_is_accepted():
+    seed = check_seed(np.int64(42))
+    assert seed == 42 and type(seed) is int
 
 
 def test_sampler_is_seed_deterministic():
