@@ -193,9 +193,10 @@ def cf_map(phi: CfGrid) -> CfGrid:
 
     The grid points with t in (25(k-1), 25k] share the u-rule sized for
     t = 25k (t = 0 joins the first block).  The value at t = 0 is pinned to 1
-    exactly.  Moduli may overshoot 1 by at most the quadrature tolerance;
-    anything above 1e-9 is an error, smaller overshoots are clamped back to
-    the unit disk.  Raises ValueError, before any rule is built, if a
+    exactly.  The u-rule's weights are positive and sum to 1, so a modulus
+    overshoots 1 only where the iterate's spline bulges past the unit
+    circle; anything above 1e-9 is an error, smaller overshoots are clamped
+    back to the unit disk.  Raises ValueError, before any rule is built, if a
     block's doubled rule would need more than MAX_GRID_POINTS nodes or the
     sweep more than _MAX_SWEEP_PAIRS spline pairs.
     """
@@ -226,8 +227,8 @@ def cf_map(phi: CfGrid) -> CfGrid:
     overshoot = float(np.abs(out).max()) - 1.0
     if overshoot > 1e-9:
         raise QuadratureError(
-            f"cf_map overshot the unit disk by {overshoot:.3e}; "
-            f"the u-quadrature did not converge"
+            f"cf_map overshot the unit disk by {overshoot:.3e}; the iterate's cubic "
+            f"spline bulges past the unit circle between grid points"
         )
     out = _onto_disk(out)
     err = float(np.abs(out[check] - ref).max())

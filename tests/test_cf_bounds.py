@@ -250,6 +250,7 @@ def test_vdc_limit_and_reference():
 
 def test_vdc_decays_like_the_bound():
     assert abs(vdc_cf(0.0, 0.0, 100.0)) <= 0.2 + 1e-3
+    assert abs(vdc_cf(0.0, 0.0, 1e12)) <= 2.0 / math.sqrt(1e12) + 10.0 * VDC_ABS_TOL
     with pytest.raises(ValueError):
         vdc_cf(0.0, 0.0, 0.0)
 
@@ -262,6 +263,9 @@ def test_vdc_decays_like_the_bound():
     (800.0, -800.0, 1.0),   # e^{-(y-z)/2} underflows, so u* = 0 exactly
     (-73.2, 0.0, 50.0),     # u* = 1 - 2^-52: the last interval is two ulps wide
     (-800.0, 800.0, 1.0),   # u* rounds to 1, an edge already
+    # t u* = 0.975: on the fold's rise |exp(i t h)| falls from e^-2 to e^-49 between
+    # iY'/4 and iY', which one panel without the break at iY'/2 misses by 2.2e-8
+    (-3.755115773249411, 3.0348109508747374, 29.763514416313175),
 ])
 def test_vdc_matches_the_adaptive_integrator(y, z, t):
     # the Gauss-Kronrod bisection shares no panel or node with the fixed rule; its
@@ -274,7 +278,9 @@ def test_vdc_matches_the_adaptive_integrator(y, z, t):
 @pytest.mark.parametrize("y, z, t", [
     (math.nan, 0.0, 1.0), (0.0, math.inf, 1.0), (0.0, 0.0, math.inf),
     (0.0, 0.0, math.nan), (0.0, 0.0, -1.0),
-    (0.0, 0.0, 1e20),       # a rule of about 4e7 nodes, over the cap
+    (0.0, 0.0, 1e20),       # past the ceiling t = 1e12
+    (0.0, 0.0, math.nextafter(1e12, math.inf)),
+    (1e308, -1e308, 1.0),   # y - z overflows
 ])
 def test_vdc_rejects_bad_input_at_once(y, z, t):
     with pytest.raises(ValueError):
@@ -305,6 +311,16 @@ def test_vdc_node_count_does_not_grow_with_t(y, z):
     # a rule whose node count grew like t would need about 1e3 and 1e7 times more
     assert nodes(1e4) <= 3 * nodes(10.0)
     assert nodes(1e8) <= 3 * nodes(10.0)
+
+
+def test_vdc_rules_stay_small_up_to_t_1e12():
+    # every other s and t of a sweep over s in {0} + geomspace(1e-3, 1600, 33) and
+    # t in geomspace(1e-9, 1e12, 85), whose rules all have 400 to 752 nodes; vdc_cf
+    # raises QuadratureError if its doubled rule moves the value by over VDC_ABS_TOL
+    for s in np.concatenate([[0.0], np.geomspace(1e-3, 1600.0, 33)[::2]]):
+        for t in np.geomspace(1e-9, 1e12, 85)[::2]:
+            assert _vdc_rules(s, t)[0][0].size <= 752, (s, t)
+            vdc_cf(float(s), 0.0, float(t))
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0),

@@ -122,7 +122,9 @@ def test_map_raises_when_it_overshoots_the_unit_disk():
     # coarse, takes |M phi| past the largest |spline|^2; a spline through
     # 1, 1, -1, -1, ... bulges above 1 next to t = 0, where the phase is flat
     square = CfGrid(0.0, 1e-3, np.resize([1.0, 1.0, -1.0, -1.0], 16) + 0.0j)
-    with pytest.raises(QuadratureError, match=r"cf_map overshot the unit disk by 1\.9..e-01"):
+    with pytest.raises(QuadratureError, match=r"cf_map overshot the unit disk by 1\.9..e-01; "
+                                              r"the iterate's cubic spline bulges past the "
+                                              r"unit circle between grid points"):
         cf_map(square)
 
 
