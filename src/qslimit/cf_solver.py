@@ -11,8 +11,10 @@ the map never needs values beyond the grid.  Off-grid reads use a cubic
 spline built on a short conjugate-symmetric extension through t = 0, which
 keeps the interpolant's curvature at the origin consistent with the sampled
 values (a one-sided boundary fit there feeds curvature noise back through
-the map).  Densities and their derivatives come out by the folded inversion
-formula
+the map).  The spline is the not-a-knot one of scipy's CubicSpline, in
+numpy on the extension's uniform knots: one Thomas sweep gives its slopes,
+and each point's interval is found by arithmetic, not by search.  Densities
+and their derivatives come out by the folded inversion formula
 
     f^(k)(x) = (1/pi) Re int_0^T (-i t)^k e^{-i t x} phi(t) dt.
 
@@ -48,9 +50,9 @@ higher derivative orders, whose truncation tail t^k |phi| decays more slowly.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core_numerics import (
     DYADIC_EDGES,
@@ -96,10 +98,15 @@ _MAX_SWEEP_PAIRS = 2**26
 # complex entries per chunk of _quad_values (spline pairs) and of invert_cf
 # (kernel entries): a 4 MiB complex array each
 _CHUNK_PAIRS = 2**18
+# points per block of spline evaluation, so that its dozen array passes run in
+# cache: on a 2-core Xeon (4 MiB L2) 2^18 points took 12.7 ms in one block and
+# 5.2 ms in blocks of 2^14, where scipy's CubicSpline took 9.7 ms
+_SPLINE_BLOCK = 2**14
 
 
 class CfGrid(Grid):
-    """A Grid of phi on t = 0, dx, ..., x_max: 2+ points, phi(0) == 1, |phi| <= 1 + 1e-9."""
+    """A Grid of phi on t = 0, dx, ..., x_max: 2+ points, phi(0) == 1, |phi| <= 1 + 1e-9,
+    and a spacing dx that is a normal float."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -108,6 +115,10 @@ class CfGrid(Grid):
         v = self.values
         if v.size < 2:
             raise ValueError(f"a CF grid needs at least 2 points, got {v.size}")
+        # the spline divides by dx: 1/dx overflows for a subnormal dx, not for a normal one
+        if not self.dx >= sys.float_info.min:
+            raise ValueError(f"t_max={self.x_max:.3g} over {v.size} grid points gives a spacing "
+                             f"of {self.dx:.3g}, below the smallest normal float")
         if v[0] != 1.0 + 0.0j:
             raise ValueError(f"phi(0) must be exactly 1, got {v[0]}")
         if float(np.abs(v).max()) > 1.0 + 1e-9:
@@ -141,10 +152,75 @@ _U_BUDGET = 2.0 * math.pi
 _T_BLOCK = 25.0
 
 
-def _cf_spline(ts: np.ndarray, values: np.ndarray) -> CubicSpline:
+def _not_a_knot_slopes(m: np.ndarray) -> np.ndarray:
+    """The knot slopes of the not-a-knot cubic spline on uniform knots.
+
+    `m` holds the secant slopes between neighbouring knots.  The equations
+    are scipy's CubicSpline's, divided by the spacing: two knots give the
+    line and three the parabola through them; from four on, one Thomas
+    sweep solves the tridiagonal system whose end rows make the third
+    derivative continuous at the second and the last-but-one knot.
+    """
+    n = m.size + 1
+    if n == 2:
+        return np.array([m[0], m[0]])
+    if n == 3:
+        return np.array([1.5 * m[0] - 0.5 * m[1], 0.5 * (m[0] + m[1]), 1.5 * m[1] - 0.5 * m[0]])
+    rhs = np.empty(n, dtype=m.dtype)
+    rhs[0] = 0.5 * (5.0 * m[0] + m[1])
+    rhs[1:-1] = 3.0 * (m[:-1] + m[1:])
+    rhs[-1] = 0.5 * (m[-2] + 5.0 * m[-1])
+    d = rhs.tolist()
+    # forward sweep: rows (1, 2), (1, 4, 1) ..., (2, 1) with the super-diagonal
+    # normalized to c[i] after elimination
+    c = [2.0] + [0.0] * (n - 1)
+    for i in range(1, n - 1):
+        w = 4.0 - c[i - 1]
+        c[i] = 1.0 / w
+        d[i] = (d[i] - d[i - 1]) / w
+    d[-1] = (d[-1] - 2.0 * d[-2]) / (1.0 - 2.0 * c[-2])
+    for i in range(n - 2, -1, -1):
+        d[i] -= c[i] * d[i + 1]
+    return np.array(d)
+
+
+def _cf_spline(ts: np.ndarray, values: np.ndarray):
+    """The cubic spline of phi on the grid reflected through t = 0, as a callable.
+
+    The knots are uniform, so a point's interval is floor((x - x0) / h),
+    clipped to the last interval (which also takes any x past the end), and
+    its cubic is evaluated by Horner on coefficients gathered with `take`,
+    _SPLINE_BLOCK points at a time.
+    """
     ext_t = np.concatenate([-ts[_REFLECT:0:-1], ts])
     ext_v = np.concatenate([np.conj(values[_REFLECT:0:-1]), values])
-    return CubicSpline(ext_t, ext_v)
+    h = float(ts[1] - ts[0])
+    x0, last = float(ext_t[0]), ext_t.size - 2
+    m = np.diff(ext_v) / h
+    s = _not_a_knot_slopes(m)
+    c3 = (s[:-1] + s[1:] - 2.0 * m) / h / h  # h**2 underflows for h below 1.5e-154
+    c2 = (3.0 * m - 2.0 * s[:-1] - s[1:]) / h
+    c1, c0 = s[:-1], ext_v[:-1]
+
+    def block(x: np.ndarray) -> np.ndarray:
+        i = np.floor((x - x0) / h)
+        np.clip(i, 0, last, out=i)
+        i = i.astype(np.intp)
+        d = x - ext_t.take(i)
+        out = c3.take(i)
+        for c in (c2, c1, c0):
+            out *= d
+            out += c.take(i)
+        return out
+
+    def spline(x: np.ndarray) -> np.ndarray:
+        flat = x.ravel()
+        out = np.empty(flat.size, dtype=np.complex128)
+        for k in range(0, flat.size, _SPLINE_BLOCK):
+            out[k:k + _SPLINE_BLOCK] = block(flat[k:k + _SPLINE_BLOCK])
+        return out.reshape(x.shape)
+
+    return spline
 
 
 def _u_rules(t_top: float):

@@ -57,7 +57,6 @@ import warnings
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .core_numerics import MAX_GRID_POINTS, Grid, IterationError, fixed_point, g_values
 from .moments import VARIANCE
@@ -227,18 +226,32 @@ def _padded(v: np.ndarray, a: int, b: int) -> np.ndarray:
     return out
 
 
-def _convolve(wide: np.ndarray, masses: np.ndarray, start: int, nfft: int) -> np.ndarray:
+def _fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: a length the real FFT factors into radix-2, 3 and 5 passes."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _convolve(wide: np.ndarray, masses: np.ndarray, start: int, work) -> np.ndarray:
     """Outputs start .. start + wide.size - 1 of wide * masses, zero off its support.
 
     Both factors are nonnegative.  A deposit of at most _DIRECT_MASSES masses
     is convolved directly, every output a sum of nonnegative products.  For a
     longer one the bulk comes from a real FFT of length
-    nfft >= wide.size + masses.size - 1.  Every output below _FFT_TAIL times
-    the round-off scale is then recomputed as a direct sum of nonnegative
-    products: it keeps full relative precision down to the subnormals and an
-    exact zero stays zero, while each output kept from the FFT lies far above
-    its round-off and so is positive.  For unimodal factors the recomputed
-    outputs are the two tails.
+    nfft >= wide.size + masses.size - 1, computed in the sweep's buffers
+    `work`: the two spectra, shape (2, nfft // 2 + 1), and the nfft real
+    outputs.  Every output below _FFT_TAIL times the round-off scale is then
+    recomputed as a direct sum of nonnegative products: it keeps full relative
+    precision down to the subnormals and an exact zero stays zero, while each
+    output kept from the FFT lies far above its round-off and so is positive.
+    For unimodal factors the recomputed outputs are the two tails.
     """
     n = wide.size
     nz_w, nz_m = np.flatnonzero(wide), np.flatnonzero(masses)
@@ -249,7 +262,12 @@ def _convolve(wide: np.ndarray, masses: np.ndarray, start: int, nfft: int) -> np
     start -= int(nz_w[0] + nz_m[0])
     if masses.size <= _DIRECT_MASSES:
         return _padded(np.convolve(wide, masses), start, start + n)
-    full = irfft(rfft(wide, nfft) * rfft(masses, nfft), nfft)
+    spec, full = work
+    nfft = full.size
+    np.fft.rfft(wide, nfft, out=spec[0])
+    np.fft.rfft(masses, nfft, out=spec[1])
+    spec[0] *= spec[1]
+    np.fft.irfft(spec[0], nfft, out=full)
     out = _padded(full[:wide.size + masses.size - 1], start, start + n)
     small = out < _FFT_TAIL * float(wide.sum()) * float(masses.max())
     runs = np.concatenate(([False], small, [False]))
@@ -283,14 +301,18 @@ def apply_T(f: DensityGrid, u_nodes: int = DENSITY_U_NODES) -> DensityGrid:
     F, Phi = _cdf_antiderivative(vals, dx)
     us, ws = _u_quadrature(u_nodes)
     # u < 1/2 keeps each node's deposit to at most (n - 1)/2 + 5 masses
-    nfft = next_fast_len(n + n // 2 + 8, real=True)
+    nfft = _fast_len(n + n // 2 + 8)
+    # one set of FFT buffers serves every u-node: at dx = 0.001, allocating them
+    # afresh per node (about 120 KiB each) had glibc trim and regrow the heap,
+    # about 3400 page faults and 40 ms of a 0.15-0.28 s sweep
+    work = np.empty((2, nfft // 2 + 1), dtype=np.complex128), np.empty(nfft)
     out = np.zeros(n)
     clipped = False
     for u, wu, gu in zip(us, ws, g_values(us)):
         one_m = 1.0 - u
         wide = np.interp(xs / one_m, xs, vals, left=0.0, right=0.0) / one_m
         k_lo, masses = _hat_deposit(float(u), gu - mu, f.x0, dx, n, vals, F, Phi)
-        contrib = _convolve(wide, masses, -k_lo, nfft)
+        contrib = _convolve(wide, masses, -k_lo, work)
         if float(contrib.max()) > F_U_CAP:
             clipped = True
             np.minimum(contrib, F_U_CAP, out=contrib)

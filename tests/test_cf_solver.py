@@ -50,6 +50,7 @@ def test_uniform_start_is_a_valid_cf():
     assert np.all(np.abs(phi.values) <= 1.0 + 1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cf_grid_validation():
     with pytest.raises(ValueError, match="exactly 1"):
         CfGrid(0.0, 10.0, np.array([0.9 + 0.0j, 0.5]))
@@ -66,6 +67,39 @@ def test_cf_grid_validation():
     for n in (1, 0, -1):
         with pytest.raises(ValueError, match="2 to"):
             init_gaussian_cf(t_max=10.0, n=n)
+    # the spline divides by the spacing, so it must be a normal float
+    with pytest.raises(ValueError, match=r"t_max=1.01e-320 over 1025 grid points gives a "
+                                         r"spacing of 9.88e-324, below the smallest normal"):
+        init_gaussian_cf(t_max=1e-320)
+    with pytest.raises(ValueError, match=r"t_max=4e-310 over 5 grid points gives a spacing"):
+        CfGrid(0.0, 1e-310, np.ones(5, dtype=complex))
+    # the smallest normal spacings are usable: h**2 underflows there, h alone does not
+    for n in (2, 5, 64):
+        tiny = cf_map(init_gaussian_cf(t_max=1e-300, n=n))
+        assert tiny.dx == 1e-300 / (n - 1) and np.all(np.isfinite(tiny.values))
+
+
+def test_spline_matches_scipys_cubic_spline():
+    from scipy.interpolate import CubicSpline
+
+    # scipy's line through 2 knots, which the reflected grid never reaches; a grid
+    # of 2 points reflects to 3 knots (scipy's parabola), from 3 points on the
+    # slopes come from the Thomas sweep
+    assert cf_solver._not_a_knot_slopes(np.array([0.25 - 1.5j])).tolist() == [0.25 - 1.5j] * 2
+    rng = np.random.default_rng(2)
+    grids = [CfGrid(0.0, 7.0 / (n - 1), np.concatenate(
+        [[1.0], rng.uniform(-0.7, 0.7, n - 1) + 1j * rng.uniform(-0.7, 0.7, n - 1)]))
+        for n in range(2, 33)]
+    seed = init_gaussian_cf()
+    r = cf_solver._REFLECT
+    for phi in grids + [seed, cf_map(seed), uniform_cf()]:
+        ext_t = np.concatenate([-phi.xs[r:0:-1], phi.xs])
+        ext_v = np.concatenate([np.conj(phi.values[r:0:-1]), phi.values])
+        # every knot, those below t = 0 included, and every interval's midpoint
+        x = np.concatenate([ext_t, 0.5 * (ext_t[1:] + ext_t[:-1])])
+        want = CubicSpline(ext_t, ext_v)(x)
+        got = cf_solver._cf_spline(phi.xs, phi.values)(x)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), phi.n
 
 
 def test_map_of_the_trivial_cf_is_the_oscillatory_integral():

@@ -127,10 +127,10 @@ def _check_against_direct(calls):
     """A stand-in for _convolve that checks each call against np.convolve."""
     fft_convolve = density_solver._convolve
 
-    def checked(wide, masses, start, nfft):
+    def checked(wide, masses, start, work):
         n = wide.size
-        assert nfft >= n + masses.size - 1
-        got = fft_convolve(wide, masses, start, nfft)
+        assert work[1].size >= n + masses.size - 1
+        got = fft_convolve(wide, masses, start, work)
         full = np.convolve(wide, masses)
         pos = start + np.arange(n)
         ref = np.where((pos >= 0) & (pos < full.size),
@@ -406,3 +406,10 @@ def test_u_quadrature_is_built_once_and_shared_read_only():
     assert np.array_equal(us, 0.25 * (x + 1.0)) and np.array_equal(ws, 0.5 * w)
     with pytest.raises(ValueError):
         us[0] = 0.0
+
+
+def test_fft_length_is_scipys_real_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    ns = range(1, 20_000)
+    assert [density_solver._fast_len(n) for n in ns] == [next_fast_len(n, real=True) for n in ns]

@@ -17,6 +17,7 @@ from qslimit.report import build_artifacts
 from qslimit.quicksort_sim import (
     _BUCKET_SHIFT,
     SimulationSummary,
+    _chi2_tail,
     _leaf_draw,
     _leaf_guide,
     _leaf_table,
@@ -403,7 +404,20 @@ def test_chi_square_against_exact_law():
         stat, dof, p = chi_square_vs_exact(sample_many(n, 20_000, rng), n)
         assert dof >= 1
         assert p > 0.001
-        assert p == stats.chi2.sf(stat, dof)  # the same tail, bit for bit
+        assert p == pytest.approx(stats.chi2.sf(stat, dof), rel=1e-12)
+    # the closed-form tail against scipy's, from far below the mean to far above it
+    xs = np.geomspace(1e-3, 600.0, 25)
+    for dof in range(1, 201):
+        got = [_chi2_tail(dof, float(x)) for x in xs]
+        assert got == pytest.approx(list(stats.chi2.sf(xs, dof)), rel=1e-12), dof
+
+
+def test_chi_square_tail_identities():
+    # dof 2 is the exponential law and dof 1 the square of a normal: one term each
+    for x in (1e-300, 1e-3, 0.7, 3.0, 41.5, 600.0, 1400.0, 2000.0):
+        assert _chi2_tail(2, x) == math.exp(-x / 2.0)
+        assert _chi2_tail(1, x) == math.erfc(math.sqrt(x / 2.0))
+    assert _chi2_tail(7, 0.0) == 1.0
 
 
 def test_chi_square_rejects_impossible_counts():
