@@ -412,6 +412,16 @@ def test_console_script():
     json.loads(proc.stdout)
 
 
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats would add about 140 modules and 19 MiB to every process for
+    # one chi-square tail, which quicksort_sim sums in closed form
+    code = "import qslimit.cli, sys; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("command", [["-m", "qslimit", "bounds"],
                                      [str(ROOT / "scripts" / "reproduce_bounds.py")]],
