@@ -344,6 +344,11 @@ _LADDER = np.concatenate([[0.0], 4.0 ** np.arange(-9, 0), [0.5, 1.0]])
 # break points of a leg from a corner at depth d: 0, d/4, d, 4d, 16d, ..., then its end
 _RUNGS = 4.0 ** np.arange(-1.0, 31.0)
 VDC_ABS_TOL = 1e-8  # how far vdc_cf's doubled rule may move its value
+# nodes of both rules per group of a vdc_cf batch: with the rules, the buffer
+# and h_complex's temporaries the group's working set is about 1 MiB.  Every
+# contour fits: its two rules have 16 + 32 nodes on each of at most 90
+# intervals (12 + 33 + 2 + 33 + 11 corners and break points), 4320 in all.
+_VDC_GROUP_NODES = 3 * 2**11
 # the contour's corners lie where |exp(i t h)| = e^-40
 _DECAY = 40.0
 _FOLD_DEPTHS = 0.5 * 2.0 ** -np.arange(64.0)
@@ -391,17 +396,54 @@ def _vdc_contour(s: float, t: float) -> np.ndarray:
     return np.concatenate(head + [across, fall])
 
 
-def _vdc_rules(s: float, t: float):
-    """The rule and its doubled rule, each (nodes, weights), along `_vdc_contour`,
-    for s >= 0: one 16-point panel on each of its intervals, two in the doubled
+def _vdc_rules(contours):
+    """The rule and its doubled rule, each (nodes, weights), along each of
+    `contours` in turn: one 16-point panel on each interval, two in the doubled
     rule.  Along a steepest-descent leg exp(i t h) does not oscillate, so no
-    interval is cut by its phase; 400 to 752 nodes for every t up to 1e12.
+    interval is cut by its phase; 400 to 752 nodes per contour for every t up
+    to 1e12.
     """
-    edges = _vdc_contour(s, t)
-    return panel_rule(edges, np.zeros(edges.size - 1), 1.0)  # no phase: one panel each
+    return panel_rule(contours, np.zeros(sum(c.size - 1 for c in contours)), 1.0)
 
 
-def vdc_cf(y: float, z: float, t: float) -> complex:
+def _vdc_groups(s, t):
+    """Runs lo:hi of the batch with their contours, each run as many integrals
+    as fit _VDC_GROUP_NODES nodes of both rules, 48 per contour interval."""
+    lo, contours, nodes = 0, [], 0
+    for i in range(t.size):
+        contour = _vdc_contour(float(s[i]), float(t[i]))
+        size = 48 * (contour.size - 1)
+        if contours and nodes + size > _VDC_GROUP_NODES:
+            yield lo, i, contours
+            lo, contours, nodes = i, [], 0
+        contours.append(contour)
+        nodes += size
+    if contours:
+        yield lo, t.size, contours
+
+
+def _vdc_group(s, t, contours, val):
+    """The rule's and the doubled rule's values of int exp(i t h(s, u)) du along
+    each contour of one group, with s and t the group's arrays.  Both rules'
+    nodes are evaluated in one pass, their values going to the leading part of
+    the buffer `val`, and each contour's nodes are summed alone, so a value does
+    not depend on the rest of its group.  exp(i t h) is numpy's complex exp, one
+    sincos per node: on a 2-core Xeon it took 311 us per 8192 nodes where
+    exp(-t Im h) (cos + i sin)(t Re h) took 361.
+    """
+    panels = np.array([c.size - 1 for c in contours])
+    (u, w), (u2, w2) = _vdc_rules(contours)
+    per = np.concatenate([panels, 2 * panels]) * (u.size // panels.sum())  # nodes per rule
+    v = val[:u.size + u2.size]
+    h = h_complex(np.repeat(np.tile(s, 2), per), np.concatenate([u, u2]))
+    np.multiply(h, np.repeat(np.tile(1j * t, 2), per), out=v)
+    np.exp(v, out=v)
+    v *= np.concatenate([w, w2])
+    sums = np.add.reduceat(v, np.cumsum(per) - per)
+    return sums[:panels.size], sums[panels.size:]
+
+
+def vdc_cf(y, z, t):
     """The oscillatory integral behind the van der Corput rung.
 
     Computes int_0^1 exp(i t (u y + (1-u) z + g(u))) du on all of [0, 1],
@@ -412,21 +454,43 @@ def vdc_cf(y: float, z: float, t: float) -> complex:
     stationary point u* on which exp(i t h) decays away from 0, u* and 1.
     The rule is fixed by the contour alone: one 16-point panel per interval,
     400 to 752 nodes for every t up to 1e12.  The rule with every panel
-    halved must agree to VDC_ABS_TOL, else QuadratureError; its value is
-    returned.  The stationary-phase mechanism caps the modulus at
-    2 t^{-1/2} for every real y, z.  Raises ValueError unless 0 < t <= 1e12
-    and t |y - z| and t min(y, z) are finite: past 1e12 the float phase
-    t h rounds by about 2e-4 rad per unit of |h|, alike in both rules, so
-    the doubled rule could not see it.
+    halved must agree to VDC_ABS_TOL, else QuadratureError naming the worst
+    (y, z, t); its value is returned.  The stationary-phase mechanism caps
+    the modulus at 2 t^{-1/2} for every real y, z.
+
+    y, z and t are floats, and the result a complex; or arrays of one shape,
+    and the result a complex array of that shape, one integral per element.
+    The rules of a batch are built and evaluated a group of integrals at a
+    time, a working set of about 1 MiB, into one value buffer made per call;
+    a scalar call is a batch of one.  Raises ValueError, before any contour
+    is made, unless every 0 < t <= 1e12 and every t |y - z| and t min(y, z)
+    is finite: past 1e12 the float phase t h rounds by about 2e-4 rad per
+    unit of |h|, alike in both rules, so the doubled rule could not see it.
     """
-    s = abs(y - z)
-    if not (0.0 < t <= 1e12 and math.isfinite(t * s) and math.isfinite(t * min(y, z))):
+    y, z, t = (np.asarray(v, dtype=np.float64) for v in (y, z, t))
+    if not y.shape == z.shape == t.shape:
+        raise ValueError(f"vdc_cf needs y, z and t of one shape, got {y.shape}, "
+                         f"{z.shape} and {t.shape}")
+    shape = y.shape
+    y, z, t = y.ravel(), z.ravel(), t.ravel()
+    with np.errstate(all="ignore"):  # overflow, inf - inf and NaN are refused below
+        s = np.abs(y - z)
+        low = np.minimum(y, z)
+        bad = ~((0.0 < t) & (t <= 1e12) & np.isfinite(t * s) & np.isfinite(t * low))
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ValueError(f"vdc_cf needs 0 < t <= 1e12 and finite t |y - z| and "
-                         f"t min(y, z), got y={y}, z={z}, t={t}")
-    coarse, fine = (complex(w @ np.exp(1j * t * h_complex(s, u))) for u, w in _vdc_rules(s, t))
-    err = abs(fine - coarse)
-    if not err <= VDC_ABS_TOL:
-        raise QuadratureError(f"vdc_cf({y}, {z}, {t}): the doubled rule moved the value "
-                              f"by {err:.3e} > abs_tol={VDC_ABS_TOL}")
-    phase = t * min(y, z)
-    return complex(math.cos(phase), math.sin(phase)) * fine
+                         f"t min(y, z), got y={y[i]}, z={z[i]}, t={t[i]}")
+    coarse = np.empty(t.size, dtype=np.complex128)
+    fine = np.empty(t.size, dtype=np.complex128)
+    val = np.empty(_VDC_GROUP_NODES, dtype=np.complex128)
+    for lo, hi, contours in _vdc_groups(s, t):
+        coarse[lo:hi], fine[lo:hi] = _vdc_group(s[lo:hi], t[lo:hi], contours, val)
+    err = np.abs(fine - coarse)
+    failed = np.flatnonzero(~(err <= VDC_ABS_TOL))  # NaN fails too
+    if failed.size:
+        i = failed[np.argmax(np.nan_to_num(err[failed], nan=np.inf))]
+        raise QuadratureError(f"vdc_cf({y[i]}, {z[i]}, {t[i]}): the doubled rule moved the "
+                              f"value by {err[i]:.3e} > abs_tol={VDC_ABS_TOL}")
+    out = np.exp(1j * (t * low)) * fine
+    return complex(out[0]) if not shape else out.reshape(shape)

@@ -25,11 +25,14 @@ grid points with t in (25(k-1), 25k] share the rule sized for t = 25k (t = 0
 joins the first block), so the rule at t depends on t alone, not on the
 grid's T.  Along a block the phase exp(i t g(u)) is stepped from one grid
 point to the next by the factor exp(i dt g(u)), with np.exp called afresh at
-the start of each chunk of work.  Every sweep is cross-validated against each
-block's doubled rule at a spread of grid points and at the last t of every
-block, where its rule is coarsest, so a too-coarse rule raises instead of
-silently converging to the wrong fixed point; the check evaluates its t's one
-at a time, with the phase from np.exp, so it shares no step of the recurrence.
+the start of each chunk of work.  Each run of grid points makes one
+chunk-sized product buffer that every chunk writes into, a block of about
+2^14 spline pairs at a time, so the other arrays of the integrand stay
+small and in cache.  Every sweep is cross-validated against each block's
+doubled rule at a spread of grid points and at the last t of every block,
+where its rule is coarsest, so a too-coarse rule raises instead of silently
+converging to the wrong fixed point; the check evaluates its t's one at a
+time, with the phase from np.exp, so it shares no step of the recurrence.
 
 The fixed point is solved by Anderson(5) mixing in the shared driver
 `core_numerics.fixed_point`: real coefficients summing to 1 combine the last
@@ -98,9 +101,10 @@ _MAX_SWEEP_PAIRS = 2**26
 # complex entries per chunk of _quad_values (spline pairs) and of invert_cf
 # (kernel entries): a 4 MiB complex array each
 _CHUNK_PAIRS = 2**18
-# points per block of spline evaluation, so that its dozen array passes run in
-# cache: on a 2-core Xeon (4 MiB L2) 2^18 points took 12.7 ms in one block and
-# 5.2 ms in blocks of 2^14, where scipy's CubicSpline took 9.7 ms
+# spline pairs per block of rows in _quad_values, so that the spline's dozen
+# array passes run in cache: on a 2-core Xeon (4 MiB L2) 2^18 points took
+# 12.7 ms in one block and 5.2 ms in blocks of 2^14, where scipy's
+# CubicSpline took 9.7 ms
 _SPLINE_BLOCK = 2**14
 
 
@@ -189,8 +193,8 @@ def _cf_spline(ts: np.ndarray, values: np.ndarray):
 
     The knots are uniform, so a point's interval is floor((x - x0) / h),
     clipped to the last interval (which also takes any x past the end), and
-    its cubic is evaluated by Horner on coefficients gathered with `take`,
-    _SPLINE_BLOCK points at a time.
+    its cubic is evaluated by Horner on coefficients gathered with `take`.
+    The caller blocks its points so that these passes run in cache.
     """
     ext_t = np.concatenate([-ts[_REFLECT:0:-1], ts])
     ext_v = np.concatenate([np.conj(values[_REFLECT:0:-1]), values])
@@ -202,23 +206,17 @@ def _cf_spline(ts: np.ndarray, values: np.ndarray):
     c2 = (3.0 * m - 2.0 * s[:-1] - s[1:]) / h
     c1, c0 = s[:-1], ext_v[:-1]
 
-    def block(x: np.ndarray) -> np.ndarray:
+    def spline(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """The spline at x, of any shape, written to `out` if given."""
         i = np.floor((x - x0) / h)
         np.clip(i, 0, last, out=i)
         i = i.astype(np.intp)
         d = x - ext_t.take(i)
-        out = c3.take(i)
+        out = c3.take(i, out=out, mode="clip")  # i is in range; "clip" writes out unbuffered
         for c in (c2, c1, c0):
             out *= d
             out += c.take(i)
         return out
-
-    def spline(x: np.ndarray) -> np.ndarray:
-        flat = x.ravel()
-        out = np.empty(flat.size, dtype=np.complex128)
-        for k in range(0, flat.size, _SPLINE_BLOCK):
-            out[k:k + _SPLINE_BLOCK] = block(flat[k:k + _SPLINE_BLOCK])
-        return out.reshape(x.shape)
 
     return spline
 
@@ -241,15 +239,26 @@ def _quad_values(spline, t_sel: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.
     step = np.exp(1j * gu * dt)[:, None]
     out = np.empty(t_sel.size, dtype=np.complex128)
     chunk = max(1, _CHUNK_PAIRS // u.size)
+    # One product buffer per call, chunk-sized, which every chunk fills (the
+    # last through a view of its leading part) a block of rows of u at a time:
+    # a block's phase table, argument grid and second spline factor hold about
+    # _SPLINE_BLOCK pairs, so their passes run in cache and glibc serves them
+    # again and again from its heap.  A default iterate_cf takes about 6,400
+    # minor page faults where chunk-sized arrays made afresh took 76,000.
+    prod = np.empty(u.size * min(chunk, t_sel.size), dtype=np.complex128)
     for i in range(0, t_sel.size, chunk):
         t = t_sel[i:i + chunk]
-        phase = np.empty((u.size, t.size), dtype=np.complex128)
-        phase[:, 0] = np.exp(1j * gu * t[0])
-        phase[:, 1:] = step
-        np.multiply.accumulate(phase, axis=1, out=phase)
-        a = spline(u[:, None] * t)
-        a *= spline((1.0 - u)[:, None] * t)
-        a *= phase
+        a = prod[:u.size * t.size].reshape(u.size, t.size)
+        rows = max(1, _SPLINE_BLOCK // t.size)
+        for r in range(0, u.size, rows):
+            rs = slice(r, r + rows)
+            phase = np.empty(a[rs].shape, dtype=np.complex128)
+            phase[:, 0] = np.exp(1j * gu[rs] * t[0])
+            phase[:, 1:] = step[rs]
+            np.multiply.accumulate(phase, axis=1, out=phase)
+            part = spline(u[rs, None] * t, out=a[rs])
+            part *= spline((1.0 - u[rs])[:, None] * t)
+            part *= phase
         out[i:i + chunk] = w @ a
     return out
 

@@ -312,25 +312,33 @@ def panel_rule(edges, phase, budget: float):
     Complex edges are the corners of a polygonal path; the weights are then
     complex, so that the rule sums f(u) du along the path.  Both are sized by
     `panel_nodes`, which raises its ValueError before either rule is made.
+
+    `edges` may also be a list of 1-d arrays, the break points of several
+    paths: each rule then lays their rules end to end, and `phase` lists the
+    intervals of every path in turn.  Both rules of all the paths are built
+    in one vectorized pass.
     """
     per = panel_nodes(phase, budget) // _PANEL_ORDER
-    edges = np.asarray(edges)
-    edges = edges.astype(np.result_type(edges, np.float64))  # complex edges stay complex
-    rules = []
-    for counts in (per, 2 * per):
-        a = np.repeat(edges[:-1], counts)
-        b = np.repeat(edges[1:], counts)
-        n = np.repeat(counts, counts)
-        step = (b - a) / n
-        k = np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        # panel edges where np.linspace(a, b, n + 1) puts them, the last one exactly b
-        lo = a + k * step
-        hi = np.where(k + 1 == n, b, a + (k + 1) * step)
-        center = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        rules.append(((center[:, None] + half[:, None] * _PANEL_NODES[None, :]).ravel(),
-                      (half[:, None] * _PANEL_WEIGHTS[None, :]).ravel()))
-    return rules
+    paths = [np.asarray(e) for e in edges] if np.ndim(edges[0]) else [np.asarray(edges)]
+    dtype = np.result_type(*paths, np.float64)  # complex edges stay complex
+    lefts = np.concatenate([e[:-1] for e in paths]).astype(dtype)
+    rights = np.concatenate([e[1:] for e in paths]).astype(dtype)
+    # both rules in one pass: the rule's panels, then the doubled rule's
+    counts = np.concatenate([per, 2 * per])
+    a = np.repeat(np.concatenate([lefts, lefts]), counts)
+    b = np.repeat(np.concatenate([rights, rights]), counts)
+    n = np.repeat(counts, counts)
+    step = (b - a) / n
+    k = np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # panel edges where np.linspace(a, b, n + 1) puts them, the last one exactly b
+    lo = a + k * step
+    hi = np.where(k + 1 == n, b, a + (k + 1) * step)
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = (center[:, None] + half[:, None] * _PANEL_NODES[None, :]).ravel()
+    weights = (half[:, None] * _PANEL_WEIGHTS[None, :]).ravel()
+    m = _PANEL_ORDER * int(per.sum())
+    return [(nodes[:m], weights[:m]), (nodes[m:], weights[m:])]
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +372,10 @@ def _xlogx(a: np.ndarray, b: np.ndarray):
     return a * log_r - b * arg, a * arg + b * log_r
 
 
-def h_complex(s: float, p) -> np.ndarray:
+def h_complex(s, p) -> np.ndarray:
     """h(s, p) = p s + 2 p ln p + 2 (1-p) ln(1-p) + 1 at complex p.
+
+    `s` is a float or an array that broadcasts with p, one s per node.
 
     The logarithms take their principal branch, so h is analytic off
     (-inf, 0] and [1, inf), and h(s, conj p) = conj h(s, p) bit for bit.

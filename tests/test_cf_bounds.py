@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import re
 
 import hypothesis.strategies as st
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 
 from qslimit import cf_bounds
 from qslimit.cf_bounds import (
+    _vdc_contour,
     _vdc_rules,
     LOG_BOUND,
     POWER_LOG,
@@ -241,6 +243,8 @@ def test_chain_json_shape():
 
 
 def test_vdc_limit_and_reference():
+    # a scalar call is a batch of one, returned as a Python complex
+    assert type(vdc_cf(0.3, -0.7, 1e-8)) is complex
     assert abs(vdc_cf(0.3, -0.7, 1e-8) - 1.0) < 1e-6
     assert abs(vdc_cf(800.0, -800.0, 1e-9) - 1.0) < 1e-6  # u* underflows to 0
     # frozen oracle: midpoint Riemann sum with 10^6 panels at (0, 0, 1)
@@ -282,9 +286,35 @@ def test_vdc_matches_the_adaptive_integrator(y, z, t):
     (0.0, 0.0, math.nextafter(1e12, math.inf)),
     (1e308, -1e308, 1.0),   # y - z overflows
 ])
-def test_vdc_rejects_bad_input_at_once(y, z, t):
+def test_vdc_rejects_bad_input_at_once(y, z, t, monkeypatch):
     with pytest.raises(ValueError):
         vdc_cf(y, z, t)
+    # in a batch the bad triple is named, and found before any contour is made
+    def not_built(s, t):
+        raise AssertionError("a contour was built")
+
+    monkeypatch.setattr(cf_bounds, "_vdc_contour", not_built)
+    ys, zs, ts = np.array([[0.0, 1.0, y, 2.0], [0.5, -1.0, z, 0.0], [1.0, 50.0, t, 1e4]])
+    with pytest.raises(ValueError, match=re.escape(f"got y={y}, z={z}, t={t}") + "$"):
+        vdc_cf(ys, zs, ts)
+
+
+def test_vdc_batch_needs_one_shape():
+    with pytest.raises(ValueError, match=r"one shape, got \(2,\), \(2,\) and \(3,\)"):
+        vdc_cf(np.zeros(2), np.zeros(2), np.ones(3))
+
+
+@pytest.mark.parametrize("seed", [2718, 1])
+def test_vdc_batch_matches_one_call_per_triple(seed):
+    # check_vdc's 2000 triples: every (y, z) against every t, pairs outermost
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pairs = rng.uniform(-5.0, 5.0, size=(100, 2))
+    ts = np.geomspace(1.0, 1e4, 20)
+    y, z, t = np.repeat(pairs[:, 0], 20), np.repeat(pairs[:, 1], 20), np.tile(ts, 100)
+    batch = vdc_cf(y.reshape(40, 50), z.reshape(40, 50), t.reshape(40, 50))
+    assert batch.shape == (40, 50) and batch.dtype == np.complex128
+    single = [vdc_cf(float(a), float(b), float(c)) for a, b, c in zip(y, z, t)]
+    assert np.max(np.abs(batch.ravel() - single)) <= 1e-14
 
 
 @pytest.mark.parametrize("t", [1e6, 1e8])
@@ -307,7 +337,7 @@ def test_vdc_at_large_t_is_its_stationary_phase_term(y, z, t):
 ])
 def test_vdc_node_count_does_not_grow_with_t(y, z):
     def nodes(t):
-        return _vdc_rules(y - z, t)[0][0].size
+        return _vdc_rules([_vdc_contour(y - z, t)])[0][0].size
     # a rule whose node count grew like t would need about 1e3 and 1e7 times more
     assert nodes(1e4) <= 3 * nodes(10.0)
     assert nodes(1e8) <= 3 * nodes(10.0)
@@ -315,12 +345,14 @@ def test_vdc_node_count_does_not_grow_with_t(y, z):
 
 def test_vdc_rules_stay_small_up_to_t_1e12():
     # every other s and t of a sweep over s in {0} + geomspace(1e-3, 1600, 33) and
-    # t in geomspace(1e-9, 1e12, 85), whose rules all have 400 to 752 nodes; vdc_cf
-    # raises QuadratureError if its doubled rule moves the value by over VDC_ABS_TOL
-    for s in np.concatenate([[0.0], np.geomspace(1e-3, 1600.0, 33)[::2]]):
-        for t in np.geomspace(1e-9, 1e12, 85)[::2]:
-            assert _vdc_rules(s, t)[0][0].size <= 752, (s, t)
-            vdc_cf(float(s), 0.0, float(t))
+    # t in geomspace(1e-9, 1e12, 85), whose rules all have 400 to 752 nodes; vdc_cf,
+    # here on the whole sweep at once, raises QuadratureError if its doubled rule
+    # moves a value by over VDC_ABS_TOL
+    s, t = np.meshgrid(np.concatenate([[0.0], np.geomspace(1e-3, 1600.0, 33)[::2]]),
+                       np.geomspace(1e-9, 1e12, 85)[::2], indexing="ij")
+    for si, ti in zip(s.ravel(), t.ravel()):
+        assert _vdc_rules([_vdc_contour(si, ti)])[0][0].size <= 752, (si, ti)
+    vdc_cf(s, np.zeros_like(s), t)
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0),
@@ -347,5 +379,11 @@ def test_vdc_raises_when_the_doubled_rule_disagrees(monkeypatch):
     # decayed with one panel each, too coarse for the doubled rule
     monkeypatch.setattr(cf_bounds, "_DECAY", 2.0)
     with pytest.raises(QuadratureError, match=r"vdc_cf\(40\.0, 0\.0, 10\.0\): the doubled "
-                                              r"rule moved the value by .* > abs_tol=1e-08"):
+                                              r"rule moved the value by .* > abs_tol=1e-08") as alone:
         vdc_cf(40.0, 0.0, 10.0)
+    # in a batch the error names the triple whose rules disagree most: alone,
+    # (0, 0, 1) passes and the other two fail by 3.0e-5 and 4.4e-6
+    with pytest.raises(QuadratureError) as batch:
+        vdc_cf(np.array([0.0, 3.0, 40.0, -2.0]), np.array([0.0, -1.0, 0.0, 1.0]),
+               np.array([1.0, 50.0, 10.0, 30.0]))
+    assert str(batch.value) == str(alone.value)

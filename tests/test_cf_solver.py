@@ -120,6 +120,39 @@ def test_blocked_rules_match_one_rule_sized_for_t_max():
         assert np.max(np.abs(blocked.values[1:] - single[1:])) <= 1e-10
 
 
+def _quad_values_per_chunk(spline, t_sel, u, w):
+    """_quad_values with fresh arrays for every chunk, the reference for its buffers."""
+    gu = g_values(u)
+    dt = (t_sel[-1] - t_sel[0]) / max(t_sel.size - 1, 1)
+    step = np.exp(1j * gu * dt)[:, None]
+    out = np.empty(t_sel.size, dtype=np.complex128)
+    chunk = max(1, cf_solver._CHUNK_PAIRS // u.size)
+    for i in range(0, t_sel.size, chunk):
+        t = t_sel[i:i + chunk]
+        phase = np.empty((u.size, t.size), dtype=np.complex128)
+        phase[:, 0] = np.exp(1j * gu * t[0])
+        phase[:, 1:] = step
+        np.multiply.accumulate(phase, axis=1, out=phase)
+        a = spline(u[:, None] * t)
+        a *= spline((1.0 - u)[:, None] * t)
+        a *= phase
+        out[i:i + chunk] = w @ a
+    return out
+
+
+def test_chunk_buffers_change_no_bit():
+    # runs shorter than, equal to and longer than a chunk, so the reused buffers'
+    # views and the partial last chunk all run; the same arithmetic, bit for bit
+    phi = cf_map(init_gaussian_cf(t_max=50.0, n=1024))
+    spline = cf_solver._cf_spline(phi.xs, phi.values)
+    u, w = cf_solver._u_rules(25.0)[0]
+    chunk = cf_solver._CHUNK_PAIRS // u.size
+    for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        t_sel = np.linspace(0.3, 49.7, n)
+        got = cf_solver._quad_values(spline, t_sel, u, w)
+        assert np.array_equal(got, _quad_values_per_chunk(spline, t_sel, u, w)), n
+
+
 def test_self_check_covers_the_last_t_of_every_block(monkeypatch):
     calls = []
     real = cf_solver._quad_values

@@ -102,6 +102,13 @@ def test_panel_rule_along_a_complex_path():
         assert u.size == PANEL_ORDER * panels and np.iscomplexobj(w)
         assert w.sum() == pytest.approx(1.0, abs=1e-15)
         assert w @ u**5 == pytest.approx(1.0 / 6.0, abs=1e-15)
+    # a list of paths: each rule is the paths' rules end to end, bit for bit
+    real = np.array([0.0, 0.25, 1.0])
+    joint = panel_rule([edges, real], [1.0, 4.0, 1.0, 0.5, 7.0], 1.0)
+    apart = zip(panel_rule(edges, [1.0, 4.0, 1.0], 1.0), panel_rule(real, [0.5, 7.0], 1.0))
+    for (u, w), ((u1, w1), (u2, w2)) in zip(joint, apart):
+        assert np.array_equal(u, np.concatenate([u1, u2]))
+        assert np.array_equal(w, np.concatenate([w1, w2]))
 
 
 def test_panel_rule_checks_its_cap_before_allocating():

@@ -13,7 +13,7 @@ from scipy import stats
 from qslimit.cli import main
 from qslimit.core_numerics import Grid
 from qslimit.moments import VARIANCE
-from qslimit.report import build_artifacts
+from qslimit.report import build_artifacts, check_vdc
 from qslimit.quicksort_sim import (
     _BUCKET_SHIFT,
     SimulationSummary,
@@ -348,7 +348,9 @@ def test_sampler_rejects_a_bad_run_count(m):
     lambda: check_seed(True),
     lambda: simulate(7, 3, seed=True),
     lambda: build_artifacts(seed=False),  # refused before either fixed point is solved
-], ids=["check_seed", "simulate", "build_artifacts"])
+    lambda: check_vdc(seed=True),         # not run as seed 1
+    lambda: check_vdc(seed=-1),           # not numpy's "expected non-negative integer"
+], ids=["check_seed", "simulate", "build_artifacts", "check_vdc", "check_vdc_negative"])
 def test_a_bool_seed_is_refused(bad):
     with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got "):
         bad()
