@@ -396,16 +396,6 @@ def _vdc_contour(s: float, t: float) -> np.ndarray:
     return np.concatenate(head + [across, fall])
 
 
-def _vdc_rules(contours):
-    """The rule and its doubled rule, each (nodes, weights), along each of
-    `contours` in turn: one 16-point panel on each interval, two in the doubled
-    rule.  Along a steepest-descent leg exp(i t h) does not oscillate, so no
-    interval is cut by its phase; 400 to 752 nodes per contour for every t up
-    to 1e12.
-    """
-    return panel_rule(contours, np.zeros(sum(c.size - 1 for c in contours)), 1.0)
-
-
 def _vdc_groups(s, t):
     """Runs lo:hi of the batch with their contours, each run as many integrals
     as fit _VDC_GROUP_NODES nodes of both rules, 48 per contour interval."""
@@ -432,8 +422,10 @@ def _vdc_group(s, t, contours, val):
     exp(-t Im h) (cos + i sin)(t Re h) took 361.
     """
     panels = np.array([c.size - 1 for c in contours])
-    (u, w), (u2, w2) = _vdc_rules(contours)
-    per = np.concatenate([panels, 2 * panels]) * (u.size // panels.sum())  # nodes per rule
+    # one 16-point panel per contour interval: along a steepest-descent leg
+    # exp(i t h) does not oscillate, so no interval is cut by its phase
+    (u, w), (u2, w2) = panel_rule(contours, np.ones(panels.sum(), dtype=np.int64))
+    per = 16 * np.concatenate([panels, 2 * panels])  # each contour's nodes in either rule
     v = val[:u.size + u2.size]
     h = h_complex(np.repeat(np.tile(s, 2), per), np.concatenate([u, u2]))
     np.multiply(h, np.repeat(np.tile(1j * t, 2), per), out=v)

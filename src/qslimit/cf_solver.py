@@ -19,8 +19,9 @@ and their derivatives come out by the folded inversion formula
     f^(k)(x) = (1/pi) Re int_0^T (-i t)^k e^{-i t x} phi(t) dt.
 
 The u-integral is evaluated with `core_numerics.panel_rule`, a composite
-Gauss-Legendre rule whose panels follow the oscillation budget of the phase
-t g(u) (graded by 4 toward u = 0, phase-equidistributed in the middle).  The
+Gauss-Legendre rule built from a count of panels per interval of a ladder
+graded by 4 toward u = 0; the counts, set here, cut each interval so that no
+panel carries more than 2 pi of the integrand's phase at its block's t.  The
 grid points with t in (25(k-1), 25k] share the rule sized for t = 25k (t = 0
 joins the first block), so the rule at t depends on t alone, not on the
 grid's T.  Along a block the phase exp(i t g(u)) is stepped from one grid
@@ -58,13 +59,11 @@ import sys
 import numpy as np
 
 from .core_numerics import (
-    DYADIC_EDGES,
     MAX_GRID_POINTS,
     Grid,
     QuadratureError,
     fixed_point,
     g_values,
-    panel_nodes,
     panel_rule,
 )
 from .density_solver import DENSITY_DX, DENSITY_X_MAX, DENSITY_X_MIN
@@ -145,10 +144,16 @@ def init_gaussian_cf(t_max: float = CF_T_MAX, n: int = CF_GRID_SIZE) -> CfGrid:
 # error that the map recycles at small t instead of contracting
 _REFLECT = 8
 
-# The u-rule of the folded map on [0, 1/2]: per unit of t, interval i
-# carries the toll's phase |dg| plus a phase of du for each of the two
-# interpolated factors, and every panel at most 2 pi of their sum.
-_U_PHASE = np.abs(np.diff(g_values(DYADIC_EDGES))) + 2.0 * np.diff(DYADIC_EDGES)
+# Break points of the folded map's u-rule on [0, 1/2]: graded by 4 toward 0,
+# where g' is log-singular, from 4**-9 to 4**-3, then octaves from 1/32 to 1/2.
+# On [a, 4a] the u ln u singularity leaves 16-point Gauss-Legendre a Bernstein
+# ellipse of rho = 3, a relative error of about 3**-32 = 5e-16; the one panel on
+# [0, 4**-9] costs about 1e-16 t in exp(i t g(u)).
+_U_EDGES = np.concatenate([[0.0], 4.0 ** np.arange(-9, -2),
+                           [1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0, 1.0 / 2.0]])
+# per unit of t, interval i carries the toll's phase |dg| plus a phase of du for
+# each of the two interpolated factors, and every panel at most 2 pi of their sum
+_U_PHASE = np.abs(np.diff(g_values(_U_EDGES))) + 2.0 * np.diff(_U_EDGES)
 _U_BUDGET = 2.0 * math.pi
 # t-blocks of this width share the rule for their right end; below t = 25 the
 # spline pieces of phi's bulk, not the phase, set the error (at T = 50 with
@@ -160,14 +165,12 @@ def _not_a_knot_slopes(m: np.ndarray) -> np.ndarray:
     """The knot slopes of the not-a-knot cubic spline on uniform knots.
 
     `m` holds the secant slopes between neighbouring knots.  The equations
-    are scipy's CubicSpline's, divided by the spacing: two knots give the
-    line and three the parabola through them; from four on, one Thomas
-    sweep solves the tridiagonal system whose end rows make the third
-    derivative continuous at the second and the last-but-one knot.
+    are scipy's CubicSpline's, divided by the spacing: three knots (the
+    fewest the reflected grid has) give the parabola through them; from four
+    on, one Thomas sweep solves the tridiagonal system whose end rows make the
+    third derivative continuous at the second and the last-but-one knot.
     """
     n = m.size + 1
-    if n == 2:
-        return np.array([m[0], m[0]])
     if n == 3:
         return np.array([1.5 * m[0] - 0.5 * m[1], 0.5 * (m[0] + m[1]), 1.5 * m[1] - 0.5 * m[0]])
     rhs = np.empty(n, dtype=m.dtype)
@@ -221,10 +224,23 @@ def _cf_spline(ts: np.ndarray, values: np.ndarray):
     return spline
 
 
+def _u_panels(t_top: float) -> np.ndarray:
+    """Panels of the u-rule for every t <= t_top on each interval of _U_EDGES,
+    max(1, ceil(t_top _U_PHASE / _U_BUDGET)), so that none carries more than
+    _U_BUDGET radians.  Raises ValueError, while the counts are still floats,
+    if the doubled rule would need more than MAX_GRID_POINTS nodes."""
+    per = np.maximum(1.0, np.ceil(t_top * _U_PHASE / _U_BUDGET))
+    nodes = 32.0 * float(per.sum())  # panel_rule's 16 nodes per panel, twice in the doubled rule
+    if not nodes <= MAX_GRID_POINTS:  # NaN and inf fail too
+        raise ValueError(f"the u-rule for t={t_top:.3g} would need {nodes:.3g} nodes, over "
+                         f"the cap of {MAX_GRID_POINTS}")
+    return per.astype(np.int64)
+
+
 def _u_rules(t_top: float):
     """The folded u-rule for every t <= t_top and its doubled rule, weights
     doubled: the integrand is u <-> 1-u symmetric."""
-    return [(u, 2.0 * w) for u, w in panel_rule(DYADIC_EDGES, t_top * _U_PHASE, _U_BUDGET)]
+    return [(u, 2.0 * w) for u, w in panel_rule([_U_EDGES], _u_panels(t_top))]
 
 
 def _quad_values(spline, t_sel: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -290,7 +306,7 @@ def cf_map(phi: CfGrid) -> CfGrid:
     ends = np.concatenate([[0], np.flatnonzero(np.diff(blocks)) + 1, [ts.size]])
     tops = _T_BLOCK * blocks[ends[1:] - 1]
     # every block is sized, so checked against both caps, before a rule is built; largest first
-    nodes = [int(panel_nodes(top * _U_PHASE, _U_BUDGET).sum()) for top in tops[::-1]]
+    nodes = [16 * int(_u_panels(top).sum()) for top in tops[::-1]]
     pairs = int(np.dot(nodes, np.diff(ends)[::-1]))
     if pairs > _MAX_SWEEP_PAIRS:
         raise ValueError(f"the u-rules for t_max={phi.x_max} need {pairs} spline pairs "

@@ -2,11 +2,11 @@
 
 Provides the sampled-grid container used throughout (real or complex
 values), the one fixed-point driver both solvers run on, a deterministic
-adaptive Gauss-Kronrod integrator, the composite Gauss-Legendre rule whose
-panels follow an integrand's phase (on real intervals for the CF map's
-u-integral, along a polygon in the complex plane for the van der Corput
-integral), built together with its doubled rule, against which each caller
-checks it, and the entropy-like toll function
+adaptive Gauss-Kronrod integrator, the composite Gauss-Legendre rule built
+from a count of panels per interval (on real intervals for the CF map's
+u-integral, along polygons in the complex plane for the van der Corput
+integral; each caller sets its own counts), together with its doubled rule,
+against which each caller checks it, and the entropy-like toll function
 
     g(u) = 2 u ln u + 2 (1-u) ln(1-u) + 1,      0 <= u <= 1,
 
@@ -33,8 +33,6 @@ __all__ = [
     "fixed_point",
     "MAX_GRID_POINTS",
     "integrate",
-    "DYADIC_EDGES",
-    "panel_nodes",
     "panel_rule",
     "g_values",
     "h_complex",
@@ -45,7 +43,10 @@ MAX_GRID_POINTS = 2**20
 
 
 class QuadratureError(RuntimeError):
-    """Raised when adaptive integration cannot reach the requested tolerance."""
+    """Raised when a quadrature fails its accuracy check: `integrate` cannot reach
+    its tolerance, or a fixed rule's doubled rule moves its value too far
+    (`cf_bounds.vdc_cf`, `cf_solver.cf_map`); `cf_map` also raises it when its
+    values overshoot the unit disk."""
 
 
 class IterationError(RuntimeError):
@@ -62,7 +63,7 @@ class IterationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniformly sampled function: values[j] at x0 + j*dx.
+    """Uniformly sampled function: values[j] at x0 + j*dx, dx > 0, every node finite.
 
     The values keep their kind: complex input is stored as complex128,
     anything else as float64.  Storage is read-only.
@@ -79,6 +80,9 @@ class Grid:
         arr = np.array(self.values, dtype=dtype)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("grid values must be a non-empty 1-d array")
+        if not math.isfinite(self.x0 + self.dx * (arr.size - 1)):
+            raise ValueError(f"the grid's last node x0 + dx*(n-1) is not finite: x0={self.x0}, "
+                             f"dx={self.dx}, n={arr.size}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("grid values must be finite")
         arr.flags.writeable = False
@@ -277,49 +281,26 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10):
 _PANEL_ORDER = 16
 _PANEL_NODES, _PANEL_WEIGHTS = leggauss(_PANEL_ORDER)
 
-# Break points on [0, 1/2]: graded by 4 toward 0, where g' is log-singular, from
-# 4**-9 to 4**-3, then octaves from 1/32 to 1/2.  On [a, 4a] the u ln u
-# singularity leaves 16-point Gauss-Legendre a Bernstein ellipse of rho = 3, a
-# relative error of about 3**-32 = 5e-16; the one panel on [0, 4**-9] costs
-# about 1e-16 t in exp(i t g(u)).
-DYADIC_EDGES = np.concatenate([[0.0], 4.0 ** np.arange(-9, -2),
-                               [1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0, 1.0 / 2.0]])
-DYADIC_EDGES.flags.writeable = False
 
+def panel_rule(paths, per):
+    """A composite 16-point Gauss-Legendre rule along each of `paths` in turn and
+    its doubled rule, the rule of its self-check: the pair
+    ((nodes, weights), (nodes, weights)), nodes in the order of the paths.
 
-def panel_nodes(phase, budget: float) -> np.ndarray:
-    """Nodes per interval of `panel_rule`'s rule, 16 on each of its
-    max(1, ceil(phase[i] / budget)) panels; the doubled rule has twice as many.
-    Raises ValueError, before any panel is made, if a phase is not finite or
-    the doubled rule would need more than MAX_GRID_POINTS nodes."""
-    per = np.maximum(1.0, np.ceil(np.asarray(phase, dtype=np.float64) / budget))
-    nodes = 2 * _PANEL_ORDER * float(per.sum())
-    if not nodes <= MAX_GRID_POINTS:  # NaN and inf fail too
-        raise ValueError(f"a phase-adapted rule would need {nodes:.3g} nodes, over the "
-                         f"cap of {MAX_GRID_POINTS}")
-    return _PANEL_ORDER * per.astype(np.int64)
-
-
-def panel_rule(edges, phase, budget: float):
-    """A composite 16-point Gauss-Legendre rule on the intervals between
-    `edges` and its doubled rule, the rule of its self-check: the pair
-    ((nodes, weights), (nodes, weights)), nodes in the order of the edges.
-
-    `phase[i]` is the phase variation of the integrand over interval i (for
-    exp(i t h) with h monotone there, t |h(b) - h(a)|).  The rule cuts
-    interval i into max(1, ceil(phase[i] / budget)) equal panels, so none
-    carries more than `budget` radians; the doubled rule halves every panel.
-    Complex edges are the corners of a polygonal path; the weights are then
-    complex, so that the rule sums f(u) du along the path.  Both are sized by
-    `panel_nodes`, which raises its ValueError before either rule is made.
-
-    `edges` may also be a list of 1-d arrays, the break points of several
-    paths: each rule then lays their rules end to end, and `phase` lists the
-    intervals of every path in turn.  Both rules of all the paths are built
-    in one vectorized pass.
+    `paths` is a list of 1-d arrays of break points, real or complex; complex
+    break points are the corners of a polygonal path, and the weights are then
+    complex, so that the rule sums f(u) du along the path.  `per` holds an int
+    count of equal panels for each interval of every path in turn; the doubled
+    rule halves every panel.  Both rules of all the paths are built in one
+    vectorized pass.  Raises ValueError, before any node is made, if the
+    doubled rule would need more than MAX_GRID_POINTS nodes.
     """
-    per = panel_nodes(phase, budget) // _PANEL_ORDER
-    paths = [np.asarray(e) for e in edges] if np.ndim(edges[0]) else [np.asarray(edges)]
+    per = np.asarray(per)
+    m = _PANEL_ORDER * int(per.sum())  # nodes of the rule; the doubled rule has 2m
+    if 2 * m > MAX_GRID_POINTS:
+        raise ValueError(f"a composite rule would need {2 * m:.3g} nodes, over the cap "
+                         f"of {MAX_GRID_POINTS}")
+    paths = [np.asarray(e) for e in paths]
     dtype = np.result_type(*paths, np.float64)  # complex edges stay complex
     lefts = np.concatenate([e[:-1] for e in paths]).astype(dtype)
     rights = np.concatenate([e[1:] for e in paths]).astype(dtype)
@@ -337,7 +318,6 @@ def panel_rule(edges, phase, budget: float):
     half = 0.5 * (hi - lo)
     nodes = (center[:, None] + half[:, None] * _PANEL_NODES[None, :]).ravel()
     weights = (half[:, None] * _PANEL_WEIGHTS[None, :]).ravel()
-    m = _PANEL_ORDER * int(per.sum())
     return [(nodes[:m], weights[:m]), (nodes[m:], weights[m:])]
 
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from qslimit import cf_bounds
 from qslimit.cf_bounds import (
     _vdc_contour,
-    _vdc_rules,
     LOG_BOUND,
     POWER_LOG,
     PURE_POWER,
@@ -31,7 +30,7 @@ from qslimit.cf_bounds import (
     make_envelope,
     vdc_cf,
 )
-from qslimit.core_numerics import QuadratureError, g_values, integrate
+from qslimit.core_numerics import QuadratureError, g_values, integrate, panel_rule
 
 CHAIN = build_chain(4.5)
 ENV = make_envelope(CHAIN)
@@ -336,11 +335,27 @@ def test_vdc_at_large_t_is_its_stationary_phase_term(y, z, t):
     (40.0, -40.0),          # u* = 4e-18, within 1/t of 0 for every t here
 ])
 def test_vdc_node_count_does_not_grow_with_t(y, z):
-    def nodes(t):
-        return _vdc_rules([_vdc_contour(y - z, t)])[0][0].size
+    def nodes(t):  # one 16-point panel per contour interval
+        return 16 * (_vdc_contour(y - z, t).size - 1)
     # a rule whose node count grew like t would need about 1e3 and 1e7 times more
     assert nodes(1e4) <= 3 * nodes(10.0)
     assert nodes(1e8) <= 3 * nodes(10.0)
+
+
+def test_vdc_rule_takes_one_panel_per_contour_interval(monkeypatch):
+    # the node counts above rest on this: vdc_cf asks panel_rule for one panel on
+    # each interval of each contour, whatever s and t
+    calls = []
+
+    def spy(paths, per):
+        calls.append((paths, per))
+        return panel_rule(paths, per)
+
+    monkeypatch.setattr(cf_bounds, "panel_rule", spy)
+    vdc_cf(np.array([0.0, 5.0, 40.0]), np.array([0.0, -5.0, -40.0]), np.array([10.0, 1e4, 1e8]))
+    assert calls
+    for paths, per in calls:
+        assert np.array_equal(per, np.ones(sum(p.size - 1 for p in paths)))
 
 
 def test_vdc_rules_stay_small_up_to_t_1e12():
@@ -351,7 +366,7 @@ def test_vdc_rules_stay_small_up_to_t_1e12():
     s, t = np.meshgrid(np.concatenate([[0.0], np.geomspace(1e-3, 1600.0, 33)[::2]]),
                        np.geomspace(1e-9, 1e12, 85)[::2], indexing="ij")
     for si, ti in zip(s.ravel(), t.ravel()):
-        assert _vdc_rules([_vdc_contour(si, ti)])[0][0].size <= 752, (si, ti)
+        assert 16 * (_vdc_contour(si, ti).size - 1) <= 752, (si, ti)
     vdc_cf(s, np.zeros_like(s), t)
 
 

@@ -23,6 +23,7 @@ from qslimit.core_numerics import (
     QuadratureError,
     fixed_point,
     g_values,
+    panel_rule,
 )
 from qslimit.moments import VARIANCE
 
@@ -64,6 +65,11 @@ def test_cf_grid_validation():
         CfGrid(0.5, 1.0, np.ones(11, dtype=complex))
     with pytest.raises(ValueError, match="dx > 0"):  # the Grid checks run first
         CfGrid(0.0, 0.0, np.ones(11, dtype=complex))
+    # t = 2e308 is inf: refused here, not left to overflow in cf_map
+    with pytest.raises(ValueError, match=r"the grid's last node x0 \+ dx\*\(n-1\) is not "
+                                         r"finite: x0=0\.0, dx=1e\+308, n=3"):
+        CfGrid(0.0, 1e308, [1.0, 0.5, 0.5])
+    assert CfGrid(0.0, 0.5e308, [1.0, 0.5, 0.5]).x_max == 1e308
     for n in (1, 0, -1):
         with pytest.raises(ValueError, match="2 to"):
             init_gaussian_cf(t_max=10.0, n=n)
@@ -82,10 +88,8 @@ def test_cf_grid_validation():
 def test_spline_matches_scipys_cubic_spline():
     from scipy.interpolate import CubicSpline
 
-    # scipy's line through 2 knots, which the reflected grid never reaches; a grid
-    # of 2 points reflects to 3 knots (scipy's parabola), from 3 points on the
-    # slopes come from the Thomas sweep
-    assert cf_solver._not_a_knot_slopes(np.array([0.25 - 1.5j])).tolist() == [0.25 - 1.5j] * 2
+    # a grid of 2 points reflects to 3 knots (scipy's parabola), the fewest the
+    # reflected grid has; from 3 points on the slopes come from the Thomas sweep
     rng = np.random.default_rng(2)
     grids = [CfGrid(0.0, 7.0 / (n - 1), np.concatenate(
         [[1.0], rng.uniform(-0.7, 0.7, n - 1) + 1j * rng.uniform(-0.7, 0.7, n - 1)]))
@@ -193,6 +197,23 @@ def test_map_raises_when_it_overshoots_the_unit_disk():
                                               r"the iterate's cubic spline bulges past the "
                                               r"unit circle between grid points"):
         cf_map(square)
+
+
+def test_graded_ladder_resolves_the_log_singularity():
+    # one panel per interval: the ladder alone carries 2u ln u to 1e-15
+    edges = cf_solver._U_EDGES
+    (u, w), _ = panel_rule([edges], np.ones(edges.size - 1, dtype=np.int64))
+    assert edges[0] == 0.0 and edges[-1] == 0.5
+    f = 2.0 * u * np.log(u)
+    assert abs(w @ f - (0.25 * math.log(0.5) - 0.125)) <= 1e-15
+    # each interval from [4^-9, 4^-8] up to 2e-15 relative (graded by 8, not 4,
+    # it is 8e-15), and the end panel [0, 4^-9] to 2e-16 absolute
+    inner = edges[1:]
+    antiderivative = np.concatenate([[0.0], inner**2 * (np.log(inner) - 0.5)])
+    per_interval = (w * f).reshape(-1, 16).sum(axis=1)
+    exact = np.diff(antiderivative)
+    assert abs(per_interval[0] - exact[0]) <= 2e-16
+    assert np.max(np.abs(per_interval[1:] / exact[1:] - 1.0)) <= 2e-15
 
 
 def test_u_rule_on_the_graded_ladder():

@@ -349,6 +349,7 @@ def test_sizing_flags_never_escape_as_tracebacks(argv):
     ["density", "--x-min", "0"],
     ["invert", "--x-min", "5", "--x-max", "-3"],
     ["invert", "--t-max", "1e-320"],
+    ["phi", "--t-max", "1e308", "--grid-size", "3"],
 ])
 @pytest.mark.filterwarnings("error")  # a warning before the error line fails too
 def test_bad_sizes_exit_one(argv, capsys):

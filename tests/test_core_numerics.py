@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 from qslimit.core_numerics import (
-    DYADIC_EDGES,
     MAX_GRID_POINTS,
     Grid,
     IterationError,
@@ -15,7 +14,6 @@ from qslimit.core_numerics import (
     g_values,
     h_complex,
     integrate,
-    panel_nodes,
     panel_rule,
 )
 
@@ -76,12 +74,10 @@ def test_integrate_linear_in_integrand(a, b):
     assert abs(lhs - rhs) <= 3.0 * tol * (1.0 + abs(a) + abs(b))
 
 
-def test_panel_rule_splits_each_interval_by_its_phase():
+def test_panel_rule_cuts_each_interval_into_its_panel_count():
     edges = np.array([0.0, 0.25, 1.0, 3.0])
-    phase = np.array([0.5, 7.0, 20.0])
-    budget = 3.0
-    (u, w), (u2, w2) = panel_rule(edges, phase, budget)
-    assert u.size == PANEL_ORDER * sum(math.ceil(p / budget) for p in phase)  # 16 * 11
+    (u, w), (u2, w2) = panel_rule([edges], [1, 3, 7])
+    assert u.size == PANEL_ORDER * 11 and u2.size == 2 * u.size
     assert np.all(np.diff(u) > 0.0) and edges[0] < u[0] and u[-1] < edges[-1]
     # 16-point Gauss-Legendre is exact to degree 31 on each panel
     assert w @ u**7 == pytest.approx(3.0**8 / 8.0, rel=1e-14)
@@ -90,7 +86,9 @@ def test_panel_rule_splits_each_interval_by_its_phase():
                     for x in (u, u2)]
     assert np.array_equal(per_interval[1], 2 * per_interval[0])
     assert np.array_equal(per_interval[0][1:] // PANEL_ORDER, [1, 3, 7])
-    assert np.array_equal(panel_nodes(phase, budget), per_interval[0][1:])
+    # equal panels: the 3 of [0.25, 1] are each a quarter long
+    quarters = w[PANEL_ORDER:4 * PANEL_ORDER].reshape(3, -1).sum(axis=1)
+    assert np.allclose(quarters, 0.25, rtol=1e-15, atol=0.0)
     assert w2 @ np.exp(5j * u2) == pytest.approx((np.exp(15j) - 1.0) / 5j, abs=1e-14)
 
 
@@ -98,48 +96,31 @@ def test_panel_rule_along_a_complex_path():
     # 0 -> -i/2 -> 1 - i/2 -> 1: the weights carry du, so a polynomial
     # integrates to its exact value whatever the path
     edges = np.array([0.0, -0.5j, 1.0 - 0.5j, 1.0])
-    for (u, w), panels in zip(panel_rule(edges, [1.0, 4.0, 1.0], 1.0), (6, 12)):
+    for (u, w), panels in zip(panel_rule([edges], [1, 4, 1]), (6, 12)):
         assert u.size == PANEL_ORDER * panels and np.iscomplexobj(w)
         assert w.sum() == pytest.approx(1.0, abs=1e-15)
         assert w @ u**5 == pytest.approx(1.0 / 6.0, abs=1e-15)
-    # a list of paths: each rule is the paths' rules end to end, bit for bit
+    # several paths: each rule is the paths' rules end to end, bit for bit
     real = np.array([0.0, 0.25, 1.0])
-    joint = panel_rule([edges, real], [1.0, 4.0, 1.0, 0.5, 7.0], 1.0)
-    apart = zip(panel_rule(edges, [1.0, 4.0, 1.0], 1.0), panel_rule(real, [0.5, 7.0], 1.0))
+    joint = panel_rule([edges, real], [1, 4, 1, 1, 7])
+    apart = zip(panel_rule([edges], [1, 4, 1]), panel_rule([real], [1, 7]))
     for (u, w), ((u1, w1), (u2, w2)) in zip(joint, apart):
         assert np.array_equal(u, np.concatenate([u1, u2]))
         assert np.array_equal(w, np.concatenate([w1, w2]))
 
 
 def test_panel_rule_checks_its_cap_before_allocating():
-    edges = [0.0, 1.0]
+    edges = [np.array([0.0, 1.0])]
     # the cap is on the doubled rule: the largest pair allowed has MAX_GRID_POINTS
     # doubled nodes, its rule half as many
     top = MAX_GRID_POINTS // (2 * PANEL_ORDER)  # panels of the largest rule allowed
-    (u, _), (u2, _) = panel_rule(edges, [top * 1.0], 1.0)
+    (u, _), (u2, _) = panel_rule(edges, [top])
     assert u2.size == MAX_GRID_POINTS and u.size == MAX_GRID_POINTS // 2
-    # past the cap, and far past anything allocatable: a ValueError, not a MemoryError
-    for phase in (top + 1.0, 1e300, math.inf, math.nan):
-        with pytest.raises(ValueError, match="cap"):
-            panel_rule(edges, [phase], 1.0)
-        with pytest.raises(ValueError, match="cap"):
-            panel_nodes([phase], 1.0)
-
-
-def test_graded_ladder_resolves_the_log_singularity():
-    # one panel per interval: the ladder alone carries 2u ln u to 1e-15
-    (u, w), _ = panel_rule(DYADIC_EDGES, np.zeros(DYADIC_EDGES.size - 1), 1.0)
-    assert DYADIC_EDGES[0] == 0.0 and DYADIC_EDGES[-1] == 0.5
-    f = 2.0 * u * np.log(u)
-    assert abs(w @ f - (0.25 * math.log(0.5) - 0.125)) <= 1e-15
-    # each interval from [4^-9, 4^-8] up to 2e-15 relative (graded by 8, not 4,
-    # it is 8e-15), and the end panel [0, 4^-9] to 2e-16 absolute
-    inner = DYADIC_EDGES[1:]
-    antiderivative = np.concatenate([[0.0], inner**2 * (np.log(inner) - 0.5)])
-    per_interval = (w * f).reshape(-1, PANEL_ORDER).sum(axis=1)
-    exact = np.diff(antiderivative)
-    assert abs(per_interval[0] - exact[0]) <= 2e-16
-    assert np.max(np.abs(per_interval[1:] / exact[1:] - 1.0)) <= 2e-15
+    # one panel past the cap, and far past anything allocatable: a ValueError, not
+    # a MemoryError; a count spread over intervals counts alike
+    for per in ([top + 1], [top // 2, top // 2 + 1], [2**40]):
+        with pytest.raises(ValueError, match="over the cap of 1048576"):
+            panel_rule([np.linspace(0.0, 1.0, len(per) + 1)], per)
 
 
 def test_g_reference_values():
@@ -257,6 +238,8 @@ def test_real_grid_rejects_non_finite():
 @pytest.mark.parametrize("x0, dx, values", [
     (0.0, 0.0, [1.0]), (0.0, -0.1, [1.0]), (0.0, np.nan, [1.0]),
     (np.inf, 0.1, [1.0]), (0.0, 0.1, []), (0.0, 0.1, [[1.0, 2.0]]),
+    # finite x0 and dx, but a last node x0 + dx * (n - 1) that overflows to inf
+    (0.0, 1e308, [1.0, 0.5, 0.5]), (-1e308, 1e308, [0.0] * 4),
 ])
 def test_grid_rejects_bad_shape_and_spacing(x0, dx, values):
     with pytest.raises(ValueError):
