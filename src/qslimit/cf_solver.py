@@ -7,13 +7,17 @@ mean-zero, finite-variance laws) of
 
 We iterate M on a uniform grid over [0, T]; conjugate symmetry makes the
 negative axis redundant, and since u t and (1-u) t both stay inside [0, t],
-the map never needs values beyond the grid.  Off-grid reads use a cubic
-spline built on a short conjugate-symmetric extension through t = 0, which
-keeps the interpolant's curvature at the origin consistent with the sampled
-values (a one-sided boundary fit there feeds curvature noise back through
-the map).  The spline is the not-a-knot one of scipy's CubicSpline, in
-numpy on the extension's uniform knots: one Thomas sweep gives its slopes,
-and each point's interval is found by arithmetic, not by search.  Densities
+the map never needs values beyond the grid.  Off-grid reads use a piecewise
+degree-7 interpolant built on a short conjugate-symmetric extension through
+t = 0, which keeps the interpolant's curvature at the origin consistent with
+the sampled values (a one-sided boundary fit there feeds curvature noise
+back through the map).  On each knot interval it is the Lagrange polynomial
+through the 4 nearest knots on either side, its coefficients one fixed 8x8
+matrix times the knot values, and each point's interval is found by
+arithmetic, not by search.  The limit law has moments of every order, so
+phi is smooth, and it decays faster than any power (Fill & Janson); the
+interpolation error falls about 250x per halving of the spacing, where a
+cubic spline's falls 16x.  Densities
 and their derivatives come out by the folded inversion formula
 
     f^(k)(x) = (1/pi) Re int_0^T (-i t)^k e^{-i t x} phi(t) dt.
@@ -28,7 +32,7 @@ grid's T.  Along a block the phase exp(i t g(u)) is stepped from one grid
 point to the next by the factor exp(i dt g(u)), with np.exp called afresh at
 the start of each chunk of work.  Each run of grid points makes one
 chunk-sized product buffer that every chunk writes into, a block of about
-2^14 spline pairs at a time, so the other arrays of the integrand stay
+2^14 interpolant pairs at a time, so the other arrays of the integrand stay
 small and in cache.  Every sweep is cross-validated against each block's
 doubled rule at a spread of grid points and at the last t of every block,
 where its rule is coarsest, so a too-coarse rule raises instead of silently
@@ -38,17 +42,21 @@ time, with the phase from np.exp, so it shares no step of the recurrence.
 The fixed point is solved by Anderson(5) mixing in the shared driver
 `core_numerics.fixed_point`: real coefficients summing to 1 combine the last
 map values, and the mix is put back on the unit disk with phi(0) = 1.  At
-the default grid (1025 points on [0, 50.01], dt = 200/4095) this takes 13
-map evaluations where plain iteration takes 25, and lands 5e-8 from the
-plain iterate.  Every grid has a discretization floor on the residual (about
-5e-8 at dt ~ 0.1, T = 50 with 512 points); a tolerance below it stops with
-an IterationError that names the floor, after 5 sweeps without progress.
+the default grid (513 points on [0, 50.01], dt = 400/4095) this takes 11
+map evaluations where plain iteration takes 23, and lands 9.4e-9 from the
+plain iterate.  Its last residual, 3.2e-9, is not its error: it lies 1.6e-8
+from the solve at half the spacing.  Every grid has a discretization floor
+on the residual (about 4.6e-8 at dt ~ 0.2, T = 50 with 257 points); a
+tolerance below it stops with an IterationError that names the floor, after
+5 sweeps without progress.
 
 The default grid stops where phi reaches the float floor: the fixed point's
 |phi| is at most 2.7e-9 on [25, 50] and 1.2e-18 on [50, 75].  Since (M phi)(t)
-reads phi only on [0, t], the solve on [0, 200] at the same dt agrees with it
-to 2.3e-16 on the shared nodes.  A longer grid (`t_max`) buys inversion of
-higher derivative orders, whose truncation tail t^k |phi| decays more slowly.
+reads phi only on [0, t], and the interpolant there only knots within 4 steps,
+the solve on [0, 200] at the same dt agrees with it bit for bit on the shared
+nodes but the last 6, where the end windows differ: by 2.9e-28 there, where
+|phi| is below 3e-18.  A longer grid (`t_max`) buys inversion of higher
+derivative orders, whose truncation tail t^k |phi| decays more slowly.
 """
 
 from __future__ import annotations
@@ -84,31 +92,30 @@ __all__ = [
 # sweep budget and default sup-norm tolerance of iterate_cf
 CF_MAX_ITER = 200
 CF_TOL = 1e-8
-# default grid of init_gaussian_cf: 1025 points at dt = 200/4095, so T = 50.01;
-# the dt of a 4096-point grid on [0, 200], exactly (1024 is a power of two)
-CF_GRID_SIZE = 1025
-CF_T_MAX = (CF_GRID_SIZE - 1) * (200.0 / 4095)
+# default grid of init_gaussian_cf: 513 points at dt = 400/4095, so T = 50.01;
+# twice the dt of a 4096-point grid on [0, 200] (512 is a power of two)
+CF_GRID_SIZE = 513
+CF_T_MAX = (CF_GRID_SIZE - 1) * (400.0 / 4095)
 
 # quadrature contract for one application of the map: the doubled-rule
 # cross-check must agree to this absolute tolerance
 CF_ABS_TOL = 1e-9
 
 # cap on the spline-pair evaluations of one sweep (u-nodes x t-points, summed
-# over the blocks): 170x the default grid's 0.39M, 20x the 3.4M of 4096 points
+# over the blocks): 340x the default grid's 0.20M, 20x the 3.4M of 4096 points
 # on [0, 200]; past it a single sweep would run for minutes
 _MAX_SWEEP_PAIRS = 2**26
 # complex entries per chunk of _quad_values (spline pairs) and of invert_cf
 # (kernel entries): a 4 MiB complex array each
 _CHUNK_PAIRS = 2**18
-# spline pairs per block of rows in _quad_values, so that the spline's dozen
-# array passes run in cache: on a 2-core Xeon (4 MiB L2) 2^18 points took
-# 12.7 ms in one block and 5.2 ms in blocks of 2^14, where scipy's
-# CubicSpline took 9.7 ms
+# spline pairs per block of rows in _quad_values, so that the interpolant's
+# two dozen array passes run in cache: on a 2-core Xeon (4 MiB L2) 2^18
+# points took 12.6 ms in one block and 5.7 ms in blocks of 2^14
 _SPLINE_BLOCK = 2**14
 
 
 class CfGrid(Grid):
-    """A Grid of phi on t = 0, dx, ..., x_max: 2+ points, phi(0) == 1, |phi| <= 1 + 1e-9,
+    """A Grid of phi on t = 0, dx, ..., x_max: 5+ points, phi(0) == 1, |phi| <= 1 + 1e-9,
     and a spacing dx that is a normal float."""
 
     def __post_init__(self):
@@ -116,9 +123,9 @@ class CfGrid(Grid):
         if self.x0 != 0.0:
             raise ValueError("CfGrid must start at t = 0")
         v = self.values
-        if v.size < 2:
-            raise ValueError(f"a CF grid needs at least 2 points, got {v.size}")
-        # the spline divides by dx: 1/dx overflows for a subnormal dx, not for a normal one
+        if v.size < 5:  # the fewest that reflect to the interpolant's 8 knots
+            raise ValueError(f"a CF grid needs at least 5 points, got {v.size}")
+        # the interpolant finds a point's interval by t/dx: a subnormal dx has too few bits
         if not self.dx >= sys.float_info.min:
             raise ValueError(f"t_max={self.x_max:.3g} over {v.size} grid points gives a spacing "
                              f"of {self.dx:.3g}, below the smallest normal float")
@@ -130,8 +137,8 @@ class CfGrid(Grid):
 
 def init_gaussian_cf(t_max: float = CF_T_MAX, n: int = CF_GRID_SIZE) -> CfGrid:
     """Mean-zero Gaussian seed with the limit law's variance 7 - 2 pi^2/3."""
-    if not 2 <= n <= MAX_GRID_POINTS:
-        raise ValueError(f"a CF grid needs 2 to {MAX_GRID_POINTS} points, got {n}")
+    if not 5 <= n <= MAX_GRID_POINTS:
+        raise ValueError(f"a CF grid needs 5 to {MAX_GRID_POINTS} points, got {n}")
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError(f"a CF grid needs a finite t_max > 0, got {t_max}")
     ts = np.linspace(0.0, t_max, n)
@@ -139,10 +146,11 @@ def init_gaussian_cf(t_max: float = CF_T_MAX, n: int = CF_GRID_SIZE) -> CfGrid:
         return CfGrid(0.0, t_max / (n - 1), np.exp(-0.5 * VARIANCE * ts**2) + 0.0j)
 
 
-# grid points reflected through t = 0 (conjugate symmetry) before splining;
-# an unsymmetric boundary fit at t = 0 turns value noise into a curvature
-# error that the map recycles at small t instead of contracting
-_REFLECT = 8
+# grid points reflected through t = 0 (conjugate symmetry), the 3 that the
+# interpolant's stencil reads left of t = 0; an unsymmetric boundary fit at
+# t = 0 turns value noise into a curvature error that the map recycles at
+# small t instead of contracting
+_REFLECT = 3
 
 # Break points of the folded map's u-rule on [0, 1/2]: graded by 4 toward 0,
 # where g' is log-singular, from 4**-9 to 4**-3, then octaves from 1/32 to 1/2.
@@ -156,68 +164,39 @@ _U_EDGES = np.concatenate([[0.0], 4.0 ** np.arange(-9, -2),
 _U_PHASE = np.abs(np.diff(g_values(_U_EDGES))) + 2.0 * np.diff(_U_EDGES)
 _U_BUDGET = 2.0 * math.pi
 # t-blocks of this width share the rule for their right end; below t = 25 the
-# spline pieces of phi's bulk, not the phase, set the error (at T = 50 with
-# 1024 points the rule for t = 6.25 misses the fixed point's map by 9e-10)
+# interpolant's pieces in phi's bulk, not the phase, set the error (at T = 50
+# with 513 points the rule for t = 6.25 misses the fixed point's map by 4e-12)
 _T_BLOCK = 25.0
 
 
-def _not_a_knot_slopes(m: np.ndarray) -> np.ndarray:
-    """The knot slopes of the not-a-knot cubic spline on uniform knots.
-
-    `m` holds the secant slopes between neighbouring knots.  The equations
-    are scipy's CubicSpline's, divided by the spacing: three knots (the
-    fewest the reflected grid has) give the parabola through them; from four
-    on, one Thomas sweep solves the tridiagonal system whose end rows make the
-    third derivative continuous at the second and the last-but-one knot.
-    """
-    n = m.size + 1
-    if n == 3:
-        return np.array([1.5 * m[0] - 0.5 * m[1], 0.5 * (m[0] + m[1]), 1.5 * m[1] - 0.5 * m[0]])
-    rhs = np.empty(n, dtype=m.dtype)
-    rhs[0] = 0.5 * (5.0 * m[0] + m[1])
-    rhs[1:-1] = 3.0 * (m[:-1] + m[1:])
-    rhs[-1] = 0.5 * (m[-2] + 5.0 * m[-1])
-    d = rhs.tolist()
-    # forward sweep: rows (1, 2), (1, 4, 1) ..., (2, 1) with the super-diagonal
-    # normalized to c[i] after elimination
-    c = [2.0] + [0.0] * (n - 1)
-    for i in range(1, n - 1):
-        w = 4.0 - c[i - 1]
-        c[i] = 1.0 / w
-        d[i] = (d[i] - d[i - 1]) / w
-    d[-1] = (d[-1] - 2.0 * d[-2]) / (1.0 - 2.0 * c[-2])
-    for i in range(n - 2, -1, -1):
-        d[i] -= c[i] * d[i + 1]
-    return np.array(d)
-
-
 def _cf_spline(ts: np.ndarray, values: np.ndarray):
-    """The cubic spline of phi on the grid reflected through t = 0, as a callable.
+    """The degree-7 interpolant of phi on the grid reflected through t = 0, as a callable.
 
-    The knots are uniform, so a point's interval is floor((x - x0) / h),
-    clipped to the last interval (which also takes any x past the end), and
-    its cubic is evaluated by Horner on coefficients gathered with `take`.
-    The caller blocks its points so that these passes run in cache.
+    Window j of the reflected knots holds the grid points j-3 ... j+4, and its
+    Lagrange polynomial in theta = t/dt - j has the power-basis coefficients
+    inv(V) @ window, V the Vandermonde matrix on the nodes -3 ... 4.  A point
+    takes window j = clip(floor(t/dt), 0, last), so the last three intervals
+    reuse the last window with theta up to 4, and is evaluated by Horner on
+    coefficients gathered with `take`.  The caller blocks its points so that
+    these passes run in cache.
     """
-    ext_t = np.concatenate([-ts[_REFLECT:0:-1], ts])
-    ext_v = np.concatenate([np.conj(values[_REFLECT:0:-1]), values])
+    ext = np.concatenate([np.conj(values[_REFLECT:0:-1]), values])
     h = float(ts[1] - ts[0])
-    x0, last = float(ext_t[0]), ext_t.size - 2
-    m = np.diff(ext_v) / h
-    s = _not_a_knot_slopes(m)
-    c3 = (s[:-1] + s[1:] - 2.0 * m) / h / h  # h**2 underflows for h below 1.5e-154
-    c2 = (3.0 * m - 2.0 * s[:-1] - s[1:]) / h
-    c1, c0 = s[:-1], ext_v[:-1]
+    # one 8x8 inverse per call: built at import, it cost the report 0.2-0.4 MiB of peak RSS
+    inv = np.linalg.inv(np.vander(np.arange(-3.0, 5.0), increasing=True))
+    coef = inv @ np.lib.stride_tricks.sliding_window_view(ext, 8).T
+    last = coef.shape[1] - 1
 
     def spline(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """The spline at x, of any shape, written to `out` if given."""
-        i = np.floor((x - x0) / h)
+        """The interpolant at x, of any shape, written to `out` if given."""
+        theta = x / h
+        i = np.floor(theta)
         np.clip(i, 0, last, out=i)
+        theta -= i
         i = i.astype(np.intp)
-        d = x - ext_t.take(i)
-        out = c3.take(i, out=out, mode="clip")  # i is in range; "clip" writes out unbuffered
-        for c in (c2, c1, c0):
-            out *= d
+        out = coef[7].take(i, out=out, mode="clip")  # i is in range; "clip" writes out unbuffered
+        for c in coef[6::-1]:
+            out *= theta
             out += c.take(i)
         return out
 
@@ -295,9 +274,12 @@ def cf_map(phi: CfGrid) -> CfGrid:
     The grid points with t in (25(k-1), 25k] share the u-rule sized for
     t = 25k (t = 0 joins the first block).  The value at t = 0 is pinned to 1
     exactly.  The u-rule's weights are positive and sum to 1, so a modulus
-    overshoots 1 only where the iterate's spline bulges past the unit
+    overshoots 1 only where the iterate's interpolant bulges past the unit
     circle; anything above 1e-9 is an error, smaller overshoots are clamped
-    back to the unit disk.  Raises ValueError, before any rule is built, if a
+    back to the unit disk.  The interpolant is only C^0 at the knots, so on
+    grids with dt >= 0.67 or so its kinks trip the doubled-rule check, a
+    QuadratureError; on such grids phi is sampled too coarsely to mean
+    anything.  Raises ValueError, before any rule is built, if a
     block's doubled rule would need more than MAX_GRID_POINTS nodes or the
     sweep more than _MAX_SWEEP_PAIRS spline pairs.
     """
@@ -328,8 +310,8 @@ def cf_map(phi: CfGrid) -> CfGrid:
     overshoot = float(np.abs(out).max()) - 1.0
     if overshoot > 1e-9:
         raise QuadratureError(
-            f"cf_map overshot the unit disk by {overshoot:.3e}; the iterate's cubic "
-            f"spline bulges past the unit circle between grid points"
+            f"cf_map overshot the unit disk by {overshoot:.3e}; the iterate's degree-7 "
+            f"interpolant bulges past the unit circle between grid points"
         )
     out = _onto_disk(out)
     err = float(np.abs(out[check] - ref).max())
@@ -409,6 +391,7 @@ def invert_cf(phi: CfGrid, k: int = 0, xs: Grid = None) -> Grid:
     out = np.empty(x.size)
     chunk = max(1, _CHUNK_PAIRS // ts.size)
     for i in range(0, x.size, chunk):
-        kernel = np.exp(-1j * np.outer(x[i:i + chunk], ts))
+        kernel = np.outer(x[i:i + chunk], -1j * ts)
+        np.exp(kernel, out=kernel)
         out[i:i + chunk] = (kernel @ coef).real / math.pi
     return Grid(xs.x0, xs.dx, out)

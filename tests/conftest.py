@@ -1,7 +1,7 @@
 """Shared fixtures.
 
 The characteristic-function fixed point is the most expensive shared
-artifact (13 map evaluations, about 1.4 s on a busy 2-core Xeon), so
+artifact (11 map evaluations, about 0.5-0.9 s on a busy 2-core Xeon), so
 everything downstream of it is computed once per session through
 `build_artifacts` and shared.  Acceptance tests append their CriterionResult
 records to a session list; the terminal summary reprints them as one

@@ -31,9 +31,9 @@ def test_oscillatory_integral_decay(acceptance_log):
 
 def test_cf_fixed_point(acceptance_log, artifacts):
     _record(acceptance_log, report.check_cf_fixed_point(artifacts))
-    # the default solve takes 13 sweeps to a last residual of 7.30864e-9
-    assert artifacts["cf_iters"] == 13
-    assert abs(artifacts["cf_diff"] / 7.30864e-9 - 1.0) <= 1e-3
+    # the default solve takes 11 sweeps to a last residual of 3.163e-9
+    assert artifacts["cf_iters"] == 11
+    assert abs(artifacts["cf_diff"] / 3.163e-9 - 1.0) <= 1e-3
 
 
 def test_density_fixed_point(acceptance_log, artifacts):

@@ -54,56 +54,67 @@ def test_uniform_start_is_a_valid_cf():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cf_grid_validation():
     with pytest.raises(ValueError, match="exactly 1"):
-        CfGrid(0.0, 10.0, np.array([0.9 + 0.0j, 0.5]))
+        CfGrid(0.0, 10.0, np.array([0.9 + 0.0j, 0.5, 0.5, 0.5, 0.5]))
     bad = np.ones(11, dtype=complex)
     bad[3] = 1.5
     with pytest.raises(ValueError, match="modulus"):
         CfGrid(0.0, 1.0, bad)
-    with pytest.raises(ValueError, match="at least 2 points"):
-        CfGrid(0.0, 10.0, np.ones(1, dtype=complex))
+    for n in (1, 4):
+        with pytest.raises(ValueError, match=f"a CF grid needs at least 5 points, got {n}$"):
+            CfGrid(0.0, 10.0, np.ones(n, dtype=complex))
     with pytest.raises(ValueError, match="t = 0"):
         CfGrid(0.5, 1.0, np.ones(11, dtype=complex))
     with pytest.raises(ValueError, match="dx > 0"):  # the Grid checks run first
         CfGrid(0.0, 0.0, np.ones(11, dtype=complex))
     # t = 2e308 is inf: refused here, not left to overflow in cf_map
     with pytest.raises(ValueError, match=r"the grid's last node x0 \+ dx\*\(n-1\) is not "
-                                         r"finite: x0=0\.0, dx=1e\+308, n=3"):
-        CfGrid(0.0, 1e308, [1.0, 0.5, 0.5])
-    assert CfGrid(0.0, 0.5e308, [1.0, 0.5, 0.5]).x_max == 1e308
-    for n in (1, 0, -1):
-        with pytest.raises(ValueError, match="2 to"):
+                                         r"finite: x0=0\.0, dx=5e\+307, n=5"):
+        CfGrid(0.0, 0.5e308, [1.0, 0.5, 0.5, 0.5, 0.5])
+    assert CfGrid(0.0, 0.25e308, [1.0, 0.5, 0.5, 0.5, 0.5]).x_max == 1e308
+    for n in (4, 1, 0, -1):
+        with pytest.raises(ValueError, match="5 to"):
             init_gaussian_cf(t_max=10.0, n=n)
-    # the spline divides by the spacing, so it must be a normal float
-    with pytest.raises(ValueError, match=r"t_max=1.01e-320 over 1025 grid points gives a "
-                                         r"spacing of 9.88e-324, below the smallest normal"):
+    # the interpolant divides by the spacing, so it must be a normal float
+    with pytest.raises(ValueError, match=r"t_max=1.01e-320 over 513 grid points gives a "
+                                         r"spacing of 1.98e-323, below the smallest normal"):
         init_gaussian_cf(t_max=1e-320)
     with pytest.raises(ValueError, match=r"t_max=4e-310 over 5 grid points gives a spacing"):
         CfGrid(0.0, 1e-310, np.ones(5, dtype=complex))
-    # the smallest normal spacings are usable: h**2 underflows there, h alone does not
-    for n in (2, 5, 64):
+    # the smallest normal spacings are usable
+    for n in (5, 64):
         tiny = cf_map(init_gaussian_cf(t_max=1e-300, n=n))
         assert tiny.dx == 1e-300 / (n - 1) and np.all(np.isfinite(tiny.values))
 
 
-def test_spline_matches_scipys_cubic_spline():
-    from scipy.interpolate import CubicSpline
-
-    # a grid of 2 points reflects to 3 knots (scipy's parabola), the fewest the
-    # reflected grid has; from 3 points on the slopes come from the Thomas sweep
+def test_interpolant_reproduces_polynomials_of_degree_7():
+    # every window reads 8 knots, so sum a_k (it)^k with real a_k, conjugate-symmetric
+    # like a CF, comes back to rounding: at the knots, the midpoints, on the last three
+    # intervals (the last window, theta up to 4) and next to t = 0 (the reflected knots)
     rng = np.random.default_rng(2)
-    grids = [CfGrid(0.0, 7.0 / (n - 1), np.concatenate(
-        [[1.0], rng.uniform(-0.7, 0.7, n - 1) + 1j * rng.uniform(-0.7, 0.7, n - 1)]))
-        for n in range(2, 33)]
-    seed = init_gaussian_cf()
-    r = cf_solver._REFLECT
-    for phi in grids + [seed, cf_map(seed), uniform_cf()]:
-        ext_t = np.concatenate([-phi.xs[r:0:-1], phi.xs])
-        ext_v = np.concatenate([np.conj(phi.values[r:0:-1]), phi.values])
-        # every knot, those below t = 0 included, and every interval's midpoint
-        x = np.concatenate([ext_t, 0.5 * (ext_t[1:] + ext_t[:-1])])
-        want = CubicSpline(ext_t, ext_v)(x)
-        got = cf_solver._cf_spline(phi.xs, phi.values)(x)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), phi.n
+    for n in range(5, 34):
+        ts = np.linspace(0.0, 7.0, n)
+        dt = ts[1]
+        x = np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1]), np.linspace(ts[-4], ts[-1], 61),
+                            dt * np.array([1e-12, 1e-6, 1e-3, 0.25, 0.75])])
+        for degree in range(8):
+            a = rng.uniform(-1.0, 1.0, degree + 1)
+            want = np.polynomial.polynomial.polyval(1j * x, a)
+            got = cf_solver._cf_spline(ts, np.polynomial.polynomial.polyval(1j * ts, a))(x)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (n, degree)
+
+
+def test_interpolant_error_falls_100x_per_halving():
+    # degree 7 on a smooth CF: the error falls about 2^8 = 256x when dt halves,
+    # a cubic spline's 16x; checked at every interval's midpoint and quarter points
+    def cf(t):
+        return np.exp(-0.5 * VARIANCE * t**2 + 0.3j * t)
+
+    errors = []
+    for n in (65, 129, 257, 513):
+        ts = np.linspace(0.0, 20.0, n)
+        x = (ts[:-1, None] + np.array([0.25, 0.5, 0.75]) * ts[1]).ravel()
+        errors.append(np.max(np.abs(cf_solver._cf_spline(ts, cf(ts))(x) - cf(x))))
+    assert all(coarse >= 100.0 * fine for coarse, fine in zip(errors, errors[1:])), errors
 
 
 def test_map_of_the_trivial_cf_is_the_oscillatory_integral():
@@ -190,12 +201,12 @@ def test_self_check_raises_when_the_doubled_rule_disagrees(monkeypatch):
 
 def test_map_raises_when_it_overshoots_the_unit_disk():
     # the u-rule's weights are positive and sum to 1, so no rule, however
-    # coarse, takes |M phi| past the largest |spline|^2; a spline through
-    # 1, 1, -1, -1, ... bulges above 1 next to t = 0, where the phase is flat
+    # coarse, takes |M phi| past the largest |interpolant|^2; an interpolant
+    # through 1, 1, -1, -1, ... bulges above 1 next to t = 0, where the phase is flat
     square = CfGrid(0.0, 1e-3, np.resize([1.0, 1.0, -1.0, -1.0], 16) + 0.0j)
-    with pytest.raises(QuadratureError, match=r"cf_map overshot the unit disk by 1\.9..e-01; "
-                                              r"the iterate's cubic spline bulges past the "
-                                              r"unit circle between grid points"):
+    with pytest.raises(QuadratureError, match=r"cf_map overshot the unit disk by 2\.085e-01; "
+                                              r"the iterate's degree-7 interpolant bulges past "
+                                              r"the unit circle between grid points"):
         cf_map(square)
 
 
@@ -235,7 +246,7 @@ def test_no_sliver_is_trimmed():
 def test_the_rule_at_t_does_not_depend_on_the_grid_length():
     # one sweep on [0, T] and on [0, 2T] at the same dt; (M phi)(t) reads phi on
     # [0, t] only, and the rule at t is sized by t, so the values agree away from
-    # the end (at t = T the spline's end condition alone leaves 1.8e-12)
+    # the end (at t = T the interpolant's last window alone moves them)
     short = uniform_cf()
     long = uniform_cf(t_max=2.0 * CF_T_MAX, n=2 * CF_GRID_SIZE - 1)
     assert long.dx == short.dx
@@ -307,9 +318,9 @@ def test_anderson_lands_on_the_plain_fixed_point():
 
 
 def test_a_tolerance_below_the_floor_stops_early():
-    # dt ~ 0.1 leaves a residual floor near 5e-8; mixing past it amplifies noise
+    # dt ~ 0.2 leaves a residual floor near 4.6e-8; mixing past it amplifies noise
     with pytest.raises(IterationError, match="discretization floor") as err:
-        iterate_cf(init_gaussian_cf(t_max=50.0, n=512), tol=1e-8)
+        iterate_cf(init_gaussian_cf(t_max=50.0, n=257), tol=1e-8)
     assert len(err.value.history) <= 30
     assert min(err.value.history) > 1e-8
 
@@ -322,14 +333,25 @@ def test_fixed_point_reached(cf_fixed):
     assert np.all(np.abs(phi.values) <= 1.0 + 1e-9)
 
 
-def test_fixed_point_low_order_moments(cf_fixed):
+def test_fixed_point_low_order_moments(cf_fixed, moments8):
+    # the pumped moments are an independent route: phi(dt) = sum m_k (i dt)^k / k!,
+    # so the one-step differences carry their Taylor terms, not just m_2 and 0
     phi, _, _ = cf_fixed
-    dt = phi.dx
+    dt, m = phi.dx, moments8
     # phi(-t) = conj(phi(t)): central differences at 0 need only the t>0 side
     second = (2.0 - 2.0 * phi.values[1].real) / dt**2
-    assert second == pytest.approx(VARIANCE, abs=1e-3)
-    slope_im = phi.values[1].imag / dt
-    assert abs(slope_im) < 1e-4  # mean-zero law
+    assert abs(second - (m[2] - m[4] * dt**2 / 12.0 + m[6] * dt**4 / 360.0)) <= 1e-6
+    slope_im = phi.values[1].imag / dt  # mean zero: m_1 = 0
+    assert abs(slope_im + m[3] * dt**2 / 6.0 - m[5] * dt**4 / 120.0) <= 1e-7
+
+
+def test_fixed_point_is_within_2e_8_of_the_solve_at_half_its_spacing(cf_fixed):
+    # a residual is not an error: the default phi stops at 3.2e-9, and the
+    # degree-7 interpolant leaves it 1.6e-8 from the finer grid's fixed point
+    phi, _, _ = cf_fixed
+    finer, _, history = iterate_cf(init_gaussian_cf(n=2 * CF_GRID_SIZE - 1), tol=1e-10)
+    assert finer.dx == phi.dx / 2 and history[-1] < 1e-10
+    assert np.max(np.abs(finer.values[::2] - phi.values)) <= 2e-8
 
 
 def test_both_starts_land_on_the_same_fixed_point(cf_fixed):
@@ -341,8 +363,9 @@ def test_both_starts_land_on_the_same_fixed_point(cf_fixed):
 
 
 def test_the_default_grid_drops_only_the_float_floor(cf_fixed):
-    # the same dt on twice the span: (M phi)(t) reads phi on [0, t] alone, so the
-    # longer solve adds only values below 1e-17 and moves none of the shared ones
+    # the same dt on twice the span: (M phi)(t) reads phi on [0, t] alone, and the
+    # interpolant knots within 4 steps, so the longer solve adds only values below
+    # 1e-17 and moves the shared ones only at the end, where they are below 1e-17
     phi, _, _ = cf_fixed
     longer, _, _ = iterate_cf(init_gaussian_cf(t_max=2 * CF_T_MAX, n=2 * CF_GRID_SIZE - 1))
     assert longer.dx == phi.dx
@@ -371,7 +394,8 @@ def test_inversion_derivative_route(cf_fixed):
 
 
 def test_inversion_works_in_chunks_of_the_map_budget(cf_fixed):
-    # x rows go _CHUNK_PAIRS kernel entries at a time: 255 rows of 1025 t, 4 MiB
+    # x rows go _CHUNK_PAIRS kernel entries at a time: 511 rows of 513 t, 4 MiB;
+    # one kernel is made while the last is still bound, so two at most (8.3 MiB)
     phi, _, _ = cf_fixed
     tracemalloc.start()
     try:
@@ -379,7 +403,23 @@ def test_inversion_works_in_chunks_of_the_map_budget(cf_fixed):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 10 * 2**20
+
+
+def test_inversion_kernel_made_in_place_changes_no_bit(cf_fixed):
+    # exp(-i x t) exponentiated in place gives the bits of exp(-1j * outer(x, t)),
+    # without its float outer product and second complex array
+    phi, _, _ = cf_fixed
+    ts = phi.xs
+    x = ts  # phi's own nodes serve as any Grid's
+    wt = np.full(ts.size, phi.dx)
+    wt[0] = wt[-1] = 0.5 * phi.dx
+    chunk = cf_solver._CHUNK_PAIRS // ts.size
+    for k in (0, 2, 4):
+        coef = wt * (-1j * ts) ** k * phi.values
+        want = np.concatenate([(np.exp(-1j * np.outer(x[i:i + chunk], ts)) @ coef).real
+                               for i in range(0, x.size, chunk)]) / math.pi
+        assert np.array_equal(invert_cf(phi, k, phi).values, want), k
 
 
 def test_inversion_rejects_fat_tails():

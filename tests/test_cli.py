@@ -117,7 +117,7 @@ def test_phi_at_the_discretization_floor_exits_one(tmp_path, capsys):
     # tol 1e-8 is below this grid's floor: one error line, no 200-sweep stall
     out_path = tmp_path / "phi.csv"
     rc = main(["--output", str(out_path), "phi", "--t-max", "50",
-               "--grid-size", "512"])
+               "--grid-size", "257"])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: cf iteration reached its discretization floor")
@@ -349,7 +349,8 @@ def test_sizing_flags_never_escape_as_tracebacks(argv):
     ["density", "--x-min", "0"],
     ["invert", "--x-min", "5", "--x-max", "-3"],
     ["invert", "--t-max", "1e-320"],
-    ["phi", "--t-max", "1e308", "--grid-size", "3"],
+    ["phi", "--t-max", "1e308", "--grid-size", "5"],
+    ["phi", "--grid-size", "4"],
 ])
 @pytest.mark.filterwarnings("error")  # a warning before the error line fails too
 def test_bad_sizes_exit_one(argv, capsys):
