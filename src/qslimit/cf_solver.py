@@ -387,11 +387,15 @@ def invert_cf(phi: CfGrid, k: int = 0, xs: Grid = None) -> Grid:
     wt = np.full(ts.size, phi.dx)
     wt[0] = wt[-1] = 0.5 * phi.dx
     coef = wt * (-1j * ts) ** k * phi.values
-    x = xs.xs
+    x, mts = xs.xs, -1j * ts
     out = np.empty(x.size)
     chunk = max(1, _CHUNK_PAIRS // ts.size)
+    # one kernel buffer serves every chunk, exp(-i x t) made in it in place
+    buf = np.empty((min(chunk, x.size), ts.size), dtype=np.complex128)
     for i in range(0, x.size, chunk):
-        kernel = np.outer(x[i:i + chunk], -1j * ts)
+        rows = x[i:i + chunk]
+        kernel = buf[:rows.size]
+        np.multiply.outer(rows, mts, out=kernel)
         np.exp(kernel, out=kernel)
         out[i:i + chunk] = (kernel @ coef).real / math.pi
     return Grid(xs.x0, xs.dx, out)

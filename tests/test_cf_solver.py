@@ -394,8 +394,8 @@ def test_inversion_derivative_route(cf_fixed):
 
 
 def test_inversion_works_in_chunks_of_the_map_budget(cf_fixed):
-    # x rows go _CHUNK_PAIRS kernel entries at a time: 511 rows of 513 t, 4 MiB;
-    # one kernel is made while the last is still bound, so two at most (8.3 MiB)
+    # x rows go _CHUNK_PAIRS kernel entries at a time: 511 rows of 513 t, 4 MiB,
+    # in one buffer that every chunk reuses (two at once traced 8.3 MiB)
     phi, _, _ = cf_fixed
     tracemalloc.start()
     try:
@@ -403,7 +403,7 @@ def test_inversion_works_in_chunks_of_the_map_budget(cf_fixed):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20
+    assert peak < 5 * 2**20
 
 
 def test_inversion_kernel_made_in_place_changes_no_bit(cf_fixed):

@@ -123,27 +123,43 @@ def test_one_sweep_spreads_the_support():
     assert np.all(_on(u1, lo + 0.02, 1.9) > 0.0)
 
 
+def _exact_convolve(wide, masses):
+    """np.convolve of two nonnegative factors without underflow: each is scaled
+    by a power of two that brings its sum near 2^480, and the result back."""
+    a = 480 - math.frexp(float(wide.sum()))[1]
+    b = 480 - math.frexp(float(masses.sum()))[1]
+    return np.ldexp(np.convolve(np.ldexp(wide, a), np.ldexp(masses, b)), -(a + b))
+
+
+def _assert_matches_exact(got, wide, masses, start):
+    """got is outputs start .. start + wide.size - 1 of the exact convolution;
+    returns the least positive reference output."""
+    full = _exact_convolve(wide, masses)
+    pos = start + np.arange(wide.size)
+    ref = np.where((pos >= 0) & (pos < full.size),
+                   full[np.clip(pos, 0, full.size - 1)], 0.0)
+    scale = float(wide.sum()) * float(masses.max())
+    assert np.array_equal(got == 0.0, ref == 0.0)
+    assert float(np.abs(got - ref).max()) <= 1e-13 * scale
+    # relative precision in the tails, absolute (a few ulps) among subnormals
+    tail = got < density_solver._FFT_TAIL * scale
+    ulps = masses.size * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(got - ref)[tail] <= 1e-12 * ref[tail] + ulps)
+    return float(ref[ref > 0.0].min())
+
+
 def _check_against_direct(calls):
-    """A stand-in for _convolve that checks each call against np.convolve."""
+    """A stand-in for _convolve that checks each call against the exact sum."""
     fft_convolve = density_solver._convolve
 
     def checked(wide, masses, start, work):
-        n = wide.size
-        assert work[1].size >= n + masses.size - 1
+        assert work[1].size >= wide.size + masses.size - 1
+        # _convolve scales its factors in place
+        wide0, masses0 = wide.copy(), masses.copy()
         got = fft_convolve(wide, masses, start, work)
-        full = np.convolve(wide, masses)
-        pos = start + np.arange(n)
-        ref = np.where((pos >= 0) & (pos < full.size),
-                       full[np.clip(pos, 0, full.size - 1)], 0.0)
-        scale = float(wide.sum()) * float(masses.max())
-        assert np.array_equal(got == 0.0, ref == 0.0)
-        assert float(np.abs(got - ref).max()) <= 1e-13 * scale
-        # relative precision in the tails, absolute (a few ulps) among subnormals
-        tail = got < density_solver._FFT_TAIL * scale
-        ulps = masses.size * np.finfo(float).smallest_subnormal
-        assert np.all(np.abs(got - ref)[tail] <= 1e-12 * ref[tail] + ulps)
-        nz = np.flatnonzero(masses)
-        calls.append((float(ref[ref > 0.0].min()), int(nz[-1] - nz[0] + 1)))
+        smallest = _assert_matches_exact(got, wide0, masses0, start)
+        nz = np.flatnonzero(masses0)
+        calls.append((smallest, int(nz[-1] - nz[0] + 1)))
         return got
     return checked
 
@@ -163,6 +179,34 @@ def test_fft_convolution_matches_the_direct_sum(monkeypatch, density_fixed):
         assert min(spans) <= density_solver._DIRECT_MASSES < max(spans)
         least.append(min(smallest for smallest, _ in calls))
     assert least[0] < 1e-300
+
+
+@pytest.mark.parametrize("size", [200, 700])
+def test_convolution_of_extreme_factors_keeps_its_tails(size):
+    # wide sums to about 1e4 and starts with a zero run, then 1e-15s; the
+    # masses start with subnormal 1e-310s, then an exact-zero run.  The first
+    # outputs of the support are sums of products of about 1e-325 each, below
+    # the least subnormal, so only the sum may round to one
+    wide = np.zeros(3000)
+    wide[200:300] = 1e-15
+    wide[300:] = 100.0 * np.exp(-np.linspace(-20.0, 20.0, 2700) ** 2)
+    masses = np.zeros(size)
+    masses[:100] = 1e-310
+    masses[150:] = np.exp(-np.linspace(-4.0, 4.0, size - 150) ** 2)
+    assert 1e4 < wide.sum() < 1.5e4
+    assert (size <= density_solver._DIRECT_MASSES) == (size == 200)
+    nfft = density_solver._fast_len(wide.size + size - 1)
+    work = np.empty((2, nfft // 2 + 1), dtype=np.complex128), np.empty(nfft)
+    wide0, masses0 = wide.copy(), masses.copy()
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+        warnings.simplefilter("error", RuntimeWarning)
+        got = density_solver._convolve(wide, masses, -100, work)
+    assert np.all(np.isfinite(got))
+    assert np.all(got[:300] == 0.0)
+    # (s + 1) products of 1e-325 make output 300 + s, which first rounds up
+    # to the least subnormal at s = 24
+    assert got[323] == 0.0 < got[324] == np.finfo(float).smallest_subnormal
+    _assert_matches_exact(got, wide0, masses0, -100)
 
 
 FINE_DX = 0.0025
