@@ -19,6 +19,7 @@ from .cf_bounds import VDC_ABS_TOL, build_chain, make_envelope, vdc_cf
 from .cf_solver import CF_MAX_ITER, CF_TOL, init_gaussian_cf, invert_cf, iterate_cf
 from .density_solver import (
     DENSITY_MAX_ITER,
+    DENSITY_POSITIVE_X,
     DENSITY_TOL,
     cdf,
     gaussian_density,
@@ -209,7 +210,7 @@ def check_density_fixed_point(art: dict) -> CriterionResult:
     # bulk-window contract on [-1, 3], and report the zero cells openly.
     zero_idx = np.flatnonzero(fv == 0.0)
     zero_hi = float(dens.xs[zero_idx].max()) if zero_idx.size else -np.inf
-    positive_where_representable = bool(np.all(fv[_index(dens, -3.9):-1] > 0.0))
+    positive_where_representable = bool(np.all(fv[_index(dens, DENSITY_POSITIVE_X):-1] > 0.0))
     bulk_positive = bool(np.all(fv[_index(dens, -1.0):_index(dens, 3.0) + 1] > 0.0))
     checks = [
         art["density_iters"] <= DENSITY_MAX_ITER,
@@ -219,7 +220,7 @@ def check_density_fixed_point(art: dict) -> CriterionResult:
         abs(dens.mass() - 1.0) <= 1e-9,
         positive_where_representable,
         bulk_positive,
-        zero_hi < -3.9,
+        zero_hi < DENSITY_POSITIVE_X,
         0.55 < fmax < 0.75,
         art["density_seconds"] < 180.0,
     ]
@@ -229,7 +230,7 @@ def check_density_fixed_point(art: dict) -> CriterionResult:
         f"converged in {art['density_iters']} sweeps "
         f"({art['density_seconds']:.1f}s < 180s); mean={mean:.2e}, "
         f"var={var:.6f}, mass={dens.mass():.12f}, max f={fmax:.4f}; "
-        f"positive on [-3.9, 6) ({zero_idx.size} underflow zeros at x <= "
+        f"positive on [{DENSITY_POSITIVE_X:g}, 6) ({zero_idx.size} underflow zeros at x <= "
         f"{zero_hi:.3f})",
     )
 

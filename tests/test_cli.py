@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from scipy import stats
 
-from qslimit import report
+from qslimit import density_solver, report
 from qslimit.cf_bounds import build_chain, make_envelope
 from qslimit.cli import _build_parser, main
 from qslimit.envelope_integrals import sup_fk_bound
@@ -123,6 +123,16 @@ def test_phi_at_the_discretization_floor_exits_one(tmp_path, capsys):
     assert err.startswith("error: cf iteration reached its discretization floor")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["density", "cdf"])
+def test_oversized_density_grid_exits_one_before_any_sweep(command, monkeypatch, capsys):
+    # 1,000,001 points fit a Grid, but the solve would run for about an hour
+    monkeypatch.setattr(density_solver, "apply_T", None)
+    assert main([command, "--dx", "1e-5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a density sweep over 1000001 grid points")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("dx", ["0.5", "0.9"])

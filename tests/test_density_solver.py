@@ -214,13 +214,13 @@ FINE_DX = 0.0025
 
 @pytest.fixture(scope="module")
 def fine_fixed():
-    """The Gaussian start's solve at FINE_DX, with the grid spacing of each
-    apply_T sweep and every warning recorded."""
+    """The Gaussian start's solve at FINE_DX, with the grid spacing and
+    u-nodes of each apply_T sweep and every warning recorded."""
     calls = []
     real = density_solver.apply_T
 
     def counting(f, u_nodes):
-        calls.append(f.dx)
+        calls.append((f.dx, u_nodes))
         return real(f, u_nodes=u_nodes)
 
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
@@ -244,18 +244,51 @@ def test_fine_grid_fixed_point_passes_the_gate(fine_fixed):
 
 def test_fine_grid_starts_from_the_coarser_solve(fine_fixed):
     (f, iters, history), calls, caught = fine_fixed
-    # every sweep of both levels is counted, coarse first; the history is the
-    # fine level's alone, and its tail is geometric with no level boundary in it
+    # every sweep of every level is counted, coarsest first, the coarse levels
+    # at half the u-nodes; the history is the finest level's alone, and its
+    # tail is geometric with no level boundary in it
     n_fine = len(history)
     assert iters == len(calls) and iters > n_fine
-    assert calls == [0.005] * (iters - n_fine) + [FINE_DX] * n_fine
+    assert [dx for dx, _ in calls] == sorted((dx for dx, _ in calls), reverse=True)
+    assert sorted({dx for dx, _ in calls}) == [FINE_DX, 0.005, 0.01, 0.02]
+    assert calls[:-n_fine] == [(dx, 32) for dx, _ in calls[:-n_fine]]
+    assert calls[-n_fine:] == [(FINE_DX, 64)] * n_fine
     assert n_fine <= 8 and history[-1] < 1e-6
     assert geometric_tail(history)[1] and not caught
     rep = convergence_report(f, iters, history)
     assert rep["iterations"] == iters and rep["diff_history"] == history
-    # the levels share one budget: the coarse level's sweeps leave none for the fine grid
+    # the levels share one budget: the coarse levels' sweeps leave none for the fine grid
     with pytest.raises(IterationError, match="spent its .* coarser than dx = 0.0025"):
         iterate_density(gaussian_density(dx=FINE_DX), max_iter=iters - n_fine)
+
+
+def test_full_weighting_keeps_the_trapezoid_mass():
+    # odd and even node counts; the even grid's restriction ends one node past it
+    rng = np.random.default_rng(5)
+    for n in (2001, 2000):
+        values = rng.uniform(0.5, 1.5, n)
+        f = DensityGrid(-4.0, 0.005, values / np.trapezoid(values, dx=0.005))
+        coarse = density_solver._restricted(f)
+        assert (coarse.x0, coarse.dx, coarse.n) == (f.x0, 0.01, n // 2 + 1)
+        assert coarse.mass() == pytest.approx(f.mass(), rel=1e-14)
+        assert np.trapezoid(coarse.xs * coarse.values, dx=0.01) == pytest.approx(
+            np.trapezoid(f.xs * f.values, dx=0.005), rel=1e-12, abs=1e-14)
+        # away from the ends, the (1, 2, 1) / 4 stencil
+        v = f.values
+        inner = (v[1:-4:2] + 2.0 * v[2:-3:2] + v[3:-2:2]) / 4.0
+        assert np.allclose(coarse.values[1:inner.size + 1], inner, rtol=1e-14, atol=0.0)
+
+
+def test_interpolant_is_exact_on_cubics():
+    def cubic(x):
+        return 2.0 - x + 0.5 * x**2 - 0.03 * x**3
+
+    xs = np.arange(11.0)
+    got = density_solver._interpolated(cubic(2.0 * xs), 21)
+    # the 4-point stencil needs two coarse nodes on each side of a midpoint
+    assert np.allclose(got[2:-2], cubic(np.arange(21.0))[2:-2], rtol=0.0, atol=1e-12)
+    assert np.array_equal(got[::2], cubic(2.0 * xs))
+    assert density_solver._interpolated(cubic(2.0 * xs), 20).size == 20
 
 
 def test_coarse_grids_cover_a_window_of_even_node_count():
@@ -279,14 +312,14 @@ UNIFORM_STARTS = ((-1.0, 1.0), (-0.5, 0.9), (0.0, 1.0))
 @pytest.fixture(scope="module")
 def uniform_fixed():
     """Each uniform start's solve at FINE_DX under warnings-as-errors, with
-    the grid spacing of each apply_T sweep."""
+    the grid spacing and u-nodes of each apply_T sweep."""
     real = density_solver.apply_T
     solves = {}
     for a, b in UNIFORM_STARTS:
         calls = []
 
         def counting(f, u_nodes, calls=calls):
-            calls.append(f.dx)
+            calls.append((f.dx, u_nodes))
             return real(f, u_nodes=u_nodes)
 
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
@@ -307,31 +340,91 @@ def test_every_start_reaches_the_same_fine_fixed_point(fine_fixed, uniform_fixed
 
 
 def test_coarse_levels_mix_and_the_finest_stays_plain(uniform_fixed):
-    # plain sweeps take 31-34 from these starts, 26-29 of them on the
-    # dx = 0.005 level, which takes 9-11 when it mixes
+    # plain sweeps take 29-33 on the coarsest level (dx = 0.02, 32 u-nodes)
+    # from these starts; mixed, it takes 11-12, then 5 and 2 on the levels
+    # above, and the finest level 4
     for (a, b), ((_, iters, history), calls) in uniform_fixed.items():
-        assert iters == len(calls) <= 20, (a, b)
+        assert iters == len(calls) <= 25, (a, b)
+        assert calls.count((0.02, 32)) <= 15, (a, b)
+        assert calls.count((0.01, 32)) + calls.count((0.005, 32)) <= 10, (a, b)
         # the history is the finest level's plain sweeps, one per apply_T call
-        assert calls.count(FINE_DX) == len(history), (a, b)
-        assert geometric_tail(history)[1], (a, b)
+        assert calls[-len(history):] == [(FINE_DX, 64)] * len(history) and len(history) <= 6
+        # too few for the four-ratio window, but each one contracts
+        assert all(r < 0.95 for r in geometric_tail(history)[0]), (a, b)
 
 
-def test_default_grid_solve_is_the_plain_iteration(density_fixed):
-    # the default grid has no coarser level, so nothing on it mixes
-    dens, iters, history = density_fixed
-    plain, plain_iters, plain_history = fixed_point(
-        apply_T, gaussian_density(), DENSITY_MAX_ITER, DENSITY_TOL, "plain")
-    assert np.array_equal(dens.values, plain.values)
-    assert (iters, history) == (plain_iters, plain_history) and iters == 17
+def test_default_grid_finest_level_is_the_plain_iteration(monkeypatch):
+    # the default grid solves at 0.02 and 0.01 first, with 32 u-nodes each
+    sweeps = []
+    real = density_solver.apply_T
+
+    def recording(f, u_nodes):
+        sweeps.append((f, u_nodes, real(f, u_nodes=u_nodes)))
+        return sweeps[-1][2]
+
+    monkeypatch.setattr(density_solver, "apply_T", recording)
+    dens, iters, history = iterate_density(gaussian_density())
+    levels = [(f.dx, u) for f, u, _ in sweeps]
+    n2, n1, n = levels.count((0.02, 32)), levels.count((0.01, 32)), len(history)
+    assert levels == [(0.02, 32)] * n2 + [(0.01, 32)] * n1 + [(DENSITY_DX, 64)] * n
+    assert iters == len(sweeps) and n <= 8
+    # the finest start: the 0.01 solve interpolated, extrapolated with the
+    # 0.02 solve interpolated twice, clamped at 0 and renormalized
+    interp = density_solver._interpolated
+    p2 = interp(interp(sweeps[n2 - 1][2].values, 1001), 2001)
+    p1 = interp(sweeps[n2 + n1 - 1][2].values, 2001)
+    start = np.maximum(p1 + (p1 - p2) / 4.0, 0.0)
+    fine = sweeps[-n:]
+    assert np.array_equal(fine[0][0].values, start / np.trapezoid(start, dx=DENSITY_DX))
+    # then plain sweeps: each takes the last one's output, and its residual is the history
+    assert all(nxt is out for (_, _, out), (nxt, _, _) in zip(fine, fine[1:]))
+    assert history == [float(np.abs(out.values - f.values).max()) for f, _, out in fine]
+    assert dens is fine[-1][2] and history[-1] < DENSITY_TOL
+    assert density_solver._tail_settled(fine[-1][0], dens)
 
 
-def test_start_narrower_than_the_coarse_spacing_is_rejected():
-    # one nonzero node at x = 0.001, between two nodes of the dx = 0.004 grid
-    f0 = uniform_density(0.0005, 0.0015, dx=0.001)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"^the start keeps 0 .* dx = 0\.004 grid"):
-            iterate_density(f0)
+@pytest.mark.parametrize("dx", [DENSITY_DX, FINE_DX])
+def test_left_tail_lies_near_the_tight_plain_solve(dx, density_fixed, fine_fixed):
+    # the residual is set by the bulk, so only the tail check sees an
+    # extrapolated start's clamped tail; the bounds also hold for the
+    # unnested solve (0.56, 0.11, 0.017 at dx = 0.005)
+    dens = density_fixed[0] if dx == DENSITY_DX else fine_fixed[0][0]
+    tight, _, _ = fixed_point(apply_T, gaussian_density(dx=dx), 100, 1e-12, "tight")
+    assert float(np.abs(dens.values - tight.values).max()) < 1.5e-6
+    for x, bound in ((-3.9, 1.0), (-3.5, 0.2), (-3.0, 0.03)):
+        i = int(round((x - dens.x0) / dx))
+        assert abs(dens.values[i] / tight.values[i] - 1.0) < bound, x
+
+
+def test_start_narrower_than_the_coarsest_spacing_solves():
+    # one nonzero node at x = 0.008, between two nodes of the dx = 0.016
+    # grid: full weighting keeps its mass there, where point sampling kept
+    # none.  The spike clips at the 32 cap in its first sweep only
+    f0 = uniform_density(0.0075, 0.0085, dx=0.001)
+    with pytest.warns(RuntimeWarning, match="clipped") as caught:
+        f, iters, history = iterate_density(f0)
+    assert len(caught) == 1
+    assert _gate(f, iters, history).passed
+    # a one-node start at x = 0.001 keeps 15/16 of its mass on one node, 58.6
+    # high: its first sweep's clip cuts 12.5% of the mass, which the map refuses
+    with pytest.warns(RuntimeWarning, match="clipped"):
+        with pytest.raises(ValueError, match=r"^mass 0\.87.* losing probability"):
+            iterate_density(uniform_density(0.0005, 0.0015, dx=0.001))
+
+
+def test_oversized_grid_is_refused_before_the_first_sweep(monkeypatch):
+    # 1M points fit a Grid, but a sweep over them would run for minutes
+    f0 = gaussian_density(dx=1e-5)
+    monkeypatch.setattr(density_solver, "apply_T", None)  # no sweep may start
+    with pytest.raises(ValueError, match=r"^a density sweep over 1000001 grid points"):
+        iterate_density(f0)
+    # so is a u-rule apply_T refuses, which the coarse levels would halve first
+    for u_nodes in (1, 2049):
+        with pytest.raises(ValueError, match=rf"^u_nodes must be .* got {u_nodes}$"):
+            iterate_density(gaussian_density(), u_nodes=u_nodes)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="would run for minutes"):
+        apply_T(f0)
 
 
 def test_mean_stays_pinned_along_the_iteration():
@@ -355,20 +448,24 @@ def test_iteration_error_carries_history():
 
 
 def _contract_to(target, ratio):
-    """A stand-in for apply_T: the convex step f -> target + ratio (f - target)."""
+    """A stand-in for apply_T: on target's grid the convex step
+    f -> target + ratio (f - target); every coarser grid is its own fixed point."""
     def step(f, u_nodes):
+        if f.dx != target.dx:
+            return f
         values = target.values + ratio * (f.values - target.values)
         return DensityGrid(f.x0, f.dx, values)
     return step
 
 
 def test_slow_contraction_warns_not_geometric(monkeypatch):
-    # the diffs of this map shrink by exactly `ratio` per sweep
+    # the diffs of this map shrink by exactly `ratio` per sweep on the finest
+    # level; its one coarse level (dx = 0.02) converges in one sweep
     target, start = gaussian_density(dx=0.01), uniform_density(dx=0.01)
     monkeypatch.setattr(density_solver, "apply_T", _contract_to(target, 0.97))
     with pytest.warns(RuntimeWarning, match="not uniformly geometric"):
         _, iters, history = iterate_density(start, max_iter=1000)
-    assert 100 < iters < 1000 and history[-1] < 1e-6
+    assert 100 < iters < 1000 and history[-1] < 1e-6 and iters == len(history) + 1
     monkeypatch.setattr(density_solver, "apply_T", _contract_to(target, 0.5))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
