@@ -27,16 +27,17 @@ deposits the narrow copy shifted by the input's mean m, which makes f_u the
 density of u Y + (1-u) Z + g(u) - m: the image has mean 0 up to the grid's
 own bias, whatever the input's mean, and every start converges on the
 mean-zero fixed point.  Each sweep renormalizes the mass to 1; a
-pre-normalization mass outside [0.9, 1.1] aborts, since it means the grid is
-truncating real probability.
+pre-normalization mass outside [0.9, 1.1] aborts: the sweep lost probability
+past the window, or gained it from a start narrower than the grid spacing.
+Nothing is clipped; f_u <= sup f / max(u, 1-u) <= 2 sup f by construction.
 
 A deposit of at most a few hundred masses, as at the u-nodes near 0, is
-convolved directly.  A wider one runs by real FFT, one transform length per
-sweep, with the outputs below the FFT's round-off scale summed directly.  A
-plain FFT would not do: its round-off, about 5e-16 of the largest possible
+convolved directly.  A wider one runs by real FFT, one power-of-two length
+per sweep, with the outputs below the FFT's round-off scale summed directly.
+A plain FFT would not do: its round-off, about 5e-16 of the largest possible
 output, would replace every value below f(-2.3) ~ 1e-16 with noise of either
-sign, while the fixed point stays positive and representable down to f(-3.9) ~
-1e-288, which the acceptance gate asserts.  Summing those tail outputs as
+sign, while the fixed point stays positive and representable down to f(-3.9)
+~ 1e-288, which the acceptance gate asserts.  Summing those tail outputs as
 direct sums of nonnegative products keeps them to full relative precision and
 keeps exact zeros exact; every output taken from the FFT lies at least 2000
 times above its round-off, so it is positive without a clamp.
@@ -85,7 +86,6 @@ __all__ = [
     "DENSITY_X_MAX",
     "DENSITY_DX",
     "DENSITY_POSITIVE_X",
-    "F_U_CAP",
     "gaussian_density",
     "uniform_density",
     "apply_T",
@@ -114,10 +114,6 @@ DENSITY_POSITIVE_X = -3.9
 # 0.08 s at 10k points and 3.3 s at 80k on a 2-core Xeon, so at 2^17 it
 # takes about 8 s, and at the 1M points a Grid allows about 5 minutes
 _MAX_SWEEP_POINTS = 2**17
-
-# pointwise cap for the conditional densities: f_u <= 16/max(u, 1-u) <= 32,
-# held with a small float allowance; exceedances are flagged, not silently kept
-F_U_CAP = 32.0 * (1.0 + 1e-6)
 
 # FFT convolution round-off is at most 5e-16 * sum(wide) * max(masses)
 # (measured on converged and compact-support iterates); outputs below this
@@ -251,19 +247,6 @@ def _padded(v: np.ndarray, a: int, b: int) -> np.ndarray:
     return out
 
 
-def _fast_len(n: int) -> int:
-    """The least 2^a 3^b 5^c >= n: a length the real FFT factors into radix-2, 3 and 5 passes."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _convolve(wide: np.ndarray, masses: np.ndarray, start: int, work) -> np.ndarray:
     """Outputs start .. start + wide.size - 1 of wide * masses, zero off its support.
 
@@ -333,7 +316,8 @@ def apply_T(f: DensityGrid, u_nodes: int = DENSITY_U_NODES) -> DensityGrid:
     direct one for a narrow deposit, else an FFT bulk plus direct sums for the
     outputs below the round-off threshold (the two tails of these unimodal
     iterates), so the sweep's tails keep full relative precision; see
-    `_convolve`.
+    `_convolve`.  Nothing is clipped; a mass outside [0.9, 1.1] before the
+    renormalization raises ValueError.
     """
     _check_sweep(f.n, u_nodes)
     xs, vals, dx = f.xs, f.values, f.dx
@@ -341,31 +325,24 @@ def apply_T(f: DensityGrid, u_nodes: int = DENSITY_U_NODES) -> DensityGrid:
     mu = f.mean()
     F, Phi = _cdf_antiderivative(vals, dx)
     us, ws = _u_quadrature(u_nodes)
-    # u < 1/2 keeps each node's deposit to at most (n - 1)/2 + 5 masses
-    nfft = _fast_len(n + n // 2 + 8)
+    # the least power of two >= n + n // 2 + 8: u < 1/2 keeps a deposit to (n - 1)/2 + 5 masses
+    nfft = 1 << (n + n // 2 + 7).bit_length()
     # one set of FFT buffers serves every u-node: at dx = 0.001, allocating them
     # afresh per node (about 120 KiB each) had glibc trim and regrow the heap,
     # about 3400 page faults and 40 ms of a 0.15-0.28 s sweep
     work = np.empty((2, nfft // 2 + 1), dtype=np.complex128), np.empty(nfft)
     out = np.zeros(n)
-    clipped = False
     for u, wu, gu in zip(us, ws, g_values(us)):
         one_m = 1.0 - u
         wide = np.interp(xs / one_m, xs, vals, left=0.0, right=0.0) / one_m
         k_lo, masses = _hat_deposit(float(u), gu - mu, f.x0, dx, n, vals, F, Phi)
-        contrib = _convolve(wide, masses, -k_lo, work)
-        if float(contrib.max()) > F_U_CAP:
-            clipped = True
-            np.minimum(contrib, F_U_CAP, out=contrib)
-        out += wu * contrib
-    if clipped:
-        warnings.warn("apply_T clipped a conditional density above the 32 cap",
-                      RuntimeWarning)
+        out += wu * _convolve(wide, masses, -k_lo, work)
     pre_mass = float(np.trapezoid(out, dx=dx))
     if not 0.9 <= pre_mass <= 1.1:
         raise ValueError(
-            f"mass {pre_mass:.6f} before renormalization is outside [0.9, 1.1]; "
-            f"the grid is losing probability"
+            f"mass {pre_mass:.6f} before renormalization is outside [0.9, 1.1]: the "
+            f"sweep is {'gaining' if pre_mass > 1.0 else 'losing'} probability, as a "
+            f"start narrower than the grid spacing or mass past the window can make it"
         )
     return DensityGrid(f.x0, dx, out / pre_mass)
 
@@ -406,10 +383,12 @@ def iterate_density(f0: DensityGrid, max_iter: int = DENSITY_MAX_ITER,
     The differences should eventually contract geometrically; if
     `geometric_tail` finds otherwise, a warning is attached rather than an
     error, since the sweep may simply be approaching its discretization
-    floor.  A run that stalls there for 5 sweeps, or whose residual falls
-    too slowly for the sweeps left to reach `tol`, raises IterationError, as
-    any fixed_point run does.  A grid of more than _MAX_SWEEP_POINTS points,
-    or a u_nodes that apply_T refuses, raises ValueError before any sweep.
+    floor.  A finest level of fewer than 5 sweeps leaves the rate
+    unobserved and warns of nothing.  A run that stalls there for 5 sweeps,
+    or whose residual falls too slowly for the sweeps left to reach `tol`,
+    raises IterationError, as any fixed_point run does.  A grid of more than
+    _MAX_SWEEP_POINTS points, or a u_nodes that apply_T refuses, raises
+    ValueError before any sweep.
     """
     _check_sweep(f0.n, u_nodes)
     # f0 restricted down the ladder; the coarsest restriction is the first start
@@ -455,7 +434,7 @@ def iterate_density(f0: DensityGrid, max_iter: int = DENSITY_MAX_ITER,
                 f"density iteration reached tol={tol}, but its left tail still "
                 f"moved by more than a factor of 2 in sweep {max_iter}", history)
     ratios, geometric = geometric_tail(history)
-    if len(ratios) == 4 and not geometric:
+    if geometric is False:
         warnings.warn(
             f"density iteration converged but the last diff ratios "
             f"{[round(r, 3) for r in ratios]} are not uniformly geometric",
@@ -518,10 +497,10 @@ def _interpolated(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def geometric_tail(history) -> tuple:
-    """(ratios, geometric): the last 4 diff ratios, and whether there are 4, all < 0.95."""
+    """(ratios, geometric): the last 4 diff ratios and whether all are < 0.95; None if fewer."""
     tail = history[-5:]
     ratios = [b / a for a, b in zip(tail, tail[1:])]
-    return ratios, len(ratios) == 4 and all(r < 0.95 for r in ratios)
+    return ratios, all(r < 0.95 for r in ratios) if len(ratios) == 4 else None
 
 
 def cdf(f: DensityGrid) -> Grid:

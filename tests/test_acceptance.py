@@ -49,4 +49,7 @@ def test_simulation_statistics(acceptance_log, artifacts):
 
 
 def test_side_observations_stay_observations(acceptance_log, artifacts):
-    _record(acceptance_log, report.check_excluded_claims(artifacts))
+    res = report.check_excluded_claims(artifacts)
+    _record(acceptance_log, res)
+    # the default solve's finest level leaves the full four-ratio window
+    assert "geometric=True" in res.line(), res.line()

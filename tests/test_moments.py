@@ -1,6 +1,7 @@
 """Moment recursion for the limit law and the absolute-moment bounds."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -56,6 +57,21 @@ def test_pumped_variance_hits_the_closed_form(moments8):
     assert moments8[1] == 0.0
     assert moments8[2] == pytest.approx(VARIANCE, abs=1e-14)
     assert moments8[2] == pytest.approx(0.4202628, abs=1e-6)
+
+
+# zeta(2) = pi^2/6 and zeta(3) (Apery's constant) to 40 significant digits
+ZETA2 = Decimal("1.644934066848226436472415166646025189219")
+ZETA3 = Decimal("1.202056903159594285399738161511449990765")
+
+
+def test_pumped_moments_match_their_zeta_values(moments8):
+    # every moment is a rational polynomial in zeta values: m2 = 7 - 4 zeta(2)
+    # and m3 = 16 zeta(3) - 19, formed here in 40-digit decimal arithmetic
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = {2: 7 - 4 * ZETA2, 3: 16 * ZETA3 - 19}
+    for k, m in exact.items():
+        assert abs(moments8[k] - float(m)) <= 1e-14 * float(m), k
 
 
 def test_pumped_higher_moments_are_stable(moments8):
