@@ -26,7 +26,9 @@ times int_0^1 exp(i t h(s, u)) du, h(s, u) = u s + g(u) and s = y - z >= 0
 Vandewalle, SIAM J. Numer. Anal. 44, 2006): the path from 0 to 1 is bent
 into the complex plane, below the axis left of the stationary point and
 above it right of it, where exp(i t h) decays.  Its rule takes one panel per
-interval of the path, 400 to 752 nodes for every t up to 1e12.
+interval of the path, its nodes next to u = 0 and u = 1 cubed toward those
+ends, where h has its u ln u singularities: 208 to 560 nodes for every t up
+to 1e12.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_numerics import QuadratureError, h_complex, panel_rule
+from .core_numerics import QuadratureError, cubic_end, h_complex, panel_rule
 # not called here: perfbench's tracer expects to rebind `integrate` in this namespace
 from .core_numerics import integrate  # noqa: F401
 
@@ -337,17 +339,19 @@ def make_envelope(chain: BoundChain, use_log: bool = False) -> PiecewiseEnvelope
     return PiecewiseEnvelope(tuple(out))
 
 
-# break points 0, 4^-9, ..., 1/4, 1/2, 1 of a leg that leaves the real axis, graded
-# by 4 toward the axis; without 1/2, |exp(i t h)| can fall from e^-2 to e^-49 inside
-# the last panel of the fold's rise, too fast for one 16-point panel
-_LADDER = np.concatenate([[0.0], 4.0 ** np.arange(-9, 0), [0.5, 1.0]])
+# break points 0, 1/32, 1/16, 1/4, 1/2, 1 of a leg that leaves the real axis at
+# u = 0 or 1, in fractions of the leg from the axis.  The rule's nodes on [0, 1/16]
+# are cubed toward the axis by cubic_end, so its two panels there meet at 1/128 and
+# absorb the u ln u singularity of h.  Without 1/2, |exp(i t h)| can fall from e^-2
+# to e^-49 inside the last panel of the fold's rise, too fast for one 16-point panel
+_LADDER = np.array([0.0, 1.0 / 32.0, 1.0 / 16.0, 0.25, 0.5, 1.0])
 # break points of a leg from a corner at depth d: 0, d/4, d, 4d, 16d, ..., then its end
 _RUNGS = 4.0 ** np.arange(-1.0, 31.0)
 VDC_ABS_TOL = 1e-8  # how far vdc_cf's doubled rule may move its value
 # nodes of both rules per group of a vdc_cf batch: with the rules, the buffer
 # and h_complex's temporaries the group's working set is about 1 MiB.  Every
-# contour fits: its two rules have 16 + 32 nodes on each of at most 90
-# intervals (12 + 33 + 2 + 33 + 11 corners and break points), 4320 in all.
+# contour fits: its two rules have 16 + 32 nodes on each of at most 78
+# intervals (6 + 33 + 2 + 33 + 5 corners and break points), 3744 in all.
 _VDC_GROUP_NODES = 3 * 2**11
 # the contour's corners lie where |exp(i t h)| = e^-40
 _DECAY = 40.0
@@ -367,11 +371,13 @@ def _vdc_contour(s: float, t: float) -> np.ndarray:
     [0, u*] and above it on [u*, 1].  The path runs 0 -> -iY -> u* - Y - iY
     -> u* -> u* + Y' + iY' -> 1 + iY' -> 1, where t h''(u*) Y^2 = 40 puts the
     corners at |exp(i t h)| = e^-40, with Y <= u*/2 and Y' <= (1 - u*)/2 to
-    stay clear of the branch points.  The legs that leave the real axis are
-    graded by 4 toward it below a break at half their depth, the others away
-    from their corner from a quarter of its depth on, so the break count
-    grows like log t.  When t u* <= 1 the stationary point is within 1/t of
-    the end: the path then rises from 0 straight to iY', runs across to
+    stay clear of the branch points.  The legs that leave the real axis at 0
+    and 1 break at _LADDER's fractions of their depth, so a contour's first and
+    last two intervals are the stretches its rule cubes toward u = 0 and 1.
+    The legs along the axis are graded by 4 away from their corner from a
+    quarter of its depth on, so the break count grows like log t.  When
+    t u* <= 1 the stationary point is within 1/t of the end: the path then
+    rises from 0 straight to iY', runs across to
     1 + iY' and falls to 1, Y' the least depth of the form 2^-k / 2 at which
     |exp(i t h(iY'))| <= e^-40, or 1/2.  On the way up from 0 the modulus
     grows, at most to e^3.5 (at s = 0 and t = 2).
@@ -424,7 +430,17 @@ def _vdc_group(s, t, contours, val):
     panels = np.array([c.size - 1 for c in contours])
     # one 16-point panel per contour interval: along a steepest-descent leg
     # exp(i t h) does not oscillate, so no interval is cut by its phase
-    (u, w), (u2, w2) = panel_rule(contours, np.ones(panels.sum(), dtype=np.int64))
+    rules = panel_rule(contours, np.ones(panels.sum(), dtype=np.int64))
+    # each contour's first and last two intervals are the stretches of its legs
+    # next to u = 0 and u = 1, whose nodes are cubed toward those ends
+    end = np.array([c[0] for c in contours] + [c[-1] for c in contours])[:, None]
+    far = np.array([c[2] for c in contours] + [c[-3] for c in contours])[:, None]
+    first = np.cumsum(panels) - panels  # each contour's first interval
+    for refine, (u, w) in enumerate(rules, start=1):
+        k = 16 * refine  # nodes per interval
+        at = k * np.concatenate([first, first + panels - 2])[:, None] + np.arange(2 * k)
+        u[at], w[at] = cubic_end(u[at], w[at], end, far)
+    (u, w), (u2, w2) = rules
     per = 16 * np.concatenate([panels, 2 * panels])  # each contour's nodes in either rule
     v = val[:u.size + u2.size]
     h = h_complex(np.repeat(np.tile(s, 2), per), np.concatenate([u, u2]))
@@ -445,10 +461,11 @@ def vdc_cf(y, z, t):
     integral is the same along `_vdc_contour`, a polygon through the
     stationary point u* on which exp(i t h) decays away from 0, u* and 1.
     The rule is fixed by the contour alone: one 16-point panel per interval,
-    400 to 752 nodes for every t up to 1e12.  The rule with every panel
-    halved must agree to VDC_ABS_TOL, else QuadratureError naming the worst
-    (y, z, t); its value is returned.  The stationary-phase mechanism caps
-    the modulus at 2 t^{-1/2} for every real y, z.
+    the nodes of the first and last two cubed toward u = 0 and 1 by
+    `cubic_end`, 208 to 560 nodes for every t up to 1e12.  The rule with
+    every panel halved must agree to VDC_ABS_TOL, else QuadratureError
+    naming the worst (y, z, t); its value is returned.  The stationary-phase
+    mechanism caps the modulus at 2 t^{-1/2} for every real y, z.
 
     y, z and t are floats, and the result a complex; or arrays of one shape,
     and the result a complex array of that shape, one integral per element.

@@ -23,10 +23,12 @@ and their derivatives come out by the folded inversion formula
     f^(k)(x) = (1/pi) Re int_0^T (-i t)^k e^{-i t x} phi(t) dt.
 
 The u-integral is evaluated with `core_numerics.panel_rule`, a composite
-Gauss-Legendre rule built from a count of panels per interval of a ladder
-graded by 4 toward u = 0; the counts, set here, cut each interval so that no
-panel carries more than 2 pi of the integrand's phase at its block's t.  The
-grid points with t in (25(k-1), 25k] share the rule sized for t = 25k (t = 0
+Gauss-Legendre rule built from a count of panels per interval of the octaves
+from 1/64 to 1/2 and of [0, 1/64], whose nodes `core_numerics.cubic_end` bends
+toward u = 0, where g has its u ln u singularity; the counts, set here, cut
+each interval so that no panel carries more than 4 pi of the integrand's phase
+at its block's t.  The grid points with t in (25(k-1), 25k] share the rule
+sized for t = 25k (t = 0
 joins the first block), so the rule at t depends on t alone, not on the
 grid's T.  Along a block the phase exp(i t g(u)) is stepped from one grid
 point to the next by the factor exp(i dt g(u)), with np.exp called afresh at
@@ -70,6 +72,7 @@ from .core_numerics import (
     MAX_GRID_POINTS,
     Grid,
     QuadratureError,
+    cubic_end,
     fixed_point,
     g_values,
     panel_rule,
@@ -102,9 +105,12 @@ CF_T_MAX = (CF_GRID_SIZE - 1) * (400.0 / 4095)
 CF_ABS_TOL = 1e-9
 
 # cap on the spline-pair evaluations of one sweep (u-nodes x t-points, summed
-# over the blocks): 340x the default grid's 0.20M, 20x the 3.4M of 4096 points
-# on [0, 200]; past it a single sweep would run for minutes
-_MAX_SWEEP_PAIRS = 2**26
+# over the blocks): 190x the default grid's 86k, 10x the 1.6M of 4096 points
+# on [0, 200]; past it a single sweep would run for minutes (`phi --t-max
+# 50000` needs 39M).  It refuses every size that the rules graded by 4 toward
+# u = 0 at 2 pi per panel refused at 2**26 pairs: their blocks had at most
+# 2.4 times these rules' nodes (304 against 128 at t <= 25)
+_MAX_SWEEP_PAIRS = 2**24
 # complex entries per chunk of _quad_values (spline pairs) and of invert_cf
 # (kernel entries): a 4 MiB complex array each
 _CHUNK_PAIRS = 2**18
@@ -152,17 +158,25 @@ def init_gaussian_cf(t_max: float = CF_T_MAX, n: int = CF_GRID_SIZE) -> CfGrid:
 # small t instead of contracting
 _REFLECT = 3
 
-# Break points of the folded map's u-rule on [0, 1/2]: graded by 4 toward 0,
-# where g' is log-singular, from 4**-9 to 4**-3, then octaves from 1/32 to 1/2.
-# On [a, 4a] the u ln u singularity leaves 16-point Gauss-Legendre a Bernstein
-# ellipse of rho = 3, a relative error of about 3**-32 = 5e-16; the one panel on
-# [0, 4**-9] costs about 1e-16 t in exp(i t g(u)).
-_U_EDGES = np.concatenate([[0.0], 4.0 ** np.arange(-9, -2),
-                           [1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0, 1.0 / 2.0]])
+# Break points of the folded map's u-rule on [0, 1/2]: 0, then octaves from
+# 1/64 to 1/2.  g' is log-singular at 0, so the rule's nodes on [0, 1/64] are
+# bent toward 0 by cubic_end: with u = r^3 / 64 there, 2u ln u du becomes
+# 6 r^5 (3 ln r - ln 64) dr / 64^2, which 16-point Gauss-Legendre resolves on
+# one panel (2u ln u over [0, 1/2], one panel per interval, is off by 3e-16).
+# The error of a sweep is then set by the interpolant's kinks more than by the
+# phase: at 2 pi per panel the doubled rule moves the converged map by at most
+# 2.2e-13 on the default grid and on 2048 points on [0, 200], at 4 pi by 8.1e-13,
+# and on 4096 points on [0, 200] by 1.3e-14, all far below CF_ABS_TOL.
+_U_EDGES = np.concatenate([[0.0], 2.0 ** np.arange(-6.0, 0.0)])
 # per unit of t, interval i carries the toll's phase |dg| plus a phase of du for
-# each of the two interpolated factors, and every panel at most 2 pi of their sum
+# each of the two interpolated factors, and every panel at most 4 pi of their sum
 _U_PHASE = np.abs(np.diff(g_values(_U_EDGES))) + 2.0 * np.diff(_U_EDGES)
-_U_BUDGET = 2.0 * math.pi
+_U_BUDGET = 4.0 * math.pi
+# the largest t a u-rule is built for: the fixed point's |phi| is below 1.2e-18
+# past t = 50, so no grid needs it.  The rule for 2**16 has 398k nodes in its
+# doubled rule, within MAX_GRID_POINTS, which the rules graded by 4 reached
+# from t = 86,275 on
+_U_T_MAX = 2.0**16
 # t-blocks of this width share the rule for their right end; below t = 25 the
 # interpolant's pieces in phi's bulk, not the phase, set the error (at T = 50
 # with 513 points the rule for t = 6.25 misses the fixed point's map by 4e-12)
@@ -206,20 +220,24 @@ def _cf_spline(ts: np.ndarray, values: np.ndarray):
 def _u_panels(t_top: float) -> np.ndarray:
     """Panels of the u-rule for every t <= t_top on each interval of _U_EDGES,
     max(1, ceil(t_top _U_PHASE / _U_BUDGET)), so that none carries more than
-    _U_BUDGET radians.  Raises ValueError, while the counts are still floats,
-    if the doubled rule would need more than MAX_GRID_POINTS nodes."""
-    per = np.maximum(1.0, np.ceil(t_top * _U_PHASE / _U_BUDGET))
-    nodes = 32.0 * float(per.sum())  # panel_rule's 16 nodes per panel, twice in the doubled rule
-    if not nodes <= MAX_GRID_POINTS:  # NaN and inf fail too
-        raise ValueError(f"the u-rule for t={t_top:.3g} would need {nodes:.3g} nodes, over "
-                         f"the cap of {MAX_GRID_POINTS}")
-    return per.astype(np.int64)
+    _U_BUDGET radians.  Raises ValueError past _U_T_MAX."""
+    if not t_top <= _U_T_MAX:  # NaN and inf fail too
+        raise ValueError(f"the u-rule for t={t_top:.3g} is past t={_U_T_MAX:g}, the "
+                         f"largest t a u-rule is built for")
+    return np.maximum(1.0, np.ceil(t_top * _U_PHASE / _U_BUDGET)).astype(np.int64)
 
 
 def _u_rules(t_top: float):
-    """The folded u-rule for every t <= t_top and its doubled rule, weights
-    doubled: the integrand is u <-> 1-u symmetric."""
-    return [(u, 2.0 * w) for u, w in panel_rule([_U_EDGES], _u_panels(t_top))]
+    """The folded u-rule for every t <= t_top and its doubled rule, their nodes
+    on [0, 1/64] cubed toward 0, weights doubled: the integrand is u <-> 1-u
+    symmetric."""
+    per = _u_panels(t_top)
+    rules = []
+    for refine, (u, w) in enumerate(panel_rule([_U_EDGES], per), start=1):
+        end = 16 * refine * per[0]  # the nodes on [0, 1/64] come first
+        u[:end], w[:end] = cubic_end(u[:end], w[:end], 0.0, _U_EDGES[1])
+        rules.append((u, 2.0 * w))
+    return rules
 
 
 def _quad_values(spline, t_sel: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -238,8 +256,8 @@ def _quad_values(spline, t_sel: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.
     # last through a view of its leading part) a block of rows of u at a time:
     # a block's phase table, argument grid and second spline factor hold about
     # _SPLINE_BLOCK pairs, so their passes run in cache and glibc serves them
-    # again and again from its heap.  A default iterate_cf takes about 6,400
-    # minor page faults where chunk-sized arrays made afresh took 76,000.
+    # from its heap.  A default iterate_cf takes about 12,000 minor page faults,
+    # where chunk-sized arrays made afresh took 76,000 with rules twice as large.
     prod = np.empty(u.size * min(chunk, t_sel.size), dtype=np.complex128)
     for i in range(0, t_sel.size, chunk):
         t = t_sel[i:i + chunk]
@@ -279,9 +297,9 @@ def cf_map(phi: CfGrid) -> CfGrid:
     back to the unit disk.  The interpolant is only C^0 at the knots, so on
     grids with dt >= 0.67 or so its kinks trip the doubled-rule check, a
     QuadratureError; on such grids phi is sampled too coarsely to mean
-    anything.  Raises ValueError, before any rule is built, if a
-    block's doubled rule would need more than MAX_GRID_POINTS nodes or the
-    sweep more than _MAX_SWEEP_PAIRS spline pairs.
+    anything.  Raises ValueError, before any rule is built, if a block's
+    t is past _U_T_MAX or the sweep needs more than _MAX_SWEEP_PAIRS spline
+    pairs.
     """
     ts = phi.xs
     blocks = np.maximum(np.ceil(ts / _T_BLOCK), 1.0)

@@ -6,7 +6,9 @@ adaptive Gauss-Kronrod integrator, the composite Gauss-Legendre rule built
 from a count of panels per interval (on real intervals for the CF map's
 u-integral, along polygons in the complex plane for the van der Corput
 integral; each caller sets its own counts), together with its doubled rule,
-against which each caller checks it, and the entropy-like toll function
+against which each caller checks it, the cubic map that bends such a rule's
+nodes toward a path's end where the integrand has a u ln u singularity, and
+the entropy-like toll function
 
     g(u) = 2 u ln u + 2 (1-u) ln(1-u) + 1,      0 <= u <= 1,
 
@@ -34,6 +36,7 @@ __all__ = [
     "MAX_GRID_POINTS",
     "integrate",
     "panel_rule",
+    "cubic_end",
     "g_values",
     "h_complex",
 ]
@@ -319,6 +322,26 @@ def panel_rule(paths, per):
     nodes = (center[:, None] + half[:, None] * _PANEL_NODES[None, :]).ravel()
     weights = (half[:, None] * _PANEL_WEIGHTS[None, :]).ravel()
     return [(nodes[:m], weights[:m]), (nodes[m:], weights[m:])]
+
+
+def cubic_end(nodes, weights, end, far):
+    """A rule's nodes and weights on the stretch between `end` and `far` of a
+    path, mapped by p -> end + (p - end)^3 / (far - end)^2.
+
+    The map fixes both ends of the stretch and crowds the nodes toward `end`;
+    the weights take its derivative, 3 ((p - end) / (far - end))^2.  A
+    function like (p - end) ln(p - end) becomes r^5 ln r in the stretch's
+    coordinate r, smooth enough for one Gauss-Legendre panel or two, where on
+    the straight stretch it needs panels graded toward `end` (Deaño, Huybrechs
+    & Iserles, Computing Highly Oscillatory Integrals, SIAM 2018).  The
+    stretch may be real or complex, and it may leave `end` or arrive there;
+    `end` and `far` broadcast against the nodes, one stretch per row say.
+    Returns new arrays (nodes, weights).
+    """
+    # a node is end + r (far - end) with r in [0, 1]; on a complex stretch
+    # the division leaves r real up to rounding
+    r = ((nodes - end) / (far - end)).real
+    return end + r**3 * (far - end), 3.0 * r**2 * weights
 
 
 # ---------------------------------------------------------------------------

@@ -358,16 +358,78 @@ def test_vdc_rule_takes_one_panel_per_contour_interval(monkeypatch):
         assert np.array_equal(per, np.ones(sum(p.size - 1 for p in paths)))
 
 
+# every other s and t of a sweep over s in {0} + geomspace(1e-3, 1600, 33) and
+# t in geomspace(1e-9, 1e12, 85)
+SWEEP = np.meshgrid(np.concatenate([[0.0], np.geomspace(1e-3, 1600.0, 33)[::2]]),
+                    np.geomspace(1e-9, 1e12, 85)[::2], indexing="ij")
+
+
 def test_vdc_rules_stay_small_up_to_t_1e12():
-    # every other s and t of a sweep over s in {0} + geomspace(1e-3, 1600, 33) and
-    # t in geomspace(1e-9, 1e12, 85), whose rules all have 400 to 752 nodes; vdc_cf,
-    # here on the whole sweep at once, raises QuadratureError if its doubled rule
-    # moves a value by over VDC_ABS_TOL
-    s, t = np.meshgrid(np.concatenate([[0.0], np.geomspace(1e-3, 1600.0, 33)[::2]]),
-                       np.geomspace(1e-9, 1e12, 85)[::2], indexing="ij")
+    # the sweep's rules all have 208 to 560 nodes; vdc_cf, here on the whole sweep
+    # at once, raises QuadratureError if its doubled rule moves a value by over
+    # VDC_ABS_TOL
+    s, t = SWEEP
     for si, ti in zip(s.ravel(), t.ravel()):
-        assert 16 * (_vdc_contour(si, ti).size - 1) <= 752, (si, ti)
+        assert 16 * (_vdc_contour(si, ti).size - 1) <= 560, (si, ti)
     vdc_cf(s, np.zeros_like(s), t)
+
+
+_GL16 = np.polynomial.legendre.leggauss(16)
+# fractions of an end leg's depth from the axis: graded by 4 down to 4^-16
+_FINE_LADDER = np.concatenate([[0.0], 4.0 ** np.arange(-16.0, 0.0), [1.0]])
+
+
+def _steepest_descent_reference(s, t, decay=45.0):
+    """int_0^1 exp(i t h(s, u)) du from nothing of vdc_cf's: h in numpy's complex
+    logs, a polygon of the same shape with its corners at |exp(i t h)| = e^-45
+    (vdc_cf puts them at e^-40), the legs at u = 0 and 1 on a ladder graded by 4
+    down to 4^-16 of their depth, the legs along the axis graded by 4 from a
+    sixteenth of their corner's depth, 4 straight 16-point panels per interval."""
+    def h(u):
+        return u * s + 2.0 * u * np.log(u) + 2.0 * (1.0 - u) * np.log(1.0 - u) + 1.0
+
+    e = math.exp(-0.5 * s)
+    u_star = e / (1.0 + e)
+
+    def graded(length, depth):
+        steps = depth * 4.0 ** np.arange(-2.0, 40.0)
+        return np.concatenate([[0.0], steps[steps < length], [length]])
+
+    if t * u_star > 1.0:
+        depth = math.sqrt(0.5 * decay * u_star * (1.0 - u_star) / t)
+        lo, hi = min(depth, 0.5 * u_star), min(depth, 0.5 * (1.0 - u_star))
+        below, corner = u_star - lo * (1.0 + 1.0j), u_star + hi * (1.0 + 1.0j)
+        legs = [-1.0j * lo * _FINE_LADDER, below - graded(below.real, lo)[::-1],
+                np.array([below, u_star, corner])]
+    else:
+        depths = 0.5 * 2.0 ** -np.arange(64.0)
+        decayed = depths[t * h(1.0j * depths).imag >= decay]
+        hi = decayed[-1] if decayed.size else 0.5
+        corner = 1.0j * hi
+        legs = [corner * _FINE_LADDER]
+    legs += [corner + graded(1.0 - corner.real, hi), 1.0 + 1.0j * hi * _FINE_LADDER[::-1]]
+    total = 0.0
+    for leg in legs:
+        cuts = np.concatenate([np.linspace(a, b, 5)[:-1] for a, b in zip(leg, leg[1:])]
+                              + [leg[-1:]])
+        half = 0.5 * np.diff(cuts)
+        u = (0.5 * (cuts[1:] + cuts[:-1]) + half * _GL16[0][:, None]).ravel()
+        total += (half * _GL16[1][:, None]).ravel() @ np.exp(1j * t * h(u))
+    return total
+
+
+def test_vdc_matches_a_fine_ladder_reference():
+    # the cubed ends against a ladder graded by 4 down to 4^-16 on a path of its
+    # own, to 1e-11.  The float phase t h rounds by about eps t at every node,
+    # alike in any float64 rule: against a long-double phase vdc_cf is 7.6e-12
+    # off at t = 1e10 and 6.7e-11 at 1e12, with the ends cubed or graded.  So the
+    # gap may add eps t times the integral's modulus, which passes 1e-11 from
+    # t of about 2e9 on
+    s, t = (a.ravel() for a in SWEEP)
+    with np.errstate(under="ignore"):
+        ref = np.array([_steepest_descent_reference(a, b) for a, b in zip(s, t)])
+    gap = np.abs(vdc_cf(s, np.zeros_like(s), t) - ref)
+    assert np.all(gap <= 1e-11 + np.finfo(float).eps * t * np.abs(ref))
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0),

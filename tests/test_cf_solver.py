@@ -23,7 +23,6 @@ from qslimit.core_numerics import (
     QuadratureError,
     fixed_point,
     g_values,
-    panel_rule,
 )
 from qslimit.moments import VARIANCE
 
@@ -211,27 +210,31 @@ def test_map_raises_when_it_overshoots_the_unit_disk():
 
 
 def test_graded_ladder_resolves_the_log_singularity():
-    # one panel per interval: the ladder alone carries 2u ln u to 1e-15
+    # one panel per interval, the nodes on [0, 1/64] cubed toward 0: the rule
+    # carries 2u ln u over [0, 1/2] to 1e-15
     edges = cf_solver._U_EDGES
-    (u, w), _ = panel_rule([edges], np.ones(edges.size - 1, dtype=np.int64))
-    assert edges[0] == 0.0 and edges[-1] == 0.5
+    u, w = cf_solver._u_rules(1.0)[0]
+    w = 0.5 * w  # the folded rule's weights are doubled
+    assert u.size == 16 * (edges.size - 1) and edges[0] == 0.0 and edges[-1] == 0.5
     f = 2.0 * u * np.log(u)
     assert abs(w @ f - (0.25 * math.log(0.5) - 0.125)) <= 1e-15
-    # each interval from [4^-9, 4^-8] up to 2e-15 relative (graded by 8, not 4,
-    # it is 8e-15), and the end panel [0, 4^-9] to 2e-16 absolute
+    # the cubed panel on [0, 1/64] to 5e-16 absolute (3e-13 of its integral), each
+    # octave from [1/64, 1/32] up to 1e-15 relative
     inner = edges[1:]
     antiderivative = np.concatenate([[0.0], inner**2 * (np.log(inner) - 0.5)])
     per_interval = (w * f).reshape(-1, 16).sum(axis=1)
     exact = np.diff(antiderivative)
-    assert abs(per_interval[0] - exact[0]) <= 2e-16
-    assert np.max(np.abs(per_interval[1:] / exact[1:] - 1.0)) <= 2e-15
+    assert abs(per_interval[0] - exact[0]) <= 5e-16
+    assert np.max(np.abs(per_interval[1:] / exact[1:] - 1.0)) <= 1e-15
 
 
 def test_u_rule_on_the_graded_ladder():
-    # one panel on each of the 8 intervals from 0 to 1/32, then 2, 2, 3 and 4 on
-    # the octaves to 1/2; the doubled rule has twice as many
+    # one panel on each of [0, 1/64] and the octaves to 1/8, then 2 and 2 on the
+    # octaves to 1/2; the doubled rule has twice as many
     rule, fine = cf_solver._u_rules(25.0)
-    assert rule[0].size == 304 and fine[0].size == 608
+    assert rule[0].size == 128 and fine[0].size == 256
+    # the cubed panel's nodes crowd toward u = 0 and stay below 1/64
+    assert 0.0 < rule[0][0] < 1e-8 and rule[0][15] < 1.0 / 64.0 < rule[0][16]
 
 
 def test_no_sliver_is_trimmed():
@@ -289,11 +292,33 @@ def test_sweep_caps_refuse_before_any_rule_is_built(monkeypatch):
 
     monkeypatch.setattr(cf_solver, "_u_rules", not_built)
     monkeypatch.setattr(cf_solver, "_cf_spline", not_built)
-    with pytest.raises(ValueError, match="need 402653184 spline pairs per sweep, "
-                                         "over the cap of 67108864"):
+    with pytest.raises(ValueError, match="need 176160768 spline pairs per sweep, "
+                                         "over the cap of 16777216"):
         cf_map(init_gaussian_cf(50.0, 2**20))
-    with pytest.raises(ValueError, match=r"would need 3\.65e\+06 nodes, over the cap"):
+    with pytest.raises(ValueError, match=r"the u-rule for t=3e\+05 is past t=65536"):
         cf_map(init_gaussian_cf(3e5, 4096))
+
+
+def test_sizes_refused_under_the_graded_ladder_stay_refused():
+    # Before the cubic end map, the u-rule was a ladder graded by 4 from 4^-9 to
+    # 1/32 at 2 pi per panel, refused past 2^20 nodes in its doubled rule or
+    # 2^26 spline pairs per sweep.  Every block's rule has at least 0.42 times
+    # its nodes now, so a sweep it refused for its pairs needs more than
+    # 0.42 * 2^26 > _MAX_SWEEP_PAIRS, and the first block top it refused for its
+    # nodes is past _U_T_MAX
+    ladder = np.concatenate([[0.0], 4.0 ** np.arange(-9, -2), 2.0 ** np.arange(-5.0, 0.0)])
+    phase = np.abs(np.diff(g_values(ladder))) + 2.0 * np.diff(ladder)
+    tops = 25.0 * np.arange(1, 4000)
+    ladder_nodes = 16 * np.maximum(1, np.ceil(np.outer(tops, phase) / (2.0 * math.pi))).sum(1)
+    assert tops[2 * ladder_nodes > 2**20][0] == 86275.0 > cf_solver._U_T_MAX
+    built = tops <= cf_solver._U_T_MAX
+    nodes = 16 * np.array([cf_solver._u_panels(top).sum() for top in tops[built]])
+    assert np.min(nodes / ladder_nodes[built]) * 2**26 > cf_solver._MAX_SWEEP_PAIRS
+    # the sizes that tell the two caps apart: a 5-point grid to t = 10^5, whose
+    # sweep is small, and 212,383 points on [0, 27], 28.5M pairs against 67.2M
+    for t_max, n in ((1e5, 5), (27.137, 212_383)):
+        with pytest.raises(ValueError):
+            cf_map(init_gaussian_cf(t_max, n))
 
 
 def test_iterate_rejects_bad_tolerance():

@@ -10,6 +10,7 @@ from qslimit.core_numerics import (
     Grid,
     IterationError,
     QuadratureError,
+    cubic_end,
     fixed_point,
     g_values,
     h_complex,
@@ -121,6 +122,33 @@ def test_panel_rule_checks_its_cap_before_allocating():
     for per in ([top + 1], [top // 2, top // 2 + 1], [2**40]):
         with pytest.raises(ValueError, match="over the cap of 1048576"):
             panel_rule([np.linspace(0.0, 1.0, len(per) + 1)], per)
+
+
+@pytest.mark.parametrize("end, far", [
+    (0.0, 1.0 / 16.0),          # a real stretch leaving its end
+    (1.0, 15.0 / 16.0),         # and one arriving at it
+    (0.0, -1.0j / 16.0),        # the van der Corput path's first leg
+    (1.0, 1.0 + 1.0j / 16.0),   # and its last
+    (0.25 + 0.5j, 0.2875 + 0.45j),
+])
+def test_cubic_end_absorbs_a_log_singularity(end, far):
+    # two panels from the end, as vdc_cf takes them, and the doubled rule; the
+    # rule runs along the path either way.  With d = |u - end|, d ln d becomes
+    # r^5 ln r in the stretch's coordinate, and u^k a polynomial of degree 3k + 2
+    length = abs(far - end)
+    for a, b in ((end, far), (far, end)):
+        for u, w in panel_rule([np.array([a, b])], [2]):
+            x, wx = cubic_end(u, w, end, far)
+            assert abs(wx.sum() - (b - a)) <= 1e-16
+            d = np.abs(x - end)
+            exact = (b - a) / length * 0.5 * length**2 * (math.log(length) - 0.5)
+            assert abs(wx @ (d * np.log(d)) - exact) <= 1e-15
+            for k in range(9):
+                assert abs(wx @ x**k - (b ** (k + 1) - a ** (k + 1)) / (k + 1)) <= 1e-15
+    # the map keeps the stretch's ends and crowds the nodes toward `end`
+    x, _ = cubic_end(np.array([end, far, 0.5 * (end + far)]), np.ones(3), end, far)
+    assert x[0] == end and abs(x[1] - far) <= 1e-17
+    assert abs(x[2] - end) == pytest.approx(0.125 * length, rel=1e-15)
 
 
 def test_g_reference_values():
