@@ -348,9 +348,9 @@ _LADDER = np.array([0.0, 1.0 / 32.0, 1.0 / 16.0, 0.25, 0.5, 1.0])
 # break points of a leg from a corner at depth d: 0, d/4, d, 4d, 16d, ..., then its end
 _RUNGS = 4.0 ** np.arange(-1.0, 31.0)
 VDC_ABS_TOL = 1e-8  # how far vdc_cf's doubled rule may move its value
-# nodes of both rules per group of a vdc_cf batch: with the rules, the buffer
-# and h_complex's temporaries the group's working set is about 1 MiB.  Every
-# contour fits: its two rules have 16 + 32 nodes on each of at most 78
+# nodes of both rules per group of a vdc_cf batch: with the rules, their
+# values and h_complex's temporaries the group's working set is about 1 MiB.
+# Every contour fits: its two rules have 16 + 32 nodes on each of at most 78
 # intervals (6 + 33 + 2 + 33 + 5 corners and break points), 3744 in all.
 _VDC_GROUP_NODES = 3 * 2**11
 # the contour's corners lie where |exp(i t h)| = e^-40
@@ -418,14 +418,13 @@ def _vdc_groups(s, t):
         yield lo, t.size, contours
 
 
-def _vdc_group(s, t, contours, val):
+def _vdc_group(s, t, contours):
     """The rule's and the doubled rule's values of int exp(i t h(s, u)) du along
     each contour of one group, with s and t the group's arrays.  Both rules'
-    nodes are evaluated in one pass, their values going to the leading part of
-    the buffer `val`, and each contour's nodes are summed alone, so a value does
-    not depend on the rest of its group.  exp(i t h) is numpy's complex exp, one
-    sincos per node: on a 2-core Xeon it took 311 us per 8192 nodes where
-    exp(-t Im h) (cos + i sin)(t Re h) took 361.
+    nodes are evaluated in one pass, and each contour's nodes are summed
+    alone, so a value does not depend on the rest of its group.  exp(i t h)
+    is numpy's complex exp, one sincos per node: on a 2-core Xeon it took
+    311 us per 8192 nodes where exp(-t Im h) (cos + i sin)(t Re h) took 361.
     """
     panels = np.array([c.size - 1 for c in contours])
     # one 16-point panel per contour interval: along a steepest-descent leg
@@ -442,10 +441,8 @@ def _vdc_group(s, t, contours, val):
         u[at], w[at] = cubic_end(u[at], w[at], end, far)
     (u, w), (u2, w2) = rules
     per = 16 * np.concatenate([panels, 2 * panels])  # each contour's nodes in either rule
-    v = val[:u.size + u2.size]
     h = h_complex(np.repeat(np.tile(s, 2), per), np.concatenate([u, u2]))
-    np.multiply(h, np.repeat(np.tile(1j * t, 2), per), out=v)
-    np.exp(v, out=v)
+    v = np.exp(h * np.repeat(np.tile(1j * t, 2), per))
     v *= np.concatenate([w, w2])
     sums = np.add.reduceat(v, np.cumsum(per) - per)
     return sums[:panels.size], sums[panels.size:]
@@ -470,11 +467,11 @@ def vdc_cf(y, z, t):
     y, z and t are floats, and the result a complex; or arrays of one shape,
     and the result a complex array of that shape, one integral per element.
     The rules of a batch are built and evaluated a group of integrals at a
-    time, a working set of about 1 MiB, into one value buffer made per call;
-    a scalar call is a batch of one.  Raises ValueError, before any contour
-    is made, unless every 0 < t <= 1e12 and every t |y - z| and t min(y, z)
-    is finite: past 1e12 the float phase t h rounds by about 2e-4 rad per
-    unit of |h|, alike in both rules, so the doubled rule could not see it.
+    time, a working set of about 1 MiB; a scalar call is a batch of one.
+    Raises ValueError, before any contour is made, unless every
+    0 < t <= 1e12 and every t |y - z| and t min(y, z) is finite: past 1e12
+    the float phase t h rounds by about 2e-4 rad per unit of |h|, alike in
+    both rules, so the doubled rule could not see it.
     """
     y, z, t = (np.asarray(v, dtype=np.float64) for v in (y, z, t))
     if not y.shape == z.shape == t.shape:
@@ -492,9 +489,8 @@ def vdc_cf(y, z, t):
                          f"t min(y, z), got y={y[i]}, z={z[i]}, t={t[i]}")
     coarse = np.empty(t.size, dtype=np.complex128)
     fine = np.empty(t.size, dtype=np.complex128)
-    val = np.empty(_VDC_GROUP_NODES, dtype=np.complex128)
     for lo, hi, contours in _vdc_groups(s, t):
-        coarse[lo:hi], fine[lo:hi] = _vdc_group(s[lo:hi], t[lo:hi], contours, val)
+        coarse[lo:hi], fine[lo:hi] = _vdc_group(s[lo:hi], t[lo:hi], contours)
     err = np.abs(fine - coarse)
     failed = np.flatnonzero(~(err <= VDC_ABS_TOL))  # NaN fails too
     if failed.size:

@@ -44,9 +44,12 @@ times above its round-off, so it is positive without a clamp.
 
 Most products in those tail sums, and in the narrow deposits' direct sums,
 would be subnormal (the fixed point has 27 subnormal cells at dx = 0.001),
-and a CPU may take a slow path for each.  So each convolution scales its
-factors by powers of two before it sums and its outputs back after, which
-is exact (see `_convolve`) and halves a dx = 0.001 sweep on a 2-core Xeon.
+and a CPU may take a slow path for each.  So each sweep scales its input
+by one power of two, 2^480, before it builds the copies, and reads its
+output's mass at 2^-960: a power of two commutes with every rounding in
+the normal range, so only the values that passed through the subnormals
+change, and they come out more precise.  That halves a dx = 0.001 sweep on
+a 2-core Xeon.
 At dx = 0.001 (10,001 points) a sweep costs about a third of the direct
 convolution's.
 
@@ -119,6 +122,14 @@ _MAX_SWEEP_POINTS = 2**17
 # (measured on converged and compact-support iterates); outputs below this
 # fraction of that scale, 2000 times the round-off, are summed directly
 _FFT_TAIL = 1e-12
+# apply_T scales its input by 2^_SCALE, so each wide copy and deposit carries
+# that factor and the sweep's output its square: the tails' products stay out
+# of the subnormals.  Nothing overflows: a DensityGrid has mass within 1% on a
+# window at least 6 wide and _check_sweep caps it at 2^17 points, so unscaled
+# sum(wide) < 2^34 and sum(masses) < 2, whose product bounds every output,
+# product and spectral product; the irfft's unnormalized sums over at most
+# 2^18 terms add 18 bits, so every value stays below 2^(35 + 18 + 960)
+_SCALE = 480
 # deposits of at most this many masses (zeros trimmed) convolve directly: at
 # dx = 0.001-0.005 np.convolve beats the FFT path up to 500-1000 masses
 _DIRECT_MASSES = 600
@@ -250,45 +261,32 @@ def _padded(v: np.ndarray, a: int, b: int) -> np.ndarray:
 def _convolve(wide: np.ndarray, masses: np.ndarray, start: int, work) -> np.ndarray:
     """Outputs start .. start + wide.size - 1 of wide * masses, zero off its support.
 
-    Both factors are nonnegative.  A deposit of at most _DIRECT_MASSES masses
-    is convolved directly, every output a sum of nonnegative products.  For a
-    longer one the bulk comes from a real FFT of length
-    nfft >= wide.size + masses.size - 1, computed in the sweep's buffers
-    `work`: the two spectra, shape (2, nfft // 2 + 1), and the nfft real
-    outputs.  Every output below _FFT_TAIL times the round-off scale is then
-    recomputed as a direct sum of nonnegative products: it keeps full relative
-    precision down to the subnormals and an exact zero stays zero, while each
-    output kept from the FFT lies far above its round-off and so is positive.
-    For unimodal factors the recomputed outputs are the two tails.
+    Both factors are nonnegative; an all-zero one gives zeros.  A deposit of
+    at most _DIRECT_MASSES masses is convolved directly, every output a sum
+    of nonnegative products.  For a longer one the bulk comes from a real FFT
+    of length nfft >= wide.size + masses.size - 1, computed in the sweep's
+    buffers `work`: the two spectra, shape (2, nfft // 2 + 1), and the nfft
+    real outputs.  Every output below _FFT_TAIL times the round-off scale is
+    then recomputed as a direct sum of nonnegative products: it keeps full
+    relative precision and an exact zero stays zero, while each output kept
+    from the FFT lies far above its round-off and so is positive.  For
+    unimodal factors the recomputed outputs are the two tails.
 
-    Both factors are first scaled in place, `wide` by 2^(k // 2) and `masses`
-    by 2^(k - k // 2), and the outputs by 2^-k at the end, with k chosen so
-    that sum(wide) * sum(masses), which bounds every output, every product
-    and every spectral product, lands near 2^960.  Without it most products
-    in the tail sums fall below 2^-1022, where a CPU may take a slow
-    subnormal path, and round to the subnormals' fixed spacing.  A power of
-    two scales exactly in the normal range, so every product, sum, transform
-    and _FFT_TAIL test comes out as the exact scaling of the unscaled one;
-    only an output to which an underflowed product contributed changes, and
-    it comes out more precise.  No value overflows, not even the irfft's
-    unnormalized sums, and a product underflows only if its unscaled value
-    lies below 2^-(1022 + k), about 2^-1970.
+    The caller scales both factors out of the subnormals (see apply_T); the
+    threshold is relative, so the same outputs are recomputed at any
+    power-of-two scale.  Neither factor is written to.
     """
     n = wide.size
     nz_w, nz_m = np.flatnonzero(wide), np.flatnonzero(masses)
+    if nz_w.size == 0 or nz_m.size == 0:
+        return np.zeros(n)
     # trimming leading and trailing zeros shortens the direct sums; the
     # transforms keep the sweep's fixed length nfft
     wide = wide[nz_w[0]:nz_w[-1] + 1]
     masses = masses[nz_m[0]:nz_m[-1] + 1]
     start -= int(nz_w[0] + nz_m[0])
-    # sum(wide) * sum(masses) < 2^e, computed without forming the product
-    e = math.frexp(float(wide.sum()))[1] + math.frexp(float(masses.sum()))[1]
-    k = 960 - e
-    np.ldexp(wide, k // 2, out=wide)
-    np.ldexp(masses, k - k // 2, out=masses)
     if masses.size <= _DIRECT_MASSES:
-        out = _padded(np.convolve(wide, masses), start, start + n)
-        return np.ldexp(out, -k, out=out)
+        return _padded(np.convolve(wide, masses), start, start + n)
     spec, full = work
     nfft = full.size
     np.fft.rfft(wide, nfft, out=spec[0])
@@ -305,7 +303,7 @@ def _convolve(wide: np.ndarray, masses: np.ndarray, start: int, work) -> np.ndar
         out[a - start:b - start] = (
             np.convolve(_padded(wide, a - jb + 1, b - ja), masses[ja:jb], mode="valid")
             if ja < jb else 0.0)
-    return np.ldexp(out, -k, out=out)
+    return out
 
 
 def apply_T(f: DensityGrid, u_nodes: int = DENSITY_U_NODES) -> DensityGrid:
@@ -320,7 +318,8 @@ def apply_T(f: DensityGrid, u_nodes: int = DENSITY_U_NODES) -> DensityGrid:
     renormalization raises ValueError.
     """
     _check_sweep(f.n, u_nodes)
-    xs, vals, dx = f.xs, f.values, f.dx
+    xs, dx = f.xs, f.dx
+    vals = np.ldexp(f.values, _SCALE)
     n = vals.size
     mu = f.mean()
     F, Phi = _cdf_antiderivative(vals, dx)
@@ -337,14 +336,15 @@ def apply_T(f: DensityGrid, u_nodes: int = DENSITY_U_NODES) -> DensityGrid:
         wide = np.interp(xs / one_m, xs, vals, left=0.0, right=0.0) / one_m
         k_lo, masses = _hat_deposit(float(u), gu - mu, f.x0, dx, n, vals, F, Phi)
         out += wu * _convolve(wide, masses, -k_lo, work)
-    pre_mass = float(np.trapezoid(out, dx=dx))
+    scaled_mass = float(np.trapezoid(out, dx=dx))
+    pre_mass = math.ldexp(scaled_mass, -2 * _SCALE)
     if not 0.9 <= pre_mass <= 1.1:
         raise ValueError(
             f"mass {pre_mass:.6f} before renormalization is outside [0.9, 1.1]: the "
             f"sweep is {'gaining' if pre_mass > 1.0 else 'losing'} probability, as a "
             f"start narrower than the grid spacing or mass past the window can make it"
         )
-    return DensityGrid(f.x0, dx, out / pre_mass)
+    return DensityGrid(f.x0, dx, out / scaled_mass)
 
 
 def iterate_density(f0: DensityGrid, max_iter: int = DENSITY_MAX_ITER,

@@ -121,9 +121,11 @@ def test_one_sweep_spreads_the_support():
 
 def _exact_convolve(wide, masses):
     """np.convolve of two nonnegative factors without underflow: each is scaled
-    by a power of two that brings its sum near 2^480, and the result back."""
-    a = 480 - math.frexp(float(wide.sum()))[1]
-    b = 480 - math.frexp(float(masses.sum()))[1]
+    by a power of two that brings its sum near 2^500, and the result back.
+    That lies above the 2^_SCALE of apply_T's factors, whose sums reach about
+    2^(_SCALE + 11), so this sum's products underflow later than _convolve's."""
+    a = 500 - math.frexp(float(wide.sum()))[1]
+    b = 500 - math.frexp(float(masses.sum()))[1]
     return np.ldexp(np.convolve(np.ldexp(wide, a), np.ldexp(masses, b)), -(a + b))
 
 
@@ -145,17 +147,21 @@ def _assert_matches_exact(got, wide, masses, start):
 
 
 def _check_against_direct(calls):
-    """A stand-in for _convolve that checks each call against the exact sum."""
+    """A stand-in for _convolve that checks each call against the exact sum.
+
+    The factors arrive scaled by 2^_SCALE each, so each least output is read
+    back at 2^(-2 * _SCALE).  They are made read-only first: _convolve must
+    not write to them."""
     fft_convolve = density_solver._convolve
 
     def checked(wide, masses, start, work):
         assert work[1].size >= wide.size + masses.size - 1
-        # _convolve scales its factors in place
-        wide0, masses0 = wide.copy(), masses.copy()
+        wide.flags.writeable = masses.flags.writeable = False
         got = fft_convolve(wide, masses, start, work)
-        smallest = _assert_matches_exact(got, wide0, masses0, start)
-        nz = np.flatnonzero(masses0)
-        calls.append((smallest, int(nz[-1] - nz[0] + 1)))
+        smallest = _assert_matches_exact(got, wide, masses, start)
+        nz = np.flatnonzero(masses)
+        calls.append((math.ldexp(smallest, -2 * density_solver._SCALE),
+                      int(nz[-1] - nz[0] + 1)))
         return got
     return checked
 
@@ -182,7 +188,8 @@ def test_convolution_of_extreme_factors_keeps_its_tails(size):
     # wide sums to about 1e4 and starts with a zero run, then 1e-15s; the
     # masses start with subnormal 1e-310s, then an exact-zero run.  The first
     # outputs of the support are sums of products of about 1e-325 each, below
-    # the least subnormal, so only the sum may round to one
+    # the least subnormal: scaled as apply_T scales them, only their sum, read
+    # back at 2^(-2 * _SCALE), may round to one
     wide = np.zeros(3000)
     wide[200:300] = 1e-15
     wide[300:] = 100.0 * np.exp(-np.linspace(-20.0, 20.0, 2700) ** 2)
@@ -193,16 +200,57 @@ def test_convolution_of_extreme_factors_keeps_its_tails(size):
     assert (size <= density_solver._DIRECT_MASSES) == (size == 200)
     nfft = 1 << (wide.size + size - 2).bit_length()  # apply_T's power-of-two rule
     work = np.empty((2, nfft // 2 + 1), dtype=np.complex128), np.empty(nfft)
-    wide0, masses0 = wide.copy(), masses.copy()
+    scale = density_solver._SCALE
+    wide_s, masses_s = np.ldexp(wide, scale), np.ldexp(masses, scale)
     with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
         warnings.simplefilter("error", RuntimeWarning)
-        got = density_solver._convolve(wide, masses, -100, work)
+        got = np.ldexp(density_solver._convolve(wide_s, masses_s, -100, work), -2 * scale)
+    assert np.array_equal(wide_s, np.ldexp(wide, scale))  # the factors are left as they came
+    assert np.array_equal(masses_s, np.ldexp(masses, scale))
     assert np.all(np.isfinite(got))
     assert np.all(got[:300] == 0.0)
     # (s + 1) products of 1e-325 make output 300 + s, which first rounds up
     # to the least subnormal at s = 24
     assert got[323] == 0.0 < got[324] == np.finfo(float).smallest_subnormal
-    _assert_matches_exact(got, wide0, masses0, -100)
+    _assert_matches_exact(got, wide, masses, -100)
+
+
+def test_convolution_of_an_all_zero_factor_is_zero():
+    work = np.empty((2, 513), dtype=np.complex128), np.empty(1024)
+    for wide, masses in ((np.zeros(300), np.ones(700)), (np.ones(300), np.zeros(700))):
+        assert np.array_equal(density_solver._convolve(wide, masses, 0, work), np.zeros(300))
+
+
+def test_start_that_no_wide_copy_samples_is_refused_in_one_line():
+    # one node at the window's right end, x = 6: no wide copy's nodes
+    # x / (1 - u) fall within a cell of it, so every wide copy is all zero
+    with pytest.raises(ValueError) as err:
+        iterate_density(uniform_density(5.9995, 6.0, dx=0.001))
+    assert "\n" not in str(err.value)
+    assert re.match(r"mass 0\.634217 before renormalization .* losing probability",
+                    str(err.value))
+
+
+@pytest.mark.parametrize("f", [gaussian_density(), gaussian_density(dx=0.001),
+                               uniform_density()], ids=["gauss-0.005", "gauss-0.001", "uniform"])
+def test_sweep_scaling_changes_no_bit_off_the_subnormals(monkeypatch, f):
+    # these starts and their images stay far above the subnormals, where a
+    # power of two commutes with every rounding: the scaled sweep is the
+    # unscaled one bit for bit
+    scaled = apply_T(f).values
+    monkeypatch.setattr(density_solver, "_SCALE", 0)
+    assert np.array_equal(apply_T(f).values, scaled)
+
+
+def test_scaled_sweep_of_a_spike_does_not_overflow():
+    # the whole mass on one node, 2000 high at x = -2, of the finest grid
+    # this suite sweeps: the scaled sweep's values stay finite
+    grid = Grid.domain(DENSITY_X_MIN, DENSITY_X_MAX, 0.0005)
+    vals = np.zeros(grid.n)
+    vals[round((-2.0 - grid.x0) / grid.dx)] = 1.0 / grid.dx
+    with np.errstate(over="raise"):
+        out = apply_T(DensityGrid(grid.x0, grid.dx, vals))
+    assert 40.0 < out.values.max() < 80.0
 
 
 FINE_DX = 0.0025
