@@ -57,15 +57,19 @@ Every grid is solved by nested iteration: below it lies a ladder of
 coarser levels, each at twice the spacing of the one above, down to the
 coarsest spacing <= 0.02 (0.02 and 0.01 under the default 0.005).  The
 start is restricted to the coarsest level by full weighting, which keeps
-its mass; each finer level starts from the cubic interpolant of the solve
-below, extrapolated in dx^2 with the one below that.  The coarse levels
-run Anderson-mixed at half the u-nodes, each mix clamped at 0 and
-renormalized, and move most sweeps onto grids 4-16 times cheaper: at the
-default grid the solve takes 10, 5 and 7 sweeps, about 0.2 s against 0.3 s
-for 17 plain ones.  The finest level runs plain sweeps, so its history is
-the map's own contraction, which `geometric_tail` reads, and it stops only
-once its left tail has settled as well: the clamp cuts the far left tail,
-which the plain sweeps take about 6 to rebuild.
+its mass; each finer level starts from exp of the cubic interpolant of ln f
+of the solve below, extrapolated in dx^2 with the one below that.  The
+left tail decays faster than any power, f(-3.9) ~ 1e-288, so ln f is
+smooth where f is not: interpolated and extrapolated as f, the tail would
+go negative, and the finest level would spend most of its sweeps
+rebuilding it.  The coarse levels run Anderson-mixed at half the
+u-nodes, each mix clamped at 0 and renormalized, and move most sweeps onto
+grids 4-16 times cheaper: at the default grid the solve takes 10, 5 and 6
+sweeps, about 0.2 s against 0.3 s for 17 plain ones, and at dx = 0.001 a
+uniform start takes 19-21, one of them on the finest grid.  The finest
+level runs plain sweeps, so its history is the map's own contraction,
+which `geometric_tail` reads, and it stops only once its left tail has
+settled as well.
 """
 
 from __future__ import annotations
@@ -130,6 +134,9 @@ _FFT_TAIL = 1e-12
 # product and spectral product; the irfft's unnormalized sums over at most
 # 2^18 terms add 18 bits, so every value stays below 2^(35 + 18 + 960)
 _SCALE = 480
+# ln f of a zero cell when a nested start is built in log space: below ln of
+# the least subnormal, about -744.4, so np.exp gives the cell back as 0
+_LOG_ZERO = -800.0
 # deposits of at most this many masses (zeros trimmed) convolve directly: at
 # dx = 0.001-0.005 np.convolve beats the FFT path up to 500-1000 masses
 _DIRECT_MASSES = 600
@@ -358,11 +365,14 @@ def iterate_density(f0: DensityGrid, max_iter: int = DENSITY_MAX_ITER,
     0.016, 0.008, ..., 0.001, and a grid coarser than 0.01 is its own only
     level.  The coarsest level starts from f0 restricted by full weighting,
     which keeps its trapezoid mass however narrow f0 is.  Each finer level
-    starts from the 4-point cubic interpolant p1 of the solve below it; from
-    the third level on, p1 + (p1 - p2) / 4, with p2 the solve two levels
-    below interpolated twice, cancels the O(dx^2) error of the grid (Brandt,
-    Math. Comp. 31, 1977).  Each such start is clamped at 0 and
-    renormalized.  `iterations` counts the sweeps of every level, which share the
+    starts from the 4-point cubic interpolant p1 of ln f of the solve below
+    it, a zero cell taken as _LOG_ZERO; from the third level on,
+    p1 + (p1 - p2) / 4, with p2 that of the solve two levels below
+    interpolated twice, cancels the O(dx^2) error of the grid (Brandt,
+    Math. Comp. 31, 1977).  The start is exp of that, renormalized: it is
+    positive wherever the solve below is, needs no clamp, and keeps the
+    left tail that an interpolant of f itself would take negative.
+    `iterations` counts the sweeps of every level, which share the
     `max_iter` budget; `diff_history` is the finest level's.
 
     The coarse levels run Anderson(5)-mixed (the CF route's mode), each mix
@@ -376,9 +386,10 @@ def iterate_density(f0: DensityGrid, max_iter: int = DENSITY_MAX_ITER,
     map's own and the warning and `geometric_tail` read the map's
     contraction.  It stops only once its residual is below `tol` and its
     last sweep changed no cell on x >= DENSITY_POSITIVE_X by more than a
-    factor of 2: the clamp leaves an extrapolated start's left tail at 0 or
-    far off, while the residual, set by the bulk, is already small, and the
-    plain sweeps take about 6 to rebuild it.
+    factor of 2: the residual is set by the bulk and says nothing of the
+    tail.  From a uniform start at dx = 0.001 one sweep does both; from a
+    Gaussian one, whose fat tail the mixed coarse levels never rebuild,
+    4-6 do.
 
     The differences should eventually contract geometrically; if
     `geometric_tail` finds otherwise, a warning is attached rather than an
@@ -386,10 +397,12 @@ def iterate_density(f0: DensityGrid, max_iter: int = DENSITY_MAX_ITER,
     floor.  A finest level of fewer than 5 sweeps leaves the rate
     unobserved and warns of nothing.  A run that stalls there for 5 sweeps,
     or whose residual falls too slowly for the sweeps left to reach `tol`,
-    raises IterationError, as any fixed_point run does.  A grid of more than
-    _MAX_SWEEP_POINTS points, or a u_nodes that apply_T refuses, raises
-    ValueError before any sweep.
+    raises IterationError, as any fixed_point run does.  A tol that is not
+    positive and finite, a grid of more than _MAX_SWEEP_POINTS points, or a
+    u_nodes that apply_T refuses, raises ValueError before any sweep.
     """
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite float, got {tol}")
     _check_sweep(f0.n, u_nodes)
     # f0 restricted down the ladder; the coarsest restriction is the first start
     levels = [f0]
@@ -397,10 +410,11 @@ def iterate_density(f0: DensityGrid, max_iter: int = DENSITY_MAX_ITER,
         levels.append(_restricted(levels[-1]))
     cur, sweeps, p1 = levels[-1], 0, None
     for level in reversed(levels):
-        if level is not levels[-1]:  # the solve below, interpolated and extrapolated
-            p2, p1 = p1, _interpolated(cur.values, level.n)
+        if level is not levels[-1]:  # ln of the solve below, interpolated and extrapolated
+            log_f = np.log(cur.values, out=np.full(cur.n, _LOG_ZERO), where=cur.values > 0.0)
+            p2, p1 = p1, _interpolated(log_f, level.n)
             start = p1 if p2 is None else p1 + (p1 - _interpolated(p2, level.n)) / 4.0
-            cur = _clamped(level, start)
+            cur = _normalized(level.x0, level.dx, np.exp(start))
         if level is f0:
             break
         cur, it, history = fixed_point(
@@ -487,11 +501,18 @@ def _restricted(f: DensityGrid) -> DensityGrid:
 
 
 def _interpolated(values: np.ndarray, n: int) -> np.ndarray:
-    """The 4-point cubic interpolant of `values` (0 past both ends) on the
-    first n nodes of the grid of half their spacing."""
+    """The 4-point cubic interpolant of `values` on the first n nodes of the
+    grid of half their spacing.
+
+    Past each end the stencil reads the odd reflection 2 v[0] - v[1] (and
+    likewise at the right), which continues `values` linearly: the
+    interpolant is exact on linear data at every node, the two end
+    midpoints included.  A zero pad would not do for the log of a density,
+    where it means f = 1 past the window.
+    """
     out = np.empty(2 * values.size - 1)
     out[::2] = values
-    pad = np.pad(values, 1)
+    pad = np.pad(values, 1, mode="reflect", reflect_type="odd")
     out[1::2] = (9.0 * (values[:-1] + values[1:]) - pad[:-3] - pad[3:]) / 16.0
     return out[:n]
 

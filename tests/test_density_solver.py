@@ -335,6 +335,45 @@ def test_interpolant_is_exact_on_cubics():
     assert density_solver._interpolated(cubic(2.0 * xs), 20).size == 20
 
 
+def test_interpolant_is_exact_on_linear_data_to_the_ends():
+    # the odd reflection continues the data linearly past both ends, so the
+    # end midpoints, whose stencils reach one node past the data, are exact too
+    line = 3.0 - 0.25 * np.arange(21.0)
+    got = density_solver._interpolated(line[::2], 21)
+    assert np.allclose(got, line, rtol=0.0, atol=1e-13)
+
+
+def test_fine_uniform_starts_need_one_finest_sweep(monkeypatch):
+    # the start, built from ln f of the levels below, already has the
+    # fixed point's tail: the first fine sweep meets tol and leaves the tail settled
+    real = density_solver.apply_T
+    solves = []
+    for b in (0.5, 0.9):
+        calls = []
+
+        def recording(f, u_nodes, calls=calls):
+            calls.append((f, real(f, u_nodes=u_nodes)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(density_solver, "apply_T", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, iters, history = iterate_density(uniform_density(-b, b, dx=0.001))
+        assert len(history) == 1 and iters == len(calls), b
+        assert _gate(f, iters, history).passed, b
+        # a cell that underflowed to 0 in the dx = 0.002 solve is 0 in the
+        # start: its log floor lies below ln of the least subnormal
+        below = [out for g, out in calls if g.dx == pytest.approx(0.002)][-1].values
+        start = calls[-1][0].values
+        assert np.count_nonzero(below == 0.0) > 0
+        assert np.all(start[::2][below == 0.0] == 0.0), b
+        solves.append(f)
+    monkeypatch.undo()
+    tight, _, _ = fixed_point(apply_T, solves[-1], 100, 1e-12, "tight")
+    for f in solves:
+        assert float(np.abs(f.values - tight.values).max()) < 1e-6
+
+
 def test_coarse_grids_cover_a_window_of_even_node_count():
     # 6002 nodes from -2.001: every other node would stop at 3.999, short of
     # the [-2, 4] a DensityGrid must cover, so each coarse grid ends past x_max
@@ -386,13 +425,13 @@ def test_every_start_reaches_the_same_fine_fixed_point(fine_fixed, uniform_fixed
 def test_coarse_levels_mix_and_the_finest_stays_plain(uniform_fixed):
     # plain sweeps take 29-33 on the coarsest level (dx = 0.02, 32 u-nodes)
     # from these starts; mixed, it takes 11-12, then 5 and 2 on the levels
-    # above, and the finest level 4
+    # above, and the finest level 2 from its log-space start
     for (a, b), ((_, iters, history), calls) in uniform_fixed.items():
-        assert iters == len(calls) <= 25, (a, b)
+        assert iters == len(calls) <= 21, (a, b)
         assert calls.count((0.02, 32)) <= 15, (a, b)
         assert calls.count((0.01, 32)) + calls.count((0.005, 32)) <= 10, (a, b)
         # the history is the finest level's plain sweeps, one per apply_T call
-        assert calls[-len(history):] == [(FINE_DX, 64)] * len(history) and len(history) <= 6
+        assert calls[-len(history):] == [(FINE_DX, 64)] * len(history) and len(history) <= 2
         # too few for the four-ratio window: each ratio contracts, but the
         # rate reads as unobserved, not as non-geometric, in the report too
         ratios, geometric = geometric_tail(history)
@@ -415,12 +454,12 @@ def test_default_grid_finest_level_is_the_plain_iteration(monkeypatch):
     n2, n1, n = levels.count((0.02, 32)), levels.count((0.01, 32)), len(history)
     assert levels == [(0.02, 32)] * n2 + [(0.01, 32)] * n1 + [(DENSITY_DX, 64)] * n
     assert iters == len(sweeps) and n <= 8
-    # the finest start: the 0.01 solve interpolated, extrapolated with the
-    # 0.02 solve interpolated twice, clamped at 0 and renormalized
+    # the finest start: ln of the 0.01 solve interpolated, extrapolated with
+    # ln of the 0.02 solve interpolated twice, exponentiated and renormalized
     interp = density_solver._interpolated
-    p2 = interp(interp(sweeps[n2 - 1][2].values, 1001), 2001)
-    p1 = interp(sweeps[n2 + n1 - 1][2].values, 2001)
-    start = np.maximum(p1 + (p1 - p2) / 4.0, 0.0)
+    p2 = interp(interp(np.log(sweeps[n2 - 1][2].values), 1001), 2001)
+    p1 = interp(np.log(sweeps[n2 + n1 - 1][2].values), 2001)
+    start = np.exp(p1 + (p1 - p2) / 4.0)
     fine = sweeps[-n:]
     assert np.array_equal(fine[0][0].values, start / np.trapezoid(start, dx=DENSITY_DX))
     # then plain sweeps: each takes the last one's output, and its residual is the history
@@ -432,9 +471,10 @@ def test_default_grid_finest_level_is_the_plain_iteration(monkeypatch):
 
 @pytest.mark.parametrize("dx", [DENSITY_DX, FINE_DX])
 def test_left_tail_lies_near_the_tight_plain_solve(dx, density_fixed, fine_fixed):
-    # the residual is set by the bulk, so only the tail check sees an
-    # extrapolated start's clamped tail; the bounds also hold for the
-    # unnested solve (0.56, 0.11, 0.017 at dx = 0.005)
+    # the residual is set by the bulk, so only the tail check sees a start
+    # whose far left tail is off, as the mixed coarse levels leave a
+    # Gaussian's; the bounds also hold for the unnested solve (0.56, 0.11,
+    # 0.017 at dx = 0.005)
     dens = density_fixed[0] if dx == DENSITY_DX else fine_fixed[0][0]
     tight, _, _ = fixed_point(apply_T, gaussian_density(dx=dx), 100, 1e-12, "tight")
     assert float(np.abs(dens.values - tight.values).max()) < 1.5e-6
@@ -487,6 +527,11 @@ def test_mean_stays_pinned_along_the_iteration():
 def test_iterate_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         iterate_density(gaussian_density(), tol=0.0)
+    # the error names the caller's tol, not the quarter the coarse levels solve
+    # to, on a nested grid and on a grid that is its own only level
+    for dx in (DENSITY_DX, 0.5):
+        with pytest.raises(ValueError, match=r"^tol must be a positive finite float, got -1\.0$"):
+            iterate_density(gaussian_density(dx=dx), tol=-1.0)
 
 
 def test_iteration_error_carries_history():
